@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+THREADS_HELP = (
+    "accepted and ignored: all trajectories of a run advance together in one process"
+)
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--ntraj", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None, help="worker processes (default: available cores)")
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.add_argument("--out", required=True, help="output directory for records and manifest")
 
     p = sub.add_parser("compare-ensembles", parents=[common],
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", default=None, help="1-based channel permutation for level t2")
     p.add_argument("--perm-c", default=None, help="1-based block permutation for level t3")
     p.add_argument("--alpha", type=float, default=0.01, help="significance level (default 0.01)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
 
     p = sub.add_parser("rate-scan", parents=[common],
                        help="pointwise rate and composite-action comparison on sampled states")
@@ -310,11 +313,8 @@ def _cmd_simulate(args) -> int:
     psi0 = _load_state(args.psi0, rep.dim)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.threads if args.threads is not None else trajectory.default_workers()
-    log.info("simulating %d trajectories on %d workers", args.ntraj, workers)
-    ensemble = trajectory.simulate_ensemble(
-        rep, psi0, args.tmax, args.ntraj, args.seed, workers=workers, tol=tol
-    )
+    log.info("simulating %d trajectories", args.ntraj)
+    ensemble = trajectory.simulate_ensemble(rep, psi0, args.tmax, args.ntraj, args.seed, tol=tol)
     records_path = out_dir / "trajectories.jsonl"
     with records_path.open("w", encoding="utf-8") as fh:
         for i, traj in enumerate(ensemble):
@@ -370,13 +370,12 @@ def _cmd_compare(args) -> int:
         if args.times
         else [args.tmax / 2, args.tmax]
     )
-    workers = args.threads if args.threads is not None else trajectory.default_workers()
-    log.info("simulating 2 x %d trajectories on %d workers", args.ntraj, workers)
+    log.info("simulating 2 x %d trajectories", args.ntraj)
     ens_a = trajectory.simulate_ensemble(
-        rep_a, psi0, args.tmax, args.ntraj, args.seed_a, workers=workers, tol=tol
+        rep_a, psi0, args.tmax, args.ntraj, args.seed_a, tol=tol
     )
     ens_b = trajectory.simulate_ensemble(
-        rep_b, psi0, args.tmax, args.ntraj, args.seed_b, workers=workers, tol=tol
+        rep_b, psi0, args.tmax, args.ntraj, args.seed_b, tol=tol
     )
     comparison = ens.compare_ensembles(
         ens_a,

@@ -20,6 +20,8 @@ procedure; the algebraic checkers are exact at their tolerances.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +45,10 @@ from .linalg import (
 from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix
 from .sjed import SjedPartition, composite_action, partition
-from .trajectory import LabelledTrajectory, coarse_grain, state_at
+from .trajectory import LabelledTrajectory, coarse_grain, states_at
+
+KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
+_KS_FALLBACK = r"ks_2samp: Exact calculation unsuccessful"
 
 
 @dataclass(eq=False)
@@ -201,12 +206,9 @@ def mean_state_check(
     rho0 = density(psi0)
     generator = liouvillian_matrix(rep, tol)
     deviations = []
-    for t in times:
+    for t, states in zip(times, states_at(ensemble, rep, times)):
         exact = unvec(matrix_exponential(generator * t) @ vec(rho0))
-        mean = np.zeros_like(exact)
-        for traj in ensemble:
-            mean += density(state_at(traj, rep, t))
-        mean /= len(ensemble)
+        mean = np.einsum("ni,nj->ij", states, states.conj()) / len(ensemble)
         deviations.append((float(t), float(np.max(np.abs(mean - exact)))))
     return MeanStateReport(deviations=tuple(deviations), bound=4.0 / np.sqrt(len(ensemble)))
 
@@ -216,6 +218,7 @@ class EnsembleComparison:
     level: str
     ks_statistics: Dict[Tuple[str, float], Tuple[float, float]]
     ks_resolution: Dict[str, float]
+    ks_method: Dict[Tuple[str, float], str]
     count_tests: Dict[str, Tuple[float, float]]
     alpha: float
     n_tests: int
@@ -232,6 +235,7 @@ class EnsembleComparison:
                     "statistic": stat,
                     "p_value": p,
                     "ks_resolution": self.ks_resolution[obs],
+                    "ks_method": self.ks_method[(obs, t)],
                 }
                 for (obs, t), (stat, p) in self.ks_statistics.items()
             ],
@@ -277,14 +281,31 @@ def _chi2_two_sample(x: Sequence[int], y: Sequence[int]) -> Tuple[float, float]:
     return float(stat), float(p)
 
 
-def _states_at(
-    ensemble: Sequence[LabelledTrajectory], rep: Representation, t: float
-) -> np.ndarray:
-    return np.stack([state_at(traj, rep, t) for traj in ensemble])
-
-
 def _observable_samples(states: np.ndarray, observable: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ni,ij,nj->n", states.conj(), observable, states))
+
+
+def _ks_2samp(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, str]:
+    """Two-sample KS statistic, p-value and the method that gave the p-value.
+
+    The exact p-value is tried up to ``KS_EXACT_MAX`` samples per side, as
+    scipy's ``method="auto"`` does.  When scipy cannot finish it (ties in
+    large samples), it switches to the asymptotic formula with a
+    ``RuntimeWarning``; that warning is caught here and recorded as
+    ``"asymp"``.  Any other warning passes through.
+    """
+    method = "exact" if max(len(x), len(y)) <= KS_EXACT_MAX else "asymp"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", message=_KS_FALLBACK, category=RuntimeWarning)
+        result = scipy.stats.ks_2samp(x, y, method=method)
+    for warning in caught:
+        if re.match(_KS_FALLBACK, str(warning.message)):
+            method = "asymp"
+        else:
+            warnings.warn_explicit(
+                warning.message, warning.category, warning.filename, warning.lineno
+            )
+    return float(result.statistic), float(result.pvalue), method
 
 
 def _snap(samples: np.ndarray, resolution: float) -> np.ndarray:
@@ -322,7 +343,8 @@ def compare_ensembles(
     whose float bits depend on the representation (``p0 = 0.0`` against
     ``p0 = 3.7e-33``) would count as distinct values.  With
     ``Tolerance(atol=0, rtol=0)`` the step is zero and the raw samples are
-    compared.
+    compared.  Each KS entry also records ``ks_method``: ``"exact"``, or
+    ``"asymp"`` where scipy could not finish the exact p-value.
     """
     if level not in ("t1", "t2", "t3"):
         raise ValidationError(f"unknown comparison level {level!r}")
@@ -335,15 +357,17 @@ def compare_ensembles(
         label: tol.cutoff(float(np.linalg.norm(op, 2))) for label, op in observables.items()
     }
     ks: Dict[Tuple[str, float], Tuple[float, float]] = {}
-    for t in times:
-        states_a = _states_at(ens_a, rep_a, t)
-        states_b = _states_at(ens_b, rep_b, t)
+    ks_method: Dict[Tuple[str, float], str] = {}
+    replay_a = states_at(ens_a, rep_a, times)
+    replay_b = states_at(ens_b, rep_b, times)
+    for t, states_a, states_b in zip(times, replay_a, replay_b):
         for label, op in observables.items():
-            result = scipy.stats.ks_2samp(
+            statistic, p_value, method = _ks_2samp(
                 _snap(_observable_samples(states_a, op), resolution[label]),
                 _snap(_observable_samples(states_b, op), resolution[label]),
             )
-            ks[(label, float(t))] = (float(result.statistic), float(result.pvalue))
+            ks[(label, float(t))] = (statistic, p_value)
+            ks_method[(label, float(t))] = method
 
     count_tests: Dict[str, Tuple[float, float]] = {}
     structural: Optional[str] = None
@@ -402,6 +426,7 @@ def compare_ensembles(
         level=level,
         ks_statistics=ks,
         ks_resolution=resolution,
+        ks_method=ks_method,
         count_tests=count_tests,
         alpha=alpha,
         n_tests=n_tests,

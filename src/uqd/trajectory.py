@@ -9,27 +9,37 @@ to the normalized image under the chosen jump operator.
 
 Implementation notes:
 
-* Propagation uses a cached matrix exponential on a fixed grid step
-  ``0.01 / |H_eff|``; the crossing is located inside one step by binary
-  descent through pre-halved propagators, resolving the jump time to about
-  ``1e-10`` of a step and the crossing residual ``| |phi|^2 - u |`` to 1e-9.
-* Randomness comes from a counter-based Philox generator.  Per segment the
-  stream is consumed in a fixed order (one uniform for the jump time, then
-  one uniform per fired jump for the channel), so trajectories can be
-  replayed exactly from their recorded seed.
-* Ensembles give every trajectory an independent stream derived from
-  ``(master seed, trajectory index)`` and are therefore deterministic for
-  any worker count.
+* One engine advances every trajectory of a call together, as the rows of an
+  ``(N, dim)`` array; `simulate` is the engine with one row.  Each pass gives
+  every live row one propagator application from a table of step
+  exponentials ``exp(-i H_eff step / 2**level)`` with grid step
+  ``0.01 / |H_eff|``.  A row on the grid takes a full step (level 0); a row
+  whose squared norm fell below its ``u`` bisects that step, descending one
+  level per pass, until the jump time is resolved to ``2**-34`` of a step
+  and the crossing residual ``| |phi|^2 - u |`` to 1e-9.  Levels are
+  computed when a row first needs them, at most once per call.
+* A row with less than a full step left still takes a full step.  The
+  squared norm never increases, so a crossing found after ``t_max`` means
+  there is no jump before ``t_max``, and the row ends there.
+* Rows never mix: every product and sum runs per row, over a real form of
+  the state and operators, in a fixed order.  A row's bits therefore do not
+  depend on how many rows share the call, and ensembles equal their
+  trajectories simulated one at a time.
+* Randomness comes from a counter-based Philox generator, one per
+  trajectory.  Per segment the stream is consumed in a fixed order (one
+  uniform for the jump time, then one uniform per fired jump for the
+  channel), so trajectories can be replayed exactly from their recorded
+  seed.  Ensembles derive each trajectory's seed from
+  ``(master seed, trajectory index)``.
 
-Trajectories are independent tasks; `simulate` is pure given its arguments.
+Everything a call builds belongs to that call: there are no module-level
+caches and no process pool.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -44,6 +54,9 @@ TIME_LEVELS = 34  # step * 2**-34 ~ 1e-10 relative time resolution
 MAX_LEVELS = 60
 NORM_RESIDUAL_TOL = 1e-9
 RATE_FLOOR = 1e-14
+# Bound on the per-row propagators gathered at once (8 MB), so memory stays
+# linear in the ensemble size at any dimension.
+GATHER_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -91,42 +104,61 @@ class PartiallyLabelledTrajectory:
         return out
 
 
-class _NoJumpPropagator:
-    """Lazily cached exponentials ``exp(-i H_eff h / 2**level)``."""
-
-    def __init__(self, h_eff: np.ndarray):
-        self.generator = -1j * np.asarray(h_eff, dtype=complex)
-        self._cache: dict[tuple[float, int], np.ndarray] = {}
-
-    def propagator(self, h: float, level: int) -> np.ndarray:
-        key = (float(h), level)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = matrix_exponential(self.generator * (h / 2.0**level))
-            self._cache[key] = cached
-        return cached
+def _real_form(mat: np.ndarray) -> np.ndarray:
+    """Real ``(2d, 2d)`` matrices acting on states stored as interleaved
+    ``(re, im)`` pairs, so that ``psi.view(float)`` is the real state."""
+    mat = np.asarray(mat, dtype=complex)
+    out = np.empty(mat.shape[:-2] + (2 * mat.shape[-2], 2 * mat.shape[-1]))
+    out[..., 0::2, 0::2] = mat.real
+    out[..., 0::2, 1::2] = -mat.imag
+    out[..., 1::2, 0::2] = mat.imag
+    out[..., 1::2, 1::2] = mat.real
+    return out
 
 
-_PROPAGATORS: dict[bytes, _NoJumpPropagator] = {}
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right, elementwise in the
+    other axes, so each result depends only on its own terms."""
+    out = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        out += terms[..., j]
+    return out
 
 
-def _propagator_for(h_eff: np.ndarray) -> _NoJumpPropagator:
-    key = h_eff.tobytes()
-    prop = _PROPAGATORS.get(key)
-    if prop is None:
-        if len(_PROPAGATORS) > 16:
-            _PROPAGATORS.clear()
-        prop = _NoJumpPropagator(h_eff)
-        _PROPAGATORS[key] = prop
-    return prop
+class _StepTable:
+    """Real forms of ``exp(-i H_eff step / 2**level)`` for one call, each
+    computed when a row first needs its level."""
+
+    def __init__(self, h_eff: np.ndarray, step: float):
+        self.generator = -1j * h_eff
+        self.step = step
+        self.widths = step / 2.0 ** np.arange(MAX_LEVELS + 1)
+        size = 2 * h_eff.shape[0]
+        self.mats = np.empty((MAX_LEVELS + 1, size, size))
+        self.built = 0
+
+    def apply(self, level: np.ndarray, top: int, x: np.ndarray) -> np.ndarray:
+        """Row ``n`` of the result is the level-``level[n]`` propagator times
+        ``x[n]``; ``top`` is the highest level in ``level``."""
+        while self.built <= top:
+            exact = matrix_exponential(self.generator * (self.step / 2.0**self.built))
+            self.mats[self.built] = _real_form(exact)
+            self.built += 1
+        rows = max(1, GATHER_BYTES // self.mats[0].nbytes)
+        return np.concatenate(
+            [
+                _row_sum(self.mats[level[lo : lo + rows]] * x[lo : lo + rows, None, :])
+                for lo in range(0, len(x), rows)
+            ]
+        )
 
 
 class _DriftFlow:
-    """Fast ``exp(-i H_eff tau) psi`` for arbitrary ``tau``.
+    """Fast ``exp(-i H_eff tau) psi`` for arbitrary ``tau``, row by row.
 
     Uses the eigendecomposition of the generator when it is well conditioned
     and verified against a reference exponential; otherwise falls back to a
-    fresh matrix exponential per call.
+    fresh matrix exponential per row.
     """
 
     def __init__(self, h_eff: np.ndarray):
@@ -147,24 +179,14 @@ class _DriftFlow:
             self._w, self._v, self._v_inv = w, v, v_inv
             self._diagonalized = True
 
-    def apply(self, tau: float, psi: np.ndarray) -> np.ndarray:
+    def apply(self, tau: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Row ``n`` of the result is ``exp(-i H_eff tau[n]) psi[n]``."""
         if self._diagonalized:
-            return self._v @ (np.exp(self._w * tau) * (self._v_inv @ psi))
-        return matrix_exponential(self.generator * tau) @ psi
-
-
-_FLOWS: dict[bytes, _DriftFlow] = {}
-
-
-def _flow_for(h_eff: np.ndarray) -> _DriftFlow:
-    key = h_eff.tobytes()
-    flow = _FLOWS.get(key)
-    if flow is None:
-        if len(_FLOWS) > 16:
-            _FLOWS.clear()
-        flow = _DriftFlow(h_eff)
-        _FLOWS[key] = flow
-    return flow
+            modes = np.exp(tau[:, None] * self._w) * (psi @ self._v_inv.T)
+            return modes @ self._v.T
+        return np.stack(
+            [matrix_exponential(self.generator * s) @ row for s, row in zip(tau, psi)]
+        )
 
 
 def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
@@ -176,34 +198,108 @@ def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
         )
 
 
-def _sq_norm(phi: np.ndarray) -> float:
-    return float(np.real(np.vdot(phi, phi)))
+def _fire(jumps: np.ndarray, phi: np.ndarray, phi_sq: np.ndarray, draws: np.ndarray,
+          times: np.ndarray):
+    """Channels and normalized post-jump states of rows ``phi`` (squared
+    norms ``phi_sq``) that jump at ``times``, given one channel uniform per
+    row.  ``jumps`` stacks the real forms of the K jump operators into one
+    ``(2 d K, 2 d)`` matrix."""
+    amps = _row_sum(jumps * phi[:, None, :]).reshape(len(phi), -1, phi.shape[1])
+    amps_sq = _row_sum(amps * amps)
+    rates = amps_sq / phi_sq[:, None]
+    rates[rates < RATE_FLOOR] = 0.0
+    cumulative = np.cumsum(rates, axis=1)
+    total = cumulative[:, -1]
+    if np.any(total <= 0.0):
+        t_star = float(times[np.argmax(total <= 0.0)])
+        raise NumericalError(f"no channel has positive rate at sampled jump time {t_star:.6g}")
+    channel = np.count_nonzero(cumulative / total[:, None] <= draws[:, None], axis=1)
+    channel = np.minimum(channel, rates.shape[1] - 1)
+    rows = np.arange(len(phi))
+    return channel, amps[rows, channel] / np.sqrt(amps_sq[rows, channel])[:, None]
 
 
-def _locate_jump(
-    prop: _NoJumpPropagator, phi_left: np.ndarray, h: float, u: float
-) -> tuple[float, np.ndarray]:
-    """Crossing of the squared norm with ``u`` inside ``(0, h]``.
+def _simulate_rows(
+    rep: Representation,
+    psi0: np.ndarray,
+    t_max: float,
+    seeds: Sequence[int],
+    tol: Tolerance,
+) -> List[LabelledTrajectory]:
+    """One labelled trajectory per seed, all advanced together."""
+    require_valid(rep, tol)
+    if t_max <= 0:
+        raise ValidationError("t_max must be positive")
+    psi0 = normalize(psi0)
+    if psi0.size != rep.dim:
+        raise ValidationError(f"initial state has length {psi0.size}, expected {rep.dim}")
+    psi0.flags.writeable = False
+    h_eff = effective_hamiltonian(rep)
+    _check_contractive(h_eff, tol)
+    h_norm = float(np.linalg.norm(h_eff, 2))
+    step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
+    table = _StepTable(h_eff, step)
+    jumps = np.concatenate(_real_form(np.stack(rep.jumps)))
+    horizon = t_max - 1e-12 * max(1.0, t_max)
 
-    Maintains a bracket whose left end keeps squared norm above ``u``; after
-    each halving the right end is ``offset + width`` with state
-    ``U(width) phi``.  Descends until both the time resolution and the norm
-    residual are met.
-    """
-    offset = 0.0
-    phi = phi_left
-    for level in range(1, MAX_LEVELS + 1):
-        width = h / 2.0**level
-        half = prop.propagator(h, level)
-        candidate = half @ phi
-        if _sq_norm(candidate) > u:
-            phi = candidate
-            offset += width
-        if level >= TIME_LEVELS:
-            right = half @ phi
-            if abs(_sq_norm(right) - u) <= NORM_RESIDUAL_TOL:
-                return offset + width, right
-    raise NumericalError("jump-time bisection failed to reach the norm residual tolerance")
+    n = len(seeds)
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(int(s)))) for s in seeds]
+    events: List[List[JumpEvent]] = [[] for _ in range(n)]
+    posts: List[List[np.ndarray]] = [[] for _ in range(n)]
+
+    # Live rows.  Each holds a bracket: ``x`` is its left end at time ``t``
+    # (squared norm above ``u``), ``right`` (squared norm ``right_sq``) its
+    # right end, ``table.widths[level]`` later.  Level 0 is a grid step.
+    row = np.arange(n if horizon > 0 else 0)
+    t = np.zeros(row.size)
+    x = np.tile(psi0.view(float), (row.size, 1))
+    u = np.array([rngs[r].random() for r in row])
+    level = np.zeros(row.size, dtype=int)
+    right = np.zeros_like(x)
+    right_sq = np.zeros(row.size)
+    while row.size:
+        top = int(level.max())
+        new = table.apply(level, top, x)
+        new_sq = _row_sum(new * new)
+        above = new_sq > u
+        below = ~above
+        np.copyto(x, new, where=above[:, None])
+        np.copyto(right, new, where=below[:, None])
+        np.copyto(right_sq, new_sq, where=below)
+        t += table.widths[level] * above
+        found = np.zeros(row.size, dtype=bool)
+        if top >= TIME_LEVELS:
+            found = (level >= TIME_LEVELS) & (np.abs(right_sq - u) <= NORM_RESIDUAL_TOL)
+            hit = np.flatnonzero(found)
+            t_star = t[hit] + table.widths[level[hit]]
+            t[hit] = t_star  # a crossing after t_max ends its row with no jump
+            hit, t_star = hit[t_star <= t_max], t_star[t_star <= t_max]
+            if hit.size:
+                draws = np.array([rngs[r].random() for r in row[hit]])
+                channel, post = _fire(jumps, right[hit], right_sq[hit], draws, t_star)
+                x[hit] = post
+                for k, (r, state) in enumerate(zip(row[hit], post.view(complex))):
+                    events[r].append(JumpEvent(time=float(t_star[k]), channel=int(channel[k])))
+                    posts[r].append(state)
+                    u[hit[k]] = rngs[r].random()
+        level = np.where(found | ((level == 0) & above), 0, level + 1)
+        if top >= MAX_LEVELS and level.max() > MAX_LEVELS:
+            raise NumericalError("jump-time bisection failed to reach the norm residual tolerance")
+        if t.max() >= horizon:
+            keep = (t <= t_max) & ((level > 0) | (t < horizon))
+            row, t, x, u, level, right, right_sq = (
+                a[keep] for a in (row, t, x, u, level, right, right_sq)
+            )
+    return [
+        LabelledTrajectory(
+            initial_state=psi0,
+            events=tuple(events[i]),
+            post_jump_states=tuple(posts[i]),
+            t_final=float(t_max),
+            seed=int(seeds[i]),
+        )
+        for i in range(n)
+    ]
 
 
 def simulate(
@@ -214,84 +310,67 @@ def simulate(
     tol: Tolerance = DEFAULT_TOL,
 ) -> LabelledTrajectory:
     """One labelled trajectory, bitwise reproducible from ``seed``."""
-    require_valid(rep, tol)
-    if t_max <= 0:
-        raise ValidationError("t_max must be positive")
-    psi0 = normalize(psi0)
-    if psi0.size != rep.dim:
-        raise ValidationError(f"initial state has length {psi0.size}, expected {rep.dim}")
-    h_eff = effective_hamiltonian(rep)
-    _check_contractive(h_eff, tol)
-    prop = _propagator_for(h_eff)
-    h_norm = float(np.linalg.norm(h_eff, 2))
-    step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
+    return _simulate_rows(rep, psi0, t_max, [seed], tol)[0]
 
-    jump_stack = np.stack(rep.jumps)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
-    events: List[JumpEvent] = []
-    posts: List[np.ndarray] = []
-    t = 0.0
-    phi = psi0.copy()
-    u = rng.random()
-    horizon = t_max - 1e-12 * max(1.0, t_max)
-    full_step = prop.propagator(step, 0)
-    while t < horizon:
-        h = min(step, t_max - t)
-        advanced = (full_step if h == step else prop.propagator(h, 0)) @ phi
-        if _sq_norm(advanced) > u:
-            phi = advanced
-            t += h
-            continue
-        offset, phi_star = _locate_jump(prop, phi, h, u)
-        t_star = t + offset
-        psi_star = phi_star / np.linalg.norm(phi_star)
-        amps = jump_stack @ psi_star
-        rates = np.sum(np.abs(amps) ** 2, axis=1)
-        rates[rates < RATE_FLOOR] = 0.0
-        total = float(rates.sum())
-        if total <= 0.0:
-            raise NumericalError(
-                f"no channel has positive rate at sampled jump time {t_star:.6g}"
-            )
-        x = rng.random()
-        channel = int(np.searchsorted(np.cumsum(rates) / total, x, side="right"))
-        channel = min(channel, len(rates) - 1)
-        post = amps[channel] / np.linalg.norm(amps[channel])
-        events.append(JumpEvent(time=t_star, channel=channel))
-        posts.append(post)
-        phi = post
-        t = t_star
-        u = rng.random()
-    return LabelledTrajectory(
-        initial_state=psi0,
-        events=tuple(events),
-        post_jump_states=tuple(posts),
-        t_final=float(t_max),
-        seed=int(seed),
-    )
+def trajectory_seed(master_seed: int, index: int) -> int:
+    """Independent 64-bit stream key for trajectory ``index``."""
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+def simulate_ensemble(
+    rep: Representation,
+    psi0: np.ndarray,
+    t_max: float,
+    n_traj: int,
+    seed: int,
+    tol: Tolerance = DEFAULT_TOL,
+) -> List[LabelledTrajectory]:
+    """Independent trajectories with per-index derived seeds.
+
+    Trajectory ``i`` is bitwise equal to
+    ``simulate(rep, psi0, t_max, trajectory_seed(seed, i), tol)``.
+    """
+    if n_traj < 1:
+        raise ValidationError("n_traj must be at least 1")
+    seeds = [trajectory_seed(seed, i) for i in range(n_traj)]
+    return _simulate_rows(rep, psi0, t_max, seeds, tol)
+
+
+def states_at(
+    ensemble: Sequence[LabelledTrajectory], rep: Representation, times: Sequence[float]
+) -> np.ndarray:
+    """Conditional states of every trajectory at each of ``times``, with
+    shape ``(len(times), len(ensemble), dim)``, replayed by one drift flow.
+
+    At an event time a row holds the recorded post-jump state (the right
+    limit); between events it is propagated from the latest event and
+    renormalized.
+    """
+    flow = _DriftFlow(effective_hamiltonian(rep))
+    event_times = [[event.time for event in traj.events] for traj in ensemble]
+    out = np.empty((len(times), len(ensemble), rep.dim), dtype=complex)
+    for k, t in enumerate(times):
+        tau = np.empty(len(ensemble))
+        for n, (traj, stamps) in enumerate(zip(ensemble, event_times)):
+            if t < 0 or t > traj.t_final:
+                raise ValidationError(f"time {t} outside [0, {traj.t_final}]")
+            idx = bisect_right(stamps, t) - 1
+            if idx < 0:
+                tau[n], out[k, n] = t, traj.initial_state
+            else:
+                tau[n], out[k, n] = t - stamps[idx], traj.post_jump_states[idx]
+        moving = tau != 0.0
+        if moving.any():
+            drifted = flow.apply(tau[moving], out[k, moving])
+            out[k, moving] = drifted / np.linalg.norm(drifted, axis=1, keepdims=True)
+    return out
 
 
 def state_at(traj, rep: Representation, t: float) -> np.ndarray:
-    """Conditional state at time ``t`` by replaying the drift.
-
-    At an event time this returns the recorded post-jump state (the right
-    limit); between events it propagates from the latest event and
-    renormalizes.
-    """
-    if t < 0 or t > traj.t_final:
-        raise ValidationError(f"time {t} outside [0, {traj.t_final}]")
-    times = [event.time for event in traj.events]
-    idx = bisect_right(times, t) - 1
-    if idx < 0:
-        base_time, base_state = 0.0, traj.initial_state
-    else:
-        base_time, base_state = times[idx], traj.post_jump_states[idx]
-    tau = t - base_time
-    if tau == 0.0:
-        return np.array(base_state, copy=True)
-    flow = _flow_for(effective_hamiltonian(rep))
-    return normalize(flow.apply(tau, base_state))
+    """Conditional state of one trajectory at time ``t``; see `states_at`."""
+    return states_at([traj], rep, [t])[0, 0]
 
 
 def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> PartiallyLabelledTrajectory:
@@ -310,50 +389,3 @@ def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> PartiallyLabe
         t_final=traj.t_final,
         seed=traj.seed,
     )
-
-
-def trajectory_seed(master_seed: int, index: int) -> int:
-    """Independent 64-bit stream key for trajectory ``index``."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _ensemble_task(args) -> LabelledTrajectory:
-    rep, psi0, t_max, master_seed, index, tol = args
-    return simulate(rep, psi0, t_max, trajectory_seed(master_seed, index), tol)
-
-
-def default_workers() -> int:
-    env = os.environ.get("UQD_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"UQD_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
-def simulate_ensemble(
-    rep: Representation,
-    psi0: np.ndarray,
-    t_max: float,
-    n_traj: int,
-    seed: int,
-    workers: Optional[int] = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> List[LabelledTrajectory]:
-    """Independent trajectories with per-index derived seeds.
-
-    The result is identical for any ``workers`` value; parallelism only
-    changes wall time.
-    """
-    if n_traj < 1:
-        raise ValidationError("n_traj must be at least 1")
-    if workers is None:
-        workers = default_workers()
-    tasks = [(rep, psi0, t_max, seed, i, tol) for i in range(n_traj)]
-    if workers <= 1 or n_traj == 1:
-        return [_ensemble_task(task) for task in tasks]
-    chunk = max(1, n_traj // (workers * 8))
-    with Pool(processes=workers) as pool:
-        return pool.map(_ensemble_task, tasks, chunksize=chunk)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -251,17 +252,22 @@ class TestRateScan:
 class TestCompareEnsembles:
     def test_self_comparison_cli(self, capsys, rep_files):
         rep_a, _ = rep_files
-        code, out = run(
-            capsys, "compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_a,
-            "--level", "t1", "--ntraj", "80", "--tmax", "0.5", "--psi0", "1",
-            "--seed-a", "3", "--seed-b", "4", "--threads", "1",
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(
+                capsys, "compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_a,
+                "--level", "t1", "--ntraj", "80", "--tmax", "0.5", "--psi0", "1",
+                "--seed-a", "3", "--seed-b", "4", "--threads", "1",
+            )
+        assert [str(w.message) for w in caught] == []
         assert code == 0
         doc = json.loads(out)
         validate_schema(doc, "ensemble_comparison")
         # samples are snapped to the default tolerance grid before each KS test
         assert doc["ks_statistics"]
         assert all(e["ks_resolution"] == 1e-10 for e in doc["ks_statistics"])
+        # tied samples defeat scipy's exact p-value; the fallback is recorded
+        assert {e["ks_method"] for e in doc["ks_statistics"]} == {"exact", "asymp"}
 
     def test_incomparable_records_fail(self, capsys, rep_files):
         rep_a, rep_min = rep_files
@@ -296,12 +302,3 @@ class TestFig1:
         else:
             pytest.fail("no active row found")
 
-
-class TestThreadsEnv:
-    def test_env_override(self, monkeypatch):
-        from uqd.trajectory import default_workers
-
-        monkeypatch.setenv("UQD_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.delenv("UQD_THREADS")
-        assert default_workers() >= 1

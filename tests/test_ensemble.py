@@ -99,12 +99,12 @@ class TestRateFieldScan:
 class TestMeanStateCheck:
     def test_dark_state_single_trajectory_is_exact(self):
         rep = single_decay()
-        ens = simulate_ensemble(rep, ket(2, 0), 2.0, 1, seed=1, workers=1)
+        ens = simulate_ensemble(rep, ket(2, 0), 2.0, 1, seed=1)
         report = mean_state_check(ens, rep, [0.5, 1.0, 2.0])
         assert report.max_deviation < 1e-10
 
     def test_small_ensemble_within_bound(self, qutrit_a):
-        ens = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 600, seed=2, workers=1)
+        ens = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 600, seed=2)
         report = mean_state_check(ens, qutrit_a, [0.5, 1.0, 2.0])
         assert report.ok
         assert report.bound == pytest.approx(4 / np.sqrt(600))
@@ -114,7 +114,7 @@ class TestMeanStateCheck:
         # rate: transient populations separate far beyond Monte Carlo noise
         truth = single_decay(gamma=1.0)
         wrong = single_decay(gamma=2.0)
-        ens = simulate_ensemble(truth, ket(2, 1), 1.0, 500, seed=3, workers=1)
+        ens = simulate_ensemble(truth, ket(2, 1), 1.0, 500, seed=3)
         good = mean_state_check(ens, truth, [0.5, 1.0])
         bad = mean_state_check(ens, wrong, [0.5, 1.0])
         assert good.ok
@@ -148,8 +148,8 @@ def reset_pair_ensembles():
     # -|0> + 6e-17|2>, so its p0 atom sits near 3.7e-33 instead of at 0.0
     tilde = models.qutrit_b(theta=0.0, gammas=(0.7, 0.8, 2.0))
     rotated = models.qutrit_b(theta=np.pi / 2, gammas=(1.0, 0.5, 2.0))
-    ens_t = simulate_ensemble(tilde, ket(3, 1), 1.0, 1000, seed=83, workers=1)
-    ens_r = simulate_ensemble(rotated, ket(3, 1), 1.0, 1000, seed=84, workers=1)
+    ens_t = simulate_ensemble(tilde, ket(3, 1), 1.0, 1000, seed=83)
+    ens_r = simulate_ensemble(rotated, ket(3, 1), 1.0, 1000, seed=84)
     return tilde, rotated, ens_t, ens_r
 
 
@@ -192,8 +192,8 @@ class TestSnapping:
 
 class TestCompareEnsembles:
     def test_self_comparison_passes(self, qutrit_a):
-        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=11, workers=1)
-        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=12, workers=1)
+        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=11)
+        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=12)
         result = compare_ensembles(
             ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [0.5, 1.0], level="t1"
         )
@@ -203,8 +203,8 @@ class TestCompareEnsembles:
     def test_channel_records_incomparable_across_different_lengths(
         self, qutrit_a, qutrit_a_min
     ):
-        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 50, seed=1, workers=1)
-        ens_b = simulate_ensemble(qutrit_a_min, ket(3, 1), 1.0, 50, seed=2, workers=1)
+        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 50, seed=1)
+        ens_b = simulate_ensemble(qutrit_a_min, ket(3, 1), 1.0, 50, seed=2)
         result = compare_ensembles(
             ens_a, ens_b, qutrit_a, qutrit_a_min, BASIS_OBS, [1.0], level="t2"
         )
@@ -215,8 +215,8 @@ class TestCompareEnsembles:
         # swapped reset targets: block counts only match under the swap
         tilde = models.qutrit_b(theta=0.0, gammas=(0.7, 0.8, 2.0))
         rotated = models.qutrit_b(theta=np.pi / 2, gammas=(1.0, 0.5, 2.0))
-        ens_a = simulate_ensemble(tilde, ket(3, 1), 1.0, 500, seed=21, workers=1)
-        ens_b = simulate_ensemble(rotated, ket(3, 1), 1.0, 500, seed=22, workers=1)
+        ens_a = simulate_ensemble(tilde, ket(3, 1), 1.0, 500, seed=21)
+        ens_b = simulate_ensemble(rotated, ket(3, 1), 1.0, 500, seed=22)
         swap = compare_ensembles(
             ens_a, ens_b, tilde, rotated, BASIS_OBS, [1.0], level="t3", block_perm=(1, 0)
         )
@@ -227,15 +227,15 @@ class TestCompareEnsembles:
         assert not identity.verdict
 
     def test_mismatched_horizons_rejected(self, qutrit_a):
-        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1, workers=1)
-        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 5, seed=2, workers=1)
+        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 5, seed=2)
         with pytest.raises(ValidationError):
             compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
 
     def test_rate_doubling_detected_at_level_t1(self, qutrit_a):
         other = models.qutrit_a(gamma=2.0)
-        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=31, workers=1)
-        ens_b = simulate_ensemble(other, ket(3, 1), 1.0, 400, seed=32, workers=1)
+        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=31)
+        ens_b = simulate_ensemble(other, ket(3, 1), 1.0, 400, seed=32)
         result = compare_ensembles(
             ens_a, ens_b, qutrit_a, other, BASIS_OBS, [0.5, 1.0], level="t1"
         )
@@ -247,8 +247,8 @@ class TestCompareEnsembles:
         failures = 0
         runs = 40
         for i in range(runs):
-            ens_a = simulate_ensemble(rep, ket(2, 1), 3.0, 120, seed=1000 + i, workers=1)
-            ens_b = simulate_ensemble(rep, ket(2, 1), 3.0, 120, seed=5000 + i, workers=1)
+            ens_a = simulate_ensemble(rep, ket(2, 1), 3.0, 120, seed=1000 + i)
+            ens_b = simulate_ensemble(rep, ket(2, 1), 3.0, 120, seed=5000 + i)
             result = compare_ensembles(
                 ens_a,
                 ens_b,

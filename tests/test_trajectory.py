@@ -7,16 +7,21 @@ from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import Tolerance, matrix_exponential, normalize
 from uqd.representation import Representation, effective_hamiltonian, jump_rates
 from uqd.sjed import partition
+from uqd import trajectory
 from uqd.trajectory import (
+    MAX_LEVELS,
+    STEP_SCALE,
     JumpEvent,
     coarse_grain,
     simulate,
     simulate_ensemble,
     state_at,
+    states_at,
     trajectory_seed,
     _check_contractive,
 )
 from conftest import ket
+from scalar_reference import reference_simulate
 
 
 def single_decay(gamma=1.0):
@@ -28,7 +33,7 @@ def single_decay(gamma=1.0):
 class TestSingleDecay:
     def test_exactly_one_jump_with_exponential_law(self):
         rep = single_decay(gamma=1.0)
-        trajs = simulate_ensemble(rep, ket(2, 1), 12.0, 2000, seed=101, workers=1)
+        trajs = simulate_ensemble(rep, ket(2, 1), 12.0, 2000, seed=101)
         times = [t.events[0].time for t in trajs if t.events]
         assert all(len(t.events) <= 1 for t in trajs)
         assert len(times) > 1990
@@ -61,11 +66,22 @@ class TestDeterminism:
         two = simulate(qutrit_a, ket(3, 1), 2.0, seed=2)
         assert one.events != two.events
 
-    def test_ensemble_independent_of_worker_count(self, qutrit_a):
-        serial = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 8, seed=5, workers=1)
-        pooled = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 8, seed=5, workers=2)
-        for a, b in zip(serial, pooled):
-            assert a.events == b.events
+    def test_ensemble_rows_independent_of_batch(self):
+        # a non-diagonal H_eff, so every propagator entry enters each sum
+        ham = np.array(
+            [[0.3, 0.5 - 0.2j, 0.1], [0.5 + 0.2j, -0.4, 0.7j], [0.1, -0.7j, 0.2]]
+        )
+        rep = models.qutrit_a(hamiltonian=ham)
+        ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 40, seed=5)
+        prefix = simulate_ensemble(rep, ket(3, 1), 2.0, 13, seed=5)
+        singles = [simulate(rep, ket(3, 1), 2.0, seed=trajectory_seed(5, i)) for i in range(6)]
+        assert any(traj.events for traj in singles)
+        for other in (prefix, singles):
+            for a, b in zip(ensemble, other):
+                assert a.seed == b.seed
+                assert a.events == b.events
+                assert len(a.post_jump_states) == len(b.post_jump_states)
+                assert all(np.array_equal(p, q) for p, q in zip(a.post_jump_states, b.post_jump_states))
 
     def test_trajectory_seed_is_stable(self):
         assert trajectory_seed(7, 3) == trajectory_seed(7, 3)
@@ -129,8 +145,7 @@ class TestFirstJumpChannelLaw:
         observed = np.zeros(qutrit_a.n_jumps)
         expected = np.zeros(qutrit_a.n_jumps)
         h_eff = effective_hamiltonian(qutrit_a)
-        for i in range(n):
-            traj = simulate(qutrit_a, ket(3, 1), 2.0, seed=trajectory_seed(900, i))
+        for traj in simulate_ensemble(qutrit_a, ket(3, 1), 2.0, n, seed=900):
             if not traj.events:
                 continue
             event = traj.events[0]
@@ -228,6 +243,102 @@ class TestGuards:
         # constant-rate model: jumps form a Poisson process of rate gamma
         jump = np.sqrt(0.8) * np.eye(2, dtype=complex)
         rep = Representation(hamiltonian=None, jumps=[jump])
-        trajs = simulate_ensemble(rep, ket(2, 0), 5.0, 400, seed=6, workers=1)
+        trajs = simulate_ensemble(rep, ket(2, 0), 5.0, 400, seed=6)
         counts = [len(t.events) for t in trajs]
         assert np.mean(counts) == pytest.approx(0.8 * 5.0, abs=0.35)
+
+
+class TestScalarReference:
+    """The batched engine against the per-trajectory loop it replaced.
+
+    The tolerances come from the bisection: event times are resolved to
+    ``2**-34`` of a grid step, well inside ``1e-10 * t_max``.
+    """
+
+    @pytest.mark.parametrize(
+        "rep, t_max, seed",
+        [
+            (models.qutrit_a(), 2.0, 31),
+            (models.qutrit_b(0.0, (0.7, 0.8, 2.0)), 1.0, 32),
+        ],
+        ids=["qutrit_a", "qutrit_b"],
+    )
+    def test_matches_reference_loop(self, rep, t_max, seed):
+        n = 200
+        ensemble = simulate_ensemble(rep, ket(3, 1), t_max, n, seed=seed)
+        n_events = 0
+        for i, traj in enumerate(ensemble):
+            ref = reference_simulate(rep, ket(3, 1), t_max, trajectory_seed(seed, i))
+            assert [e.channel for e in traj.events] == [e.channel for e in ref.events]
+            for a, b in zip(traj.events, ref.events):
+                assert abs(a.time - b.time) <= 1e-10 * t_max
+            for p, q in zip(traj.post_jump_states, ref.post_jump_states):
+                assert np.max(np.abs(p - q)) <= 1e-9
+            n_events += len(ref.events)
+        assert n_events > n
+
+    def test_crossing_after_t_max_is_no_jump(self):
+        # t_max is 1.5 grid steps, so the last full step overshoots it by half
+        # a step, where about 1 % of the rows cross their u
+        rep = single_decay()
+        t_max = 1.5 * STEP_SCALE / np.linalg.norm(effective_hamiltonian(rep), 2)
+        ensemble = simulate_ensemble(rep, ket(2, 1), t_max, 2000, seed=33)
+        for i, traj in enumerate(ensemble):
+            ref = reference_simulate(rep, ket(2, 1), t_max, trajectory_seed(33, i))
+            assert len(traj.events) == len(ref.events)
+            assert all(event.time <= t_max for event in traj.events)
+
+
+class TestBoundedState:
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_propagators_built_at_most_once_per_level(self, qutrit_a, monkeypatch, n):
+        calls = []
+        original = trajectory.matrix_exponential
+
+        def counting(mat):
+            calls.append(mat)
+            return original(mat)
+
+        monkeypatch.setattr(trajectory, "matrix_exponential", counting)
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n, seed=3)
+        assert any(traj.events for traj in ensemble)
+        assert 0 < len(calls) <= MAX_LEVELS + 1
+
+    def test_no_module_state_grows_across_calls(self, qutrit_a):
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(trajectory).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))
+            }
+
+        first = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 20, seed=1)
+        states_at(first, qutrit_a, [0.5])
+        before = sizes()
+        other = models.qutrit_b()
+        second = simulate_ensemble(other, ket(3, 1), 1.3, 20, seed=2)
+        states_at(second, other, [0.2, 1.3])
+        simulate(qutrit_a, ket(3, 1), 0.7, seed=3)
+        assert sizes() == before
+
+
+class TestDriftFlowFallback:
+    def test_defective_generator_replays_by_expm(self):
+        # H_eff = [[-i/2, 1], [0, -i/2]] is one Jordan block: no eigenbasis
+        ham = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+        jump = np.array([[1.0, 1j], [0.0, 0.0]], dtype=complex)
+        rep = Representation(hamiltonian=ham, jumps=[jump])
+        h_eff = effective_hamiltonian(rep)
+        _, vectors = np.linalg.eig(-1j * h_eff)
+        assert np.linalg.cond(vectors) > 1e8
+        ensemble = simulate_ensemble(rep, ket(2, 1), 3.0, 30, seed=8)
+        assert any(traj.events for traj in ensemble)
+        times = [0.4, 1.7, 3.0]
+        for t, states in zip(times, states_at(ensemble, rep, times)):
+            for traj, state in zip(ensemble, states):
+                base_time, base = 0.0, traj.initial_state
+                for event, post in zip(traj.events, traj.post_jump_states):
+                    if event.time <= t:
+                        base_time, base = event.time, post
+                drifted = matrix_exponential(-1j * h_eff * (t - base_time)) @ base
+                assert np.max(np.abs(state - normalize(drifted))) <= 1e-12
