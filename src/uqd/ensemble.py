@@ -35,7 +35,6 @@ from .linalg import (
     Tolerance,
     as_rng,
     density,
-    frobenius,
     matrix_exponential,
     random_pure_state,
     trace_distance,
@@ -44,7 +43,7 @@ from .linalg import (
 )
 from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix
-from .sjed import SjedPartition, composite_action, partition
+from .sjed import SjedPartition, action_gap, block_jumps, partition
 from .trajectory import LabelledTrajectory, coarse_grain, states_at
 
 KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
@@ -88,16 +87,16 @@ def _greedy_block_pairing(
     parts_a: SjedPartition,
     parts_b: SjedPartition,
 ) -> tuple[int, ...]:
-    actions_a = [composite_action(rep_a, blk) for blk in parts_a.blocks]
-    actions_b = [composite_action(rep_b, blk) for blk in parts_b.blocks]
+    blocks_a = [block_jumps(rep_a, blk) for blk in parts_a.blocks]
     taken: set[int] = set()
     perm: List[int] = []
-    for action_b in actions_b:
+    for blk in parts_b.blocks:
+        jumps_b = block_jumps(rep_b, blk)
         best, best_dist = -1, np.inf
-        for beta, action_a in enumerate(actions_a):
+        for beta, jumps_a in enumerate(blocks_a):
             if beta in taken:
                 continue
-            dist = frobenius(action_b - action_a)
+            dist = action_gap(jumps_b, jumps_a)
             if dist < best_dist:
                 best, best_dist = beta, dist
         taken.add(best)

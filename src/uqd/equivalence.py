@@ -4,8 +4,9 @@ Three nested notions of equivalence are decided algebraically:
 
 * **theorem 1** (same trajectory ensembles): the Hamiltonians differ by a
   real multiple of the identity and the two families of composite
-  equal-destination actions coincide as sets of superoperators, under a
-  block pairing that is unique when it exists.
+  equal-destination actions coincide, under a block pairing that is unique
+  when it exists.  Two actions coincide when the Frobenius gap between their
+  superoperators is below the cutoff.
 * **theorem 2** (same labelled ensembles up to relabelling): additionally
   every jump operator of one representation is a unit-modulus multiple of a
   jump operator of the other, under some permutation; the permutation need
@@ -19,6 +20,14 @@ trajectory-equivalent representation is ``H + r*1`` together with jumps
 ``J_j = sum_k V[j, k] J'_k`` where ``V`` is an isometry vanishing outside
 matched blocks.  ``apply_gauge`` builds such representations and
 ``extract_isometry`` recovers ``V`` by least squares on vectorized jumps.
+
+Every Frobenius norm the checks compare, of a generator, of a composite
+action or of a gap between two of them, is a norm of a sum of Kronecker
+products.  It is computed by :func:`uqd.linalg.kron_sum_norm` from the
+operators themselves, so deciding builds no dim^2 x dim^2 matrix.
+``evaluate`` validates, compares generators and partitions each
+representation once, and its theorem-3 verdict without a forced pairing is
+the theorem-1 verdict.
 
 All checks are pure functions of their inputs.
 """
@@ -36,14 +45,16 @@ from .errors import NumericalError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    dagger,
     frobenius,
     identity_shift,
+    kron_sum_norm,
     numerical_rank,
     proportionality_coefficient,
     vec,
 )
-from .representation import Representation, liouvillian_matrix, require_valid
-from .sjed import NonResetBlock, SjedPartition, composite_action, partition
+from .representation import Representation, require_valid
+from .sjed import NonResetBlock, SjedPartition, action_gap, block_jumps, partition
 
 THEOREM2_MATCHING_CAP = 10_000
 
@@ -98,20 +109,9 @@ class Theorem2Verdict:
         }
 
 
-@dataclass(frozen=True)
-class Theorem3Verdict:
-    holds: bool
-    shift: Optional[float] = None
-    block_perm: Optional[tuple[int, ...]] = None
-    diagnostics: tuple[str, ...] = ()
-
-    def to_document(self) -> dict:
-        return {
-            "holds": self.holds,
-            "shift_r": self.shift,
-            "block_perm": None if self.block_perm is None else [p + 1 for p in self.block_perm],
-            "diagnostics": list(self.diagnostics),
-        }
+# Coarse-grained equivalence reports the same facts as theorem 1: a block
+# pairing, the Hamiltonian shift and the failures.
+Theorem3Verdict = Theorem1Verdict
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,37 @@ def _require_same_dim(rep_a: Representation, rep_b: Representation) -> None:
         )
 
 
+def _require_valid_pair(rep_a: Representation, rep_b: Representation, tol: Tolerance) -> None:
+    require_valid(rep_a, tol)
+    require_valid(rep_b, tol)
+    _require_same_dim(rep_a, rep_b)
+
+
+def _generator_terms(rep: Representation) -> tuple[list, list]:
+    """Kronecker factors of the generator, term for term as in
+    ``liouvillian_matrix``: ``L = 1 (x) K + (iH^T - G^T/2) (x) 1 +
+    sum_k conj(J_k) (x) J_k`` with ``K = -iH - G/2`` and ``G = sum_k J_k^+ J_k``."""
+    ham = rep.hamiltonian
+    gain = sum(dagger(j) @ j for j in rep.jumps)
+    eye = np.eye(rep.dim)
+    lefts = [eye, 1j * ham.T - 0.5 * gain.T, *(j.conj() for j in rep.jumps)]
+    rights = [-1j * ham - 0.5 * gain, eye, *rep.jumps]
+    return lefts, rights
+
+
 def same_liouvillian(
     rep_a: Representation, rep_b: Representation, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Whether the two averaged-state generators agree entrywise."""
+    """Whether the two averaged-state generators agree: the Frobenius norm of
+    their difference is below the cutoff for the larger generator's norm."""
     _require_same_dim(rep_a, rep_b)
-    la = liouvillian_matrix(rep_a, tol)
-    lb = liouvillian_matrix(rep_b, tol)
-    scale = max(frobenius(la), frobenius(lb))
-    return frobenius(la - lb) <= tol.cutoff(scale)
+    require_valid(rep_a, tol)
+    require_valid(rep_b, tol)
+    lefts_a, rights_a = _generator_terms(rep_a)
+    lefts_b, rights_b = _generator_terms(rep_b)
+    gap = kron_sum_norm(lefts_a + lefts_b, rights_a + [-r for r in rights_b])
+    scale = max(kron_sum_norm(lefts_a, rights_a), kron_sum_norm(lefts_b, rights_b))
+    return gap <= tol.cutoff(scale)
 
 
 def _hamiltonian_shift(
@@ -174,18 +196,22 @@ def _hamiltonian_shift(
 
 
 def _match_actions(
-    actions_b: Sequence[np.ndarray], actions_a: Sequence[np.ndarray], tol: Tolerance
+    blocks_b: Sequence[Sequence[np.ndarray]],
+    blocks_a: Sequence[Sequence[np.ndarray]],
+    tol: Tolerance,
 ) -> tuple[Optional[tuple[int, ...]], List[str]]:
-    """Pair equal composite-action matrices; unique when it exists."""
+    """Pair blocks, given as lists of member jumps, with equal composite
+    actions; unique when it exists."""
+    norms_a = [action_gap(jumps) for jumps in blocks_a]
     diagnostics: List[str] = []
     perm: List[int] = []
     taken: set[int] = set()
-    for alpha, action_b in enumerate(actions_b):
+    for alpha, jumps_b in enumerate(blocks_b):
+        norm_b = action_gap(jumps_b)
         hits = [
             beta
-            for beta, action_a in enumerate(actions_a)
-            if frobenius(action_b - action_a)
-            <= tol.cutoff(max(frobenius(action_b), frobenius(action_a)))
+            for beta, jumps_a in enumerate(blocks_a)
+            if action_gap(jumps_b, jumps_a) <= tol.cutoff(max(norm_b, norms_a[beta]))
         ]
         if not hits:
             diagnostics.append(f"block {alpha + 1} has no counterpart with equal composite action")
@@ -201,29 +227,32 @@ def _match_actions(
     return tuple(perm), []
 
 
-def check_theorem1(
-    rep_a: Representation, rep_b: Representation, tol: Tolerance = DEFAULT_TOL
+def _blocks(rep: Representation, parts: SjedPartition) -> List[List[np.ndarray]]:
+    return [block_jumps(rep, blk) for blk in parts.blocks]
+
+
+def _theorem1(
+    rep_a: Representation,
+    rep_b: Representation,
+    tol: Tolerance,
+    same_qme: bool,
+    parts: Optional[tuple[SjedPartition, SjedPartition]],
 ) -> Theorem1Verdict:
-    """Decide trajectory-ensemble equality; all failures become diagnostics."""
-    require_valid(rep_a, tol)
-    require_valid(rep_b, tol)
-    _require_same_dim(rep_a, rep_b)
-    if not same_liouvillian(rep_a, rep_b, tol):
+    """Theorem 1 on a validated pair, from the generator comparison and,
+    when the generators agree, both partitions."""
+    if not same_qme:
         return Theorem1Verdict(holds=False, diagnostics=("different QME",))
-    diagnostics: List[str] = []
-    shift, shift_diags = _hamiltonian_shift(rep_a, rep_b, tol)
-    diagnostics.extend(shift_diags)
-    parts_a = partition(rep_a, tol)
-    parts_b = partition(rep_b, tol)
+    shift, diagnostics = _hamiltonian_shift(rep_a, rep_b, tol)
+    parts_a, parts_b = parts
     block_perm: Optional[tuple[int, ...]] = None
     if parts_a.block_count != parts_b.block_count:
         diagnostics.append(
             f"block counts differ ({parts_b.block_count} vs {parts_a.block_count})"
         )
     else:
-        actions_a = [composite_action(rep_a, blk) for blk in parts_a.blocks]
-        actions_b = [composite_action(rep_b, blk) for blk in parts_b.blocks]
-        block_perm, match_diags = _match_actions(actions_b, actions_a, tol)
+        block_perm, match_diags = _match_actions(
+            _blocks(rep_b, parts_b), _blocks(rep_a, parts_a), tol
+        )
         diagnostics.extend(match_diags)
     return Theorem1Verdict(
         holds=not diagnostics,
@@ -231,6 +260,16 @@ def check_theorem1(
         block_perm=block_perm,
         diagnostics=tuple(diagnostics),
     )
+
+
+def check_theorem1(
+    rep_a: Representation, rep_b: Representation, tol: Tolerance = DEFAULT_TOL
+) -> Theorem1Verdict:
+    """Decide trajectory-ensemble equality; all failures become diagnostics."""
+    _require_valid_pair(rep_a, rep_b, tol)
+    same_qme = same_liouvillian(rep_a, rep_b, tol)
+    parts = (partition(rep_a, tol), partition(rep_b, tol)) if same_qme else None
+    return _theorem1(rep_a, rep_b, tol, same_qme, parts)
 
 
 def _max_bipartite_matching_size(candidates: Sequence[Sequence[int]], n_right: int) -> int:
@@ -298,9 +337,18 @@ def check_theorem2(
     is only sought to set the ``multiple`` flag; ``enumerate_all`` lists every
     matching up to ``max_matchings`` (``truncated`` marks a hit cap).
     """
-    require_valid(rep_a, tol)
-    require_valid(rep_b, tol)
-    _require_same_dim(rep_a, rep_b)
+    _require_valid_pair(rep_a, rep_b, tol)
+    return _theorem2(rep_a, rep_b, tol, enumerate_all, max_matchings)
+
+
+def _theorem2(
+    rep_a: Representation,
+    rep_b: Representation,
+    tol: Tolerance,
+    enumerate_all: bool,
+    max_matchings: int,
+) -> Theorem2Verdict:
+    """Theorem 2 on a validated pair."""
     d_a, d_b = rep_a.n_jumps, rep_b.n_jumps
     if d_a != d_b:
         return Theorem2Verdict(
@@ -357,17 +405,23 @@ def check_theorem3(
     block_perm: Optional[Sequence[int]] = None,
 ) -> Theorem3Verdict:
     """Coarse-grained equivalence; with ``block_perm`` the pairing is forced,
-    otherwise it reduces to the theorem-1 search."""
+    otherwise it is the theorem-1 verdict."""
     if block_perm is None:
-        t1 = check_theorem1(rep_a, rep_b, tol)
-        return Theorem3Verdict(
-            holds=t1.holds, shift=t1.shift, block_perm=t1.block_perm, diagnostics=t1.diagnostics
-        )
-    require_valid(rep_a, tol)
-    require_valid(rep_b, tol)
-    _require_same_dim(rep_a, rep_b)
-    parts_a = partition(rep_a, tol)
-    parts_b = partition(rep_b, tol)
+        return check_theorem1(rep_a, rep_b, tol)
+    _require_valid_pair(rep_a, rep_b, tol)
+    parts = (partition(rep_a, tol), partition(rep_b, tol))
+    return _forced_pairing(rep_a, rep_b, tol, parts, block_perm)
+
+
+def _forced_pairing(
+    rep_a: Representation,
+    rep_b: Representation,
+    tol: Tolerance,
+    parts: tuple[SjedPartition, SjedPartition],
+    block_perm: Sequence[int],
+) -> Theorem3Verdict:
+    """Theorem 3 on a validated pair under the given block pairing."""
+    parts_a, parts_b = parts
     perm = tuple(int(p) for p in block_perm)
     if len(perm) != parts_b.block_count:
         raise ValidationError(
@@ -380,11 +434,10 @@ def check_theorem3(
     diagnostics: List[str] = []
     shift, shift_diags = _hamiltonian_shift(rep_a, rep_b, tol)
     diagnostics.extend(shift_diags)
+    blocks_a, blocks_b = _blocks(rep_a, parts_a), _blocks(rep_b, parts_b)
     for alpha, beta in enumerate(perm):
-        action_b = composite_action(rep_b, parts_b.blocks[alpha])
-        action_a = composite_action(rep_a, parts_a.blocks[beta])
-        scale = max(frobenius(action_a), frobenius(action_b))
-        if frobenius(action_b - action_a) > tol.cutoff(scale):
+        scale = max(action_gap(blocks_a[beta]), action_gap(blocks_b[alpha]))
+        if action_gap(blocks_b[alpha], blocks_a[beta]) > tol.cutoff(scale):
             diagnostics.append(
                 f"block {alpha + 1} does not match block {beta + 1} under the forced pairing"
             )
@@ -404,12 +457,27 @@ def evaluate(
     enumerate_all: bool = False,
     max_matchings: int = THEOREM2_MATCHING_CAP,
 ) -> EquivalenceReport:
-    """Run every check once and bundle the verdicts."""
+    """Run every check and bundle the verdicts.
+
+    Each representation is validated (by ``same_liouvillian``) and
+    partitioned once, and the partitions are built only when theorem 1 or a
+    forced pairing needs them.  Theorem 1 runs once: without ``block_perm``
+    the theorem-3 verdict is the theorem-1 verdict.
+    """
+    same_qme = same_liouvillian(rep_a, rep_b, tol)
+    parts = None
+    if same_qme or block_perm is not None:
+        parts = (partition(rep_a, tol), partition(rep_b, tol))
+    theorem1 = _theorem1(rep_a, rep_b, tol, same_qme, parts)
     return EquivalenceReport(
-        same_qme=same_liouvillian(rep_a, rep_b, tol),
-        theorem1=check_theorem1(rep_a, rep_b, tol),
-        theorem2=check_theorem2(rep_a, rep_b, tol, enumerate_all, max_matchings),
-        theorem3=check_theorem3(rep_a, rep_b, tol, block_perm),
+        same_qme=same_qme,
+        theorem1=theorem1,
+        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all, max_matchings),
+        theorem3=(
+            theorem1
+            if block_perm is None
+            else _forced_pairing(rep_a, rep_b, tol, parts, block_perm)
+        ),
     )
 
 

@@ -17,9 +17,11 @@ Rank-1 operators that happen to be mutually proportional are still
 classified as reset (parallel images take precedence), which keeps each
 class homogeneous in type.
 
-The composite action of a class, encoded as a superoperator matrix, is the
+The composite action of a class, ``rho -> sum_k J_k rho J_k^+``, is the
 canonical object compared between representations: classes match exactly
-when those matrices agree entrywise.
+when the Frobenius gap between the two actions' superoperator matrices is
+below the cutoff.  :func:`action_gap` computes that gap from the jump
+operators themselves, so no dim^2 x dim^2 matrix is built to compare blocks.
 
 All functions are pure; witness search owns its generator state.
 """
@@ -40,6 +42,7 @@ from .linalg import (
     dagger,
     density,
     frobenius,
+    kron_sum_norm,
     normalize,
     numerical_rank,
     proportionality_coefficient,
@@ -137,6 +140,28 @@ def _leading_image(mat: np.ndarray) -> np.ndarray:
     return u[:, 0]
 
 
+def _reset_image(mat: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
+    """Leading image of a rank-1 operator, ``None`` for higher rank."""
+    if numerical_rank(mat, tol) != 1:
+        return None
+    return _leading_image(mat)
+
+
+def _jed(
+    a: np.ndarray,
+    b: np.ndarray,
+    image_a: Optional[np.ndarray],
+    image_b: Optional[np.ndarray],
+    tol: Tolerance,
+) -> bool:
+    """Equal-destination relation of two valid operators, given their
+    :func:`_reset_image` values."""
+    if image_a is not None and image_b is not None:
+        overlap = abs(np.vdot(image_a, image_b))
+        return bool(1.0 - overlap <= tol.rtol)
+    return proportionality_coefficient(a, b, tol) is not None
+
+
 def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two nonzero operators have equal destinations everywhere.
 
@@ -147,16 +172,18 @@ def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise ValidationError("equal-destination test requires nonzero operators")
     if np.shape(a) != np.shape(b):
         raise ValidationError("equal-destination test requires equal shapes")
-    if numerical_rank(a, tol) == 1 and numerical_rank(b, tol) == 1:
-        overlap = abs(np.vdot(_leading_image(a), _leading_image(b)))
-        return bool(1.0 - overlap <= tol.rtol)
-    return proportionality_coefficient(a, b, tol) is not None
+    image_a = _reset_image(a, tol)
+    image_b = _reset_image(b, tol) if image_a is not None else None
+    return _jed(a, b, image_a, image_b, tol)
 
 
-def _classify(rep: Representation, indices: List[int], tol: Tolerance) -> SjedBlock:
+def _classify(
+    rep: Representation, indices: List[int], image: Optional[np.ndarray], tol: Tolerance
+) -> SjedBlock:
+    """Summarise one class; ``image`` is the first member's reset image."""
     first = rep.jumps[indices[0]]
-    if numerical_rank(first, tol) == 1:
-        chi = fix_vector_phase(_leading_image(first))
+    if image is not None:
+        chi = fix_vector_phase(image)
         gamma = np.zeros((rep.dim, rep.dim), dtype=complex)
         for k in indices:
             gamma += dagger(rep.jumps[k]) @ rep.jumps[k]
@@ -177,6 +204,7 @@ def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartitio
     """Group jumps into equal-destination classes via union-find."""
     require_valid(rep, tol)
     d = rep.n_jumps
+    images = [_reset_image(jump, tol) for jump in rep.jumps]
     parent = list(range(d))
 
     def find(x: int) -> int:
@@ -189,19 +217,37 @@ def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartitio
         for j in range(i + 1, d):
             if find(i) == find(j):
                 continue
-            if are_jed(rep.jumps[i], rep.jumps[j], tol):
+            if _jed(rep.jumps[i], rep.jumps[j], images[i], images[j], tol):
                 parent[find(j)] = find(i)
 
     groups: dict[int, List[int]] = {}
     for k in range(d):
         groups.setdefault(find(k), []).append(k)
     ordered = sorted(groups.values(), key=min)
-    return SjedPartition(tuple(_classify(rep, g, tol) for g in ordered))
+    return SjedPartition(tuple(_classify(rep, g, images[g[0]], tol) for g in ordered))
 
 
 def composite_action(rep: Representation, block: SjedBlock) -> np.ndarray:
     """Superoperator matrix of the block's summed jump action."""
-    return superoperator_matrix([rep.jumps[k] for k in block.indices])
+    return superoperator_matrix(block_jumps(rep, block))
+
+
+def block_jumps(rep: Representation, block: SjedBlock) -> List[np.ndarray]:
+    """The block's member operators, in index order."""
+    return [rep.jumps[k] for k in block.indices]
+
+
+def action_gap(jumps: Sequence[np.ndarray], others: Sequence[np.ndarray] = ()) -> float:
+    """Frobenius norm of ``superoperator_matrix(jumps) - superoperator_matrix(others)``;
+    the norm of the first action when ``others`` is empty.
+
+    Both actions are sums of ``kron(conj(J), J)``, so the gap is one
+    :func:`kron_sum_norm` over ``len(jumps) + len(others)`` terms, with no
+    dim^2 x dim^2 matrix built.
+    """
+    lefts = [np.conj(j) for j in (*jumps, *others)]
+    rights = [*jumps, *(-j for j in others)]
+    return kron_sum_norm(lefts, rights)
 
 
 def block_action_matrix(block: SjedBlock) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from uqd import BlockIsometry, Representation, partition
@@ -14,13 +16,19 @@ def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
 
 
 def random_minimal_representation(
-    rng, dim: int, n_reset: int = 1, n_nonreset: int = 1, label: str = "random"
+    rng,
+    dim: int,
+    n_reset: int = 1,
+    n_nonreset: int = 1,
+    label: str = "random",
+    max_rank: Optional[int] = None,
 ) -> Representation:
     """Representation whose blocks are minimal by construction.
 
     Reset blocks get mutually well-separated targets and orthonormal weight
-    directions; non-reset blocks get full-rank canonical operators that are
-    pairwise non-proportional.
+    directions (a random count below ``dim``, at most ``max_rank``);
+    non-reset blocks get full-rank canonical operators that are pairwise
+    non-proportional.
     """
     assert n_reset + n_nonreset >= 1
     targets: list[np.ndarray] = []
@@ -30,7 +38,7 @@ def random_minimal_representation(
             targets.append(chi)
     jumps: list[np.ndarray] = []
     for chi in targets:
-        rank = int(rng.integers(1, dim))
+        rank = int(rng.integers(1, dim if max_rank is None else min(dim, max_rank + 1)))
         directions = haar_isometry(dim, rank, rng)
         rates = 0.3 + rng.random(rank)
         for r in range(rank):

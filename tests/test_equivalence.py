@@ -4,6 +4,7 @@ import pytest
 from uqd import models
 from uqd.equivalence import (
     BlockIsometry,
+    _generator_terms,
     apply_gauge,
     check_theorem1,
     check_theorem2,
@@ -14,8 +15,9 @@ from uqd.equivalence import (
 )
 from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import frobenius, haar_isometry
-from uqd.representation import Representation
+from uqd.representation import Representation, liouvillian_matrix
 from uqd.sjed import partition
+import dense_reference
 from helpers import (
     cross_block_mixture,
     permuted_phase_variant,
@@ -356,3 +358,116 @@ class TestEvaluate:
         doc = report.to_document()
         assert doc["theorem1"]["block_perm"] == [1, 2]
         assert any("jump counts differ" in d for d in doc["diagnostics"])
+
+
+def _scaled_jump(rep, k, factor):
+    jumps = list(rep.jumps)
+    jumps[k] = factor * jumps[k]
+    return Representation(hamiltonian=rep.hamiltonian, jumps=jumps, label=rep.label)
+
+
+class TestDenseReference:
+    """The factor path against the dense superoperator matrices it replaced."""
+
+    @staticmethod
+    def documents(rep_a, rep_b, block_perm=None):
+        fast = evaluate(rep_a, rep_b, block_perm=block_perm).to_document()
+        dense = dense_reference.evaluate(rep_a, rep_b, block_perm=block_perm).to_document()
+        assert fast == dense
+        return fast
+
+    def test_generator_terms_rebuild_the_dense_generator(self, rng):
+        for dim in range(2, 6):
+            rep = random_minimal_representation(rng, dim, n_reset=1, n_nonreset=1)
+            lefts, rights = _generator_terms(rep)
+            rebuilt = sum(np.kron(a, b) for a, b in zip(lefts, rights))
+            assert np.max(np.abs(rebuilt - liouvillian_matrix(rep))) < 1e-12
+
+    def test_families_match_dense_documents(self, rng):
+        verdicts = set()
+        for trial in range(24):
+            dim = int(rng.integers(2, 6))
+            rep = random_minimal_representation(rng, dim, n_reset=2, n_nonreset=1)
+            kind = trial % 4
+            if kind == 0:
+                other = apply_gauge(rep, random_block_isometry(rng, rep), float(rng.standard_normal()))
+            elif kind == 1:
+                other = permuted_phase_variant(rng, rep)
+            elif kind == 2:
+                other = qme_gauge_variant(rng, rep)
+            else:
+                other = cross_block_mixture(rng, rep)
+            doc = self.documents(rep, other)
+            verdicts.add((kind, doc["same_qme"], doc["theorem1"]["holds"]))
+            n_blocks = partition(rep).block_count
+            if partition(other).block_count == n_blocks:
+                for perm in (tuple(range(n_blocks)), tuple(rng.permutation(n_blocks))):
+                    self.documents(rep, other, block_perm=perm)
+        # each family reached the verdict its construction fixes
+        assert {(0, True, True), (1, True, True), (2, True, False), (3, True, False)} <= verdicts
+
+    def test_both_paths_flip_on_the_same_side_of_the_cutoff(self, rng):
+        # the last jump is a one-member non-reset block: scaling it by
+        # 1 + delta moves its action by about 2 delta of the action's norm,
+        # against a relative cutoff of 1e-10
+        rep = random_minimal_representation(rng, 4, n_reset=2, n_nonreset=1)
+        last = rep.n_jumps - 1
+        held = self.documents(rep, _scaled_jump(rep, last, 1 + 1e-11))
+        assert held["same_qme"] and held["theorem1"]["holds"]
+        failed = self.documents(rep, _scaled_jump(rep, last, 1 + 1e-9))
+        assert not failed["theorem1"]["holds"] and not failed["theorem3"]["holds"]
+
+
+class TestDecisionPathCost:
+    """Deciding builds no dim^2 x dim^2 matrix and analyses each side once."""
+
+    @staticmethod
+    def gauge_pair(rng, dim, max_rank=None):
+        rep = random_minimal_representation(rng, dim, 2, 2, max_rank=max_rank)
+        return rep, apply_gauge(rep, random_block_isometry(rng, rep), -0.7)
+
+    def test_memory_stays_far_below_one_dense_generator(self, rng):
+        import tracemalloc
+
+        # jump counts as in the benchmark's pairs (at most 12 per side), so
+        # the operators themselves take under 0.2 MB each
+        rep, other = self.gauge_pair(rng, 32, max_rank=3)
+        n_blocks = partition(rep).block_count
+        for block_perm in (None, tuple(range(n_blocks))):
+            evaluate(rep, other, block_perm=block_perm)  # warm any lazy imports
+            tracemalloc.start()
+            try:
+                report = evaluate(rep, other, block_perm=block_perm)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.theorem1.holds
+            # one dense dim-32 generator alone is 1024^2 complex entries, 16 MB
+            assert peak < 4 * 2**20
+
+    def test_one_generator_comparison_and_one_partition_per_side(self, rng, monkeypatch):
+        import uqd.equivalence as equivalence
+
+        rep, other = self.gauge_pair(rng, 6)
+        calls = {"same_liouvillian": 0, "partition": 0}
+
+        def counted(name):
+            original = getattr(equivalence, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(equivalence, name, counted(name))
+        report = evaluate(rep, other)
+        assert calls == {"same_liouvillian": 1, "partition": 2}
+        assert report.theorem3 == check_theorem3(rep, other)
+        assert report.theorem3 == report.theorem1 and report.theorem1.holds
+
+    def test_dim_64_gauge_pair_holds(self, rng):
+        rep, other = self.gauge_pair(rng, 64)
+        verdict = check_theorem1(rep, other)
+        assert verdict.holds and verdict.shift == pytest.approx(-0.7, abs=1e-9)

@@ -11,6 +11,7 @@ from uqd.linalg import (
     density,
     haar_isometry,
     identity_shift,
+    kron_sum_norm,
     matrix_exponential,
     normalize,
     numerical_rank,
@@ -23,6 +24,8 @@ from uqd.linalg import (
     vec,
 )
 from conftest import ket
+import dense_reference
+from helpers import random_minimal_representation
 
 
 def dyad(i, j, dim=3):
@@ -141,6 +144,45 @@ class TestSuperoperatorMatrix:
             direct = sum(k @ rho @ k.conj().T for k in kraus)
             via_matrix = unvec(superoperator_matrix(kraus) @ vec(rho))
             assert np.max(np.abs(via_matrix - direct)) < 1e-12 * max(1, np.abs(direct).max())
+
+
+class TestKronSumNorm:
+    @staticmethod
+    def terms(rng, rep, m):
+        """``m`` random combinations of the model's operators, as factors."""
+        pool = [rep.hamiltonian, np.eye(rep.dim), *rep.jumps, *(j.conj() for j in rep.jumps)]
+
+        def draw():
+            weights = rng.standard_normal(len(pool)) + 1j * rng.standard_normal(len(pool))
+            return sum(w * op for w, op in zip(weights, pool))
+
+        return [draw() for _ in range(m)], [draw() for _ in range(m)]
+
+    def test_equals_dense_norm(self, rng):
+        # m below and above dim^2, where the factors' QR becomes rank-deficient
+        for dim in range(2, 7):
+            rep = random_minimal_representation(rng, dim, n_reset=1, n_nonreset=1)
+            for m in (1, 3, dim * dim + 3):
+                lefts, rights = self.terms(rng, rep, m)
+                dense = dense_reference.kron_sum_norm(lefts, rights)
+                assert abs(kron_sum_norm(lefts, rights) - dense) <= 1e-12 * dense
+
+    def test_cancelling_terms_resolve_small_gaps(self, rng):
+        # a gap 1e-11 below the terms' size is resolved to 1e-3 of itself;
+        # the Gram-trace form of the norm would lose it to rounding
+        rep = random_minimal_representation(rng, 4, n_reset=1, n_nonreset=2)
+        lefts, rights = self.terms(rng, rep, 5)
+        scale = kron_sum_norm(lefts, rights)
+        exact = kron_sum_norm(lefts * 2, rights + [-r for r in rights])
+        assert exact <= 1e-14 * scale
+        gap = kron_sum_norm(lefts * 2, rights + [-(1 - 1e-11) * r for r in rights])
+        assert gap == pytest.approx(1e-11 * scale, rel=1e-3)
+
+    def test_unequal_lists_rejected(self):
+        with pytest.raises(ValidationError):
+            kron_sum_norm([np.eye(2)], [])
+        with pytest.raises(ValidationError):
+            kron_sum_norm([], [])
 
 
 class TestIdentityShift:
