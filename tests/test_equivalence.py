@@ -430,7 +430,7 @@ class TestDecisionPathCost:
         import tracemalloc
 
         # jump counts as in the benchmark's pairs (at most 12 per side), so
-        # the operators themselves take under 0.2 MB each
+        # the operators themselves take under 0.2 MB per side
         rep, other = self.gauge_pair(rng, 32, max_rank=3)
         n_blocks = partition(rep).block_count
         for block_perm in (None, tuple(range(n_blocks))):
