@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.stats
 
 from .errors import ValidationError
 from .linalg import (
@@ -275,6 +274,8 @@ def _chi2_two_sample(x: Sequence[int], y: Sequence[int]) -> Tuple[float, float]:
             bins_y.append(acc_y)
     if len(bins_x) < 2:
         return 0.0, 1.0
+    import scipy.stats  # imported on use: it is most of ``import uqd``'s time
+
     table = np.array([bins_x, bins_y])
     stat, p, _, _ = scipy.stats.chi2_contingency(table, correction=False)
     return float(stat), float(p)
@@ -293,6 +294,8 @@ def _ks_2samp(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, str]:
     ``RuntimeWarning``; that warning is caught here and recorded as
     ``"asymp"``.  Any other warning passes through.
     """
+    import scipy.stats  # imported on use, as in `_chi2_two_sample`
+
     method = "exact" if max(len(x), len(y)) <= KS_EXACT_MAX else "asymp"
     with warnings.catch_warnings(record=True) as caught:
         warnings.filterwarnings("always", message=_KS_FALLBACK, category=RuntimeWarning)

@@ -11,16 +11,23 @@ Implementation notes:
 
 * One engine advances every trajectory of a call together, as the rows of an
   ``(N, dim)`` array; `simulate` is the engine with one row.  Each pass gives
-  every live row one propagator application from a table of step
-  exponentials ``exp(-i H_eff step / 2**level)`` with grid step
-  ``0.01 / |H_eff|``.  A row on the grid takes a full step (level 0); a row
-  whose squared norm fell below its ``u`` bisects that step, descending one
-  level per pass, until the jump time is resolved to ``2**-34`` of a step
-  and the crossing residual ``| |phi|^2 - u |`` to 1e-9.  Levels are
-  computed when a row first needs them, at most once per call.
-* A row with less than a full step left still takes a full step.  The
-  squared norm never increases, so a crossing found after ``t_max`` means
-  there is no jump before ``t_max``, and the row ends there.
+  every live row one propagator application from a table of exponentials
+  ``exp(-i H_eff w_k)`` at the dyadic widths ``w_k = step * 2**(top - k)``,
+  where ``step = 0.01 / |H_eff|`` anchors the time resolution and level 0
+  covers ``t_max``.  Levels are computed when a row first needs them, at most
+  once per call.
+* The squared norm never increases (`_check_contractive`), so the times where
+  it stays above ``u`` form one interval, and a greedy dyadic descent finds
+  its end without a grid.  A segment starts at the narrowest level whose
+  width still reaches ``t_max``; each pass tries the row's current width,
+  keeps the step if the squared norm stays above ``u``, and descends one
+  level.  A kept step that reaches ``t_max`` ends the row with no further
+  jump.  Otherwise the jump fires at the right end of the bracket once the
+  time is resolved to ``2**-34`` of ``step`` and the crossing residual
+  ``| |phi|^2 - u |`` to 1e-9; a crossing found after ``t_max`` means there
+  is no jump before ``t_max``, and the row ends there.  A segment therefore
+  costs about ``34 + log2(t_max / step)`` passes, whatever ``|H_eff| * t_max``
+  is.
 * Rows never mix: every product and sum runs per row, over a real form of
   the state and operators, in a fixed order.  A row's bits therefore do not
   depend on how many rows share the call, and ensembles equal their
@@ -51,7 +58,7 @@ from .sjed import SjedPartition
 
 STEP_SCALE = 0.01
 TIME_LEVELS = 34  # step * 2**-34 ~ 1e-10 relative time resolution
-MAX_LEVELS = 60
+MAX_LEVELS = 60  # deepest level below step before the search gives up
 NORM_RESIDUAL_TOL = 1e-9
 RATE_FLOOR = 1e-14
 # Bound on the per-row propagators gathered at once (8 MB), so memory stays
@@ -67,7 +74,10 @@ class JumpEvent:
 
 @dataclass(eq=False)
 class LabelledTrajectory:
-    """Conditional-state path summary plus the full measurement record."""
+    """Conditional-state path summary plus the full measurement record.
+
+    Each event's ``channel`` is a jump index, or a block index once
+    `coarse_grain` has relabelled the record."""
 
     initial_state: np.ndarray
     events: tuple[JumpEvent, ...]
@@ -85,23 +95,8 @@ class LabelledTrajectory:
         return out
 
 
-@dataclass(eq=False)
-class PartiallyLabelledTrajectory:
-    """Same path with events labelled by block index instead of channel."""
-
-    initial_state: np.ndarray
-    events: tuple[JumpEvent, ...]
-    post_jump_states: tuple[np.ndarray, ...]
-    t_final: float
-    seed: int
-
-    def counts(self, n_blocks: int, up_to: Optional[float] = None) -> np.ndarray:
-        out = np.zeros(n_blocks, dtype=int)
-        for event in self.events:
-            if up_to is not None and event.time > up_to:
-                break
-            out[event.channel] += 1
-        return out
+# A coarse-grained record has the same fields, with events labelled by block.
+PartiallyLabelledTrajectory = LabelledTrajectory
 
 
 def _real_form(mat: np.ndarray) -> np.ndarray:
@@ -126,22 +121,32 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
 
 
 class _StepTable:
-    """Real forms of ``exp(-i H_eff step / 2**level)`` for one call, each
-    computed when a row first needs its level."""
+    """Real forms of ``exp(-i H_eff w_k)`` for one call, at the dyadic widths
+    ``w_k = step * 2**(top - k)`` with ``top = ceil(log2(t_max / step))``.
 
-    def __init__(self, h_eff: np.ndarray, step: float):
+    Level 0 covers ``t_max``, level ``top`` is ``step`` and level
+    ``top + TIME_LEVELS`` is the time resolution; the table ends
+    ``MAX_LEVELS`` levels below ``step``.  Every width is ``step`` times a
+    power of two, so the widths are exact.  Each level is computed when a
+    row first needs it."""
+
+    def __init__(self, h_eff: np.ndarray, step: float, t_max: float):
         self.generator = -1j * h_eff
-        self.step = step
-        self.widths = step / 2.0 ** np.arange(MAX_LEVELS + 1)
+        top = max(0, int(np.ceil(np.log2(t_max / step))))
+        while step * 2.0**top < t_max:
+            top += 1
+        self.top = top
+        self.widths = step * 2.0 ** (top - np.arange(top + MAX_LEVELS + 1))
         size = 2 * h_eff.shape[0]
-        self.mats = np.empty((MAX_LEVELS + 1, size, size))
+        self.mats = np.empty((self.widths.size, size, size))
         self.built = 0
 
-    def apply(self, level: np.ndarray, top: int, x: np.ndarray) -> np.ndarray:
+    def apply(self, level: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row ``n`` of the result is the level-``level[n]`` propagator times
-        ``x[n]``; ``top`` is the highest level in ``level``."""
-        while self.built <= top:
-            exact = matrix_exponential(self.generator * (self.step / 2.0**self.built))
+        ``x[n]``."""
+        deepest = int(level.max())
+        while self.built <= deepest:
+            exact = matrix_exponential(self.generator * self.widths[self.built])
             self.mats[self.built] = _real_form(exact)
             self.built += 1
         rows = max(1, GATHER_BYTES // self.mats[0].nbytes)
@@ -238,9 +243,16 @@ def _simulate_rows(
     _check_contractive(h_eff, tol)
     h_norm = float(np.linalg.norm(h_eff, 2))
     step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
-    table = _StepTable(h_eff, step)
+    table = _StepTable(h_eff, step, t_max)
+    widths = table.widths
+    resolved = table.top + TIME_LEVELS
     jumps = np.concatenate(_real_form(np.stack(rep.jumps)))
-    horizon = t_max - 1e-12 * max(1.0, t_max)
+
+    def start_level(t: np.ndarray) -> np.ndarray:
+        # the narrowest level whose step from ``t`` reaches ``t_max``, in the
+        # same float sum as the step itself, so a kept step ends the row
+        reach = t[:, None] + widths[: resolved + 1] >= t_max
+        return np.count_nonzero(reach, axis=1) - 1
 
     n = len(seeds)
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(int(s)))) for s in seeds]
@@ -249,47 +261,48 @@ def _simulate_rows(
 
     # Live rows.  Each holds a bracket: ``x`` is its left end at time ``t``
     # (squared norm above ``u``), ``right`` (squared norm ``right_sq``) its
-    # right end, ``table.widths[level]`` later.  Level 0 is a grid step.
-    row = np.arange(n if horizon > 0 else 0)
-    t = np.zeros(row.size)
-    x = np.tile(psi0.view(float), (row.size, 1))
+    # right end, ``widths[level]`` later.  The bracket exists from the first
+    # pass of a segment on, because that pass either ends the row or
+    # finds the squared norm below ``u``.
+    row = np.arange(n)
+    t = np.zeros(n)
+    x = np.tile(psi0.view(float), (n, 1))
     u = np.array([rngs[r].random() for r in row])
-    level = np.zeros(row.size, dtype=int)
+    level = start_level(t)
     right = np.zeros_like(x)
-    right_sq = np.zeros(row.size)
+    right_sq = np.zeros(n)
     while row.size:
-        top = int(level.max())
-        new = table.apply(level, top, x)
+        new = table.apply(level, x)
         new_sq = _row_sum(new * new)
         above = new_sq > u
         below = ~above
         np.copyto(x, new, where=above[:, None])
         np.copyto(right, new, where=below[:, None])
         np.copyto(right_sq, new_sq, where=below)
-        t += table.widths[level] * above
-        found = np.zeros(row.size, dtype=bool)
-        if top >= TIME_LEVELS:
-            found = (level >= TIME_LEVELS) & (np.abs(right_sq - u) <= NORM_RESIDUAL_TOL)
-            hit = np.flatnonzero(found)
-            t_star = t[hit] + table.widths[level[hit]]
-            t[hit] = t_star  # a crossing after t_max ends its row with no jump
-            hit, t_star = hit[t_star <= t_max], t_star[t_star <= t_max]
-            if hit.size:
-                draws = np.array([rngs[r].random() for r in row[hit]])
-                channel, post = _fire(jumps, right[hit], right_sq[hit], draws, t_star)
-                x[hit] = post
-                for k, (r, state) in enumerate(zip(row[hit], post.view(complex))):
-                    events[r].append(JumpEvent(time=float(t_star[k]), channel=int(channel[k])))
-                    posts[r].append(state)
-                    u[hit[k]] = rngs[r].random()
-        level = np.where(found | ((level == 0) & above), 0, level + 1)
-        if top >= MAX_LEVELS and level.max() > MAX_LEVELS:
-            raise NumericalError("jump-time bisection failed to reach the norm residual tolerance")
-        if t.max() >= horizon:
-            keep = (t <= t_max) & ((level > 0) | (t < horizon))
+        t += widths[level] * above
+        # rows kept up to t_max end with this pass; every other row holds a bracket
+        found = (t < t_max) & (level >= resolved) & (np.abs(right_sq - u) <= NORM_RESIDUAL_TOL)
+        hit = np.flatnonzero(found)
+        t_star = t[hit] + widths[level[hit]]
+        t[hit] = t_star  # a crossing after t_max ends its row with no jump
+        hit, t_star = hit[t_star <= t_max], t_star[t_star <= t_max]
+        level += 1
+        if hit.size:
+            draws = np.array([rngs[r].random() for r in row[hit]])
+            channel, post = _fire(jumps, right[hit], right_sq[hit], draws, t_star)
+            x[hit] = post
+            for k, (r, state) in enumerate(zip(row[hit], post.view(complex))):
+                events[r].append(JumpEvent(time=float(t_star[k]), channel=int(channel[k])))
+                posts[r].append(state)
+                u[hit[k]] = rngs[r].random()
+            level[hit] = start_level(t[hit])
+        keep = t < t_max
+        if not keep.all():
             row, t, x, u, level, right, right_sq = (
                 a[keep] for a in (row, t, x, u, level, right, right_sq)
             )
+        if row.size and level.max() >= widths.size:
+            raise NumericalError("jump-time bisection failed to reach the norm residual tolerance")
     return [
         LabelledTrajectory(
             initial_state=psi0,

@@ -1,3 +1,12 @@
+import os
+
+# Pin BLAS to one thread before numpy loads it: the suite's small dense
+# products gain nothing from threads, and on a shared host an unpinned
+# OpenBLAS ran a 3x3 matrix exponential 100x slower from oversubscription.
+# The library itself leaves the default alone.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

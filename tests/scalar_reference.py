@@ -2,10 +2,12 @@
 level per Python iteration.
 
 This is the per-trajectory loop the batched engine in ``uqd.trajectory``
-replaced, kept so tests can hold the engine to it.  Its arithmetic is
-complex BLAS products and ``vdot`` norms, so the engine agrees with it up to
-the bisection resolution, not bit for bit: identical channel sequences,
-event times within ``1e-10 * t_max`` and post-jump states within 1e-9.
+replaced, kept so tests can hold the engine to it.  It walks a grid of step
+``0.01 / |H_eff|`` where the engine descends dyadic levels, and its
+arithmetic is complex BLAS products and ``vdot`` norms, so the engine agrees
+with it up to the shared time resolution of ``2**-34`` steps, not bit for
+bit: identical channel sequences, event times within ``1e-10 * t_max`` and
+post-jump states within 1e-9.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
+import uqd
 from uqd import models, schemas
 from uqd.cli import main
 from uqd.representation import from_document, serialize
@@ -302,3 +306,20 @@ class TestFig1:
         else:
             pytest.fail("no active row found")
 
+
+class TestImportCost:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is most of a cold ``import uqd``, and only the
+        # statistical cross-checks use it
+        src = os.path.dirname(os.path.dirname(uqd.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, uqd, uqd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert out.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from uqd import trajectory
 from uqd.trajectory import (
     MAX_LEVELS,
     STEP_SCALE,
+    TIME_LEVELS,
     JumpEvent,
     coarse_grain,
     simulate,
@@ -19,6 +20,7 @@ from uqd.trajectory import (
     states_at,
     trajectory_seed,
     _check_contractive,
+    _StepTable,
 )
 from conftest import ket
 from scalar_reference import reference_simulate
@@ -28,6 +30,16 @@ def single_decay(gamma=1.0):
     jump = np.zeros((2, 2), dtype=complex)
     jump[0, 1] = np.sqrt(gamma)
     return Representation(hamiltonian=None, jumps=[jump], label="decay")
+
+
+def driven_qutrit_a(drive):
+    """``qutrit_a`` with H = ``drive`` times the matrix of ones on the first
+    off-diagonals: ``|H_eff|`` grows about as ``1.4 * drive``."""
+    return models.qutrit_a(hamiltonian=drive * (np.eye(3, k=1) + np.eye(3, k=-1)))
+
+
+def step_of(rep):
+    return STEP_SCALE / np.linalg.norm(effective_hamiltonian(rep), 2)
 
 
 class TestSingleDecay:
@@ -249,22 +261,22 @@ class TestGuards:
 
 
 class TestScalarReference:
-    """The batched engine against the per-trajectory loop it replaced.
+    """The batched engine against the per-trajectory grid loop it replaced.
 
-    The tolerances come from the bisection: event times are resolved to
-    ``2**-34`` of a grid step, well inside ``1e-10 * t_max``.
+    The tolerances come from the search: both resolve event times to
+    ``2**-34`` of ``step = 0.01 / |H_eff|``, well inside ``1e-10 * t_max``.
     """
 
     @pytest.mark.parametrize(
-        "rep, t_max, seed",
+        "rep, t_max, seed, n",
         [
-            (models.qutrit_a(), 2.0, 31),
-            (models.qutrit_b(0.0, (0.7, 0.8, 2.0)), 1.0, 32),
+            (models.qutrit_a(), 2.0, 31, 200),
+            (models.qutrit_b(0.0, (0.7, 0.8, 2.0)), 1.0, 32, 200),
+            (driven_qutrit_a(10.0), 2.0, 34, 40),
         ],
-        ids=["qutrit_a", "qutrit_b"],
+        ids=["qutrit_a", "qutrit_b", "qutrit_a_driven"],
     )
-    def test_matches_reference_loop(self, rep, t_max, seed):
-        n = 200
+    def test_matches_reference_loop(self, rep, t_max, seed, n):
         ensemble = simulate_ensemble(rep, ket(3, 1), t_max, n, seed=seed)
         n_events = 0
         for i, traj in enumerate(ensemble):
@@ -278,20 +290,82 @@ class TestScalarReference:
         assert n_events > n
 
     def test_crossing_after_t_max_is_no_jump(self):
-        # t_max is 1.5 grid steps, so the last full step overshoots it by half
-        # a step, where about 1 % of the rows cross their u
+        # t_max is 1.5 steps, so the widest level is 2 steps and overshoots
+        # it by half a step, where about 1 % of the rows cross their u; the
+        # descent keeps those rows above u up to t_max, where they end
         rep = single_decay()
-        t_max = 1.5 * STEP_SCALE / np.linalg.norm(effective_hamiltonian(rep), 2)
+        t_max = 1.5 * step_of(rep)
         ensemble = simulate_ensemble(rep, ket(2, 1), t_max, 2000, seed=33)
         for i, traj in enumerate(ensemble):
             ref = reference_simulate(rep, ket(2, 1), t_max, trajectory_seed(33, i))
             assert len(traj.events) == len(ref.events)
             assert all(event.time <= t_max for event in traj.events)
 
+    def test_crossing_in_the_cell_across_t_max_is_no_jump(self):
+        # the first crossing tau = -ln(u) lies in the resolved cell
+        # (left, left + w], and t_max in that cell before tau: the search
+        # finds the jump time left + w > t_max, so the row ends with no jump
+        rep = single_decay()
+        w = step_of(rep) * 2.0**-TIME_LEVELS
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(2))).random()
+        tau = -np.log(u)
+        left = np.floor(tau / w) * w
+        assert 0.3 < (tau - left) / w < 0.9
+        assert simulate(rep, ket(2, 1), (left + tau) / 2, seed=2).events == ()
+        (event,) = simulate(rep, ket(2, 1), left + 2 * w, seed=2).events
+        assert abs(event.time - (left + w)) < w / 4
+
+
+class TestStiffness:
+    """The dyadic search costs about ``34 + log2(t_max / step)`` passes per
+    segment, whatever ``|H_eff| * t_max`` is."""
+
+    @staticmethod
+    def passes(monkeypatch, rep):
+        calls = []
+        original = _StepTable.apply
+
+        def counting(self, *args):
+            calls.append(None)
+            return original(self, *args)
+
+        monkeypatch.setattr(_StepTable, "apply", counting)
+        ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 2000, seed=35)
+        monkeypatch.undo()
+        assert sum(len(traj.events) for traj in ensemble) > 2000
+        return len(calls)
+
+    def test_passes_do_not_grow_with_stiffness(self, monkeypatch):
+        plain = self.passes(monkeypatch, models.qutrit_a())
+        stiff = self.passes(monkeypatch, driven_qutrit_a(100.0))
+        # a grid of step 0.01 / |H_eff| would take about 28,000 passes here
+        assert stiff < 2 * plain
+        assert stiff < 1000
+
+    def test_widest_level_matches_squared_step_level(self):
+        rep = driven_qutrit_a(100.0)
+        h_eff = effective_hamiltonian(rep)
+        step, t_max = step_of(rep), 2.0
+        table = _StepTable(h_eff, step, t_max)
+        top = table.top
+        assert table.widths[0] >= t_max > table.widths[1]
+        assert table.widths[top] == step
+        assert table.widths[top + TIME_LEVELS] == step * 2.0**-TIME_LEVELS
+        assert np.linalg.norm(h_eff, 2) * table.widths[0] > 300
+        table.apply(np.array([top]), np.zeros((1, 2 * rep.dim)))
+        squared = table.mats[top]
+        for _ in range(top):
+            squared = squared @ squared
+        assert np.linalg.norm(table.mats[0], 2) > 0.05
+        assert np.max(np.abs(squared - table.mats[0])) <= 1e-12
+
 
 class TestBoundedState:
     @pytest.mark.parametrize("n", [10, 1000])
     def test_propagators_built_at_most_once_per_level(self, qutrit_a, monkeypatch, n):
+        # the table spans ``top`` levels above ``step`` and MAX_LEVELS below;
+        # the bound depends on the model and t_max, never on n
+        top = int(np.ceil(np.log2(1.0 / step_of(qutrit_a))))
         calls = []
         original = trajectory.matrix_exponential
 
@@ -302,7 +376,7 @@ class TestBoundedState:
         monkeypatch.setattr(trajectory, "matrix_exponential", counting)
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n, seed=3)
         assert any(traj.events for traj in ensemble)
-        assert 0 < len(calls) <= MAX_LEVELS + 1
+        assert 0 < len(calls) <= top + MAX_LEVELS + 1
 
     def test_no_module_state_grows_across_calls(self, qutrit_a):
         def sizes():
