@@ -172,16 +172,14 @@ def drift(rep: Representation, psi_density: np.ndarray) -> np.ndarray:
 # -- serialization ----------------------------------------------------------
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
+# Each complex entry becomes its ``[re, im]`` pair: a trailing axis of
+# length 1 views as the two floats of the entry, at any strides.
 def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_to_pair(entry) for entry in row] for row in np.asarray(mat, dtype=complex)]
+    return np.asarray(mat, dtype=complex)[..., None].view(float).tolist()
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [_complex_to_pair(entry) for entry in np.asarray(v, dtype=complex).reshape(-1)]
+    return np.asarray(v, dtype=complex).reshape(-1, 1).view(float).tolist()
 
 
 def _pair_from_json(obj, where: str) -> complex:

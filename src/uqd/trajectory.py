@@ -10,24 +10,31 @@ to the normalized image under the chosen jump operator.
 Implementation notes:
 
 * One engine advances every trajectory of a call together, as the rows of an
-  ``(N, dim)`` array; `simulate` is the engine with one row.  Each pass gives
-  every live row one propagator application from a table of exponentials
-  ``exp(-i H_eff w_k)`` at the dyadic widths ``w_k = step * 2**(top - k)``,
-  where ``step = 0.01 / |H_eff|`` anchors the time resolution and level 0
-  covers ``t_max``.  Levels are computed when a row first needs them, at most
-  once per call.
-* The squared norm never increases (`_check_contractive`), so the times where
-  it stays above ``u`` form one interval, and a greedy dyadic descent finds
-  its end without a grid.  A segment starts at the narrowest level whose
-  width still reaches ``t_max``; each pass tries the row's current width,
-  keeps the step if the squared norm stays above ``u``, and descends one
-  level.  A kept step that reaches ``t_max`` ends the row with no further
-  jump.  Otherwise the jump fires at the right end of the bracket once the
-  time is resolved to ``2**-34`` of ``step`` and the crossing residual
-  ``| |phi|^2 - u |`` to 1e-9; a crossing found after ``t_max`` means there
-  is no jump before ``t_max``, and the row ends there.  A segment therefore
-  costs about ``34 + log2(t_max / step)`` passes, whatever ``|H_eff| * t_max``
-  is.
+  ``(N, dim)`` array; `simulate` is the engine with one row.  The search for
+  each crossing has two stages: a dyadic descent brackets it to one
+  ``step = 0.01 / |H_eff|``, and a solve finds it inside that bracket.
+* Descent.  Each pass gives every descending row one propagator application
+  from a table of exponentials ``exp(-i H_eff w_k)`` at the dyadic widths
+  ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, so level 0 covers
+  ``t_max`` and level ``top`` is ``step``.  Levels are computed when a row
+  first needs them, at most once per call.  The squared norm never increases
+  (`_check_contractive`), so the times where it stays above ``u`` form one
+  interval, and a greedy descent finds its end without a grid.  A segment
+  starts at the narrowest level whose width still reaches ``t_max``; each
+  pass tries the row's current width, keeps the step if the squared norm
+  stays above ``u``, and descends one level.  A kept step that reaches
+  ``t_max`` ends the row with no further jump.  After level ``top`` the row
+  holds a bracket ``(t, t + step]`` and waits.
+* Solve.  Within one step, ``|H_eff| tau <= 0.01``, the squared norm is the
+  degree-8 polynomial ``sum_m tau^m x^T M_m x`` of the state ``x`` at the
+  bracket's left end, up to about 1e-21.  When no row is descending, the
+  waiting rows are solved together by a safeguarded Newton iteration on that
+  polynomial, to ``2**-34`` of ``step``, and the state at the crossing is
+  rebuilt from its Taylor series; its squared norm must meet ``u`` to 1e-9.
+  A crossing after ``t_max`` means there is no jump before ``t_max``, and
+  the row ends there.  A segment therefore costs at most
+  ``1 + log2(t_max / step)`` passes plus its share of one solve, whatever
+  ``|H_eff| * t_max`` is.
 * Rows never mix: every product and sum runs per row, over a real form of
   the state and operators, in a fixed order.  A row's bits therefore do not
   depend on how many rows share the call, and ensembles equal their
@@ -57,8 +64,12 @@ from .representation import Representation, effective_hamiltonian, require_valid
 from .sjed import SjedPartition
 
 STEP_SCALE = 0.01
-TIME_LEVELS = 34  # step * 2**-34 ~ 1e-10 relative time resolution
-MAX_LEVELS = 60  # deepest level below step before the search gives up
+TIME_LEVELS = 34  # the solve resolves step * 2**-34 ~ 1e-10 relative time
+# |H_eff| * step <= STEP_SCALE, so the degree-8 Taylor polynomial of the
+# squared norm over one step errs by at most 0.02**9 / 9! ~ 1e-21
+TAYLOR_ORDER = 8
+# Bisection alone resolves a step in TIME_LEVELS iterations of the solve
+SOLVE_ITERATIONS = 2 * TIME_LEVELS
 NORM_RESIDUAL_TOL = 1e-9
 RATE_FLOOR = 1e-14
 # Bound on the per-row propagators gathered at once (8 MB), so memory stays
@@ -120,15 +131,32 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-class _StepTable:
-    """Real forms of ``exp(-i H_eff w_k)`` for one call, at the dyadic widths
-    ``w_k = step * 2**(top - k)`` with ``top = ceil(log2(t_max / step))``.
+def _columns(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``out[..., n] = mats[...] @ cols[:, n]`` for matrices shared by every
+    column, with the same products and left-to-right sums as `_row_sum`, so
+    each column of the result depends only on its own column of ``cols``.
+    The temporaries are no larger than the result."""
+    out = mats[..., 0, None] * cols[0]
+    for k in range(1, len(cols)):
+        out += mats[..., k, None] * cols[k]
+    return out
 
-    Level 0 covers ``t_max``, level ``top`` is ``step`` and level
-    ``top + TIME_LEVELS`` is the time resolution; the table ends
-    ``MAX_LEVELS`` levels below ``step``.  Every width is ``step`` times a
-    power of two, so the widths are exact.  Each level is computed when a
-    row first needs it."""
+
+class _StepTable:
+    """No-jump propagation for one call, in the real form: exponentials for
+    the descent down to ``step``, and Taylor terms for the solve within it.
+
+    The exponentials ``exp(-i H_eff w_k)`` sit at the dyadic widths
+    ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, with
+    ``top = ceil(log2(t_max / step))``: level 0 covers ``t_max`` and level
+    ``top`` is ``step``.  Every width is ``step`` times a power of two, so
+    the widths are exact.  Each level is computed when a row first needs it.
+
+    With ``A`` the real form of ``-i H_eff``, ``taylor[i] = A^i / i!`` and
+    the moment matrices ``moments[m] = sum_{i+j=m} taylor[i]^T taylor[j]``,
+    so that the no-jump state from ``x`` after ``tau <= step`` is
+    ``sum_i tau^i taylor[i] x`` and its squared norm is
+    ``sum_m tau^m x^T moments[m] x``, both to degree ``TAYLOR_ORDER``."""
 
     def __init__(self, h_eff: np.ndarray, step: float, t_max: float):
         self.generator = -1j * h_eff
@@ -136,10 +164,22 @@ class _StepTable:
         while step * 2.0**top < t_max:
             top += 1
         self.top = top
-        self.widths = step * 2.0 ** (top - np.arange(top + MAX_LEVELS + 1))
+        self.step = step
+        self.widths = step * 2.0 ** (top - np.arange(top + 1))
         size = 2 * h_eff.shape[0]
         self.mats = np.empty((self.widths.size, size, size))
         self.built = 0
+        real = _real_form(self.generator)
+        powers = [np.eye(size)]
+        for i in range(1, TAYLOR_ORDER + 1):
+            powers.append(powers[-1] @ real / i)
+        self.taylor = np.stack(powers)
+        self.moments = np.stack(
+            [
+                sum(powers[i].T @ powers[m - i] for i in range(m + 1))
+                for m in range(TAYLOR_ORDER + 1)
+            ]
+        )
 
     def apply(self, level: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row ``n`` of the result is the level-``level[n]`` propagator times
@@ -156,6 +196,54 @@ class _StepTable:
                 for lo in range(0, len(x), rows)
             ]
         )
+
+    def solve(self, x: np.ndarray, u: np.ndarray):
+        """Offsets ``tau`` in ``[0, step]`` where the squared norm of the
+        no-jump state from row ``x[n]`` falls to ``u[n]``, the states there
+        and their squared norms.
+
+        Each row must hold a bracket: squared norm above ``u[n]`` at 0 and
+        at most ``u[n]`` at ``step``.  A safeguarded Newton iteration runs
+        on each row's polynomial; a Newton step that leaves the row's
+        bracket falls back to bisection, and a row is frozen once its move
+        is at most ``step * 2**-TIME_LEVELS``.  The rows are worked on as
+        the columns of ``x.T``."""
+        cols = x.T
+        coeffs = _row_sum((_columns(self.moments, cols) * cols).swapaxes(-1, -2))
+        lo = np.zeros(len(x))
+        hi = np.full(len(x), self.step)
+        tau = np.zeros(len(x))
+        resolution = self.step * 2.0**-TIME_LEVELS
+        live = np.arange(len(x))
+        for _ in range(SOLVE_ITERATIONS):
+            at, c = tau[live], coeffs[:, live]
+            value, slope = c[TAYLOR_ORDER], np.zeros(len(live))
+            for m in range(TAYLOR_ORDER - 1, -1, -1):
+                slope = slope * at + value
+                value = value * at + c[m]
+            value -= u[live]
+            above = value > 0.0
+            left = np.where(above, at, lo[live])
+            right = np.where(above, hi[live], at)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                guess = at - value / slope
+            # closed test: an exact root is its own Newton step
+            guess = np.where((left <= guess) & (guess <= right), guess, (left + right) / 2)
+            lo[live], hi[live], tau[live] = left, right, guess
+            live = live[np.abs(guess - at) > resolution]
+            if not live.size:
+                break
+        else:
+            raise NumericalError("jump-time solve did not converge")
+        terms = _columns(self.taylor, cols)
+        phi = terms[TAYLOR_ORDER]
+        for i in range(TAYLOR_ORDER - 1, -1, -1):
+            phi = phi * tau + terms[i]
+        phi = phi.T
+        phi_sq = _row_sum(phi * phi)
+        if np.any(np.abs(phi_sq - u) > NORM_RESIDUAL_TOL):
+            raise NumericalError("jump-time solve failed to reach the norm residual tolerance")
+        return tau, phi, phi_sq
 
 
 class _DriftFlow:
@@ -245,64 +333,52 @@ def _simulate_rows(
     step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
     table = _StepTable(h_eff, step, t_max)
     widths = table.widths
-    resolved = table.top + TIME_LEVELS
     jumps = np.concatenate(_real_form(np.stack(rep.jumps)))
 
     def start_level(t: np.ndarray) -> np.ndarray:
         # the narrowest level whose step from ``t`` reaches ``t_max``, in the
         # same float sum as the step itself, so a kept step ends the row
-        reach = t[:, None] + widths[: resolved + 1] >= t_max
-        return np.count_nonzero(reach, axis=1) - 1
+        return np.count_nonzero(t[:, None] + widths >= t_max, axis=1) - 1
 
     n = len(seeds)
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(int(s)))) for s in seeds]
     events: List[List[JumpEvent]] = [[] for _ in range(n)]
     posts: List[List[np.ndarray]] = [[] for _ in range(n)]
 
-    # Live rows.  Each holds a bracket: ``x`` is its left end at time ``t``
-    # (squared norm above ``u``), ``right`` (squared norm ``right_sq``) its
-    # right end, ``widths[level]`` later.  The bracket exists from the first
-    # pass of a segment on, because that pass either ends the row or
-    # finds the squared norm below ``u``.
+    # Live rows: ``x`` is the state at time ``t``, with squared norm above
+    # ``u``.  A row at ``level <= top`` is descending; a row past ``top``
+    # holds the bracket ``(t, t + step]`` and waits for the solve.
     row = np.arange(n)
     t = np.zeros(n)
     x = np.tile(psi0.view(float), (n, 1))
     u = np.array([rngs[r].random() for r in row])
     level = start_level(t)
-    right = np.zeros_like(x)
-    right_sq = np.zeros(n)
     while row.size:
-        new = table.apply(level, x)
-        new_sq = _row_sum(new * new)
-        above = new_sq > u
-        below = ~above
-        np.copyto(x, new, where=above[:, None])
-        np.copyto(right, new, where=below[:, None])
-        np.copyto(right_sq, new_sq, where=below)
-        t += widths[level] * above
-        # rows kept up to t_max end with this pass; every other row holds a bracket
-        found = (t < t_max) & (level >= resolved) & (np.abs(right_sq - u) <= NORM_RESIDUAL_TOL)
-        hit = np.flatnonzero(found)
-        t_star = t[hit] + widths[level[hit]]
-        t[hit] = t_star  # a crossing after t_max ends its row with no jump
-        hit, t_star = hit[t_star <= t_max], t_star[t_star <= t_max]
-        level += 1
-        if hit.size:
-            draws = np.array([rngs[r].random() for r in row[hit]])
-            channel, post = _fire(jumps, right[hit], right_sq[hit], draws, t_star)
-            x[hit] = post
-            for k, (r, state) in enumerate(zip(row[hit], post.view(complex))):
-                events[r].append(JumpEvent(time=float(t_star[k]), channel=int(channel[k])))
-                posts[r].append(state)
-                u[hit[k]] = rngs[r].random()
-            level[hit] = start_level(t[hit])
+        down = np.flatnonzero(level <= table.top)
+        if down.size:
+            new = table.apply(level[down], x[down])
+            above = _row_sum(new * new) > u[down]
+            x[down[above]] = new[above]
+            t[down] += widths[level[down]] * above
+            level[down] += 1
+        else:
+            tau, phi, phi_sq = table.solve(x, u)
+            t += tau  # a crossing after t_max ends its row with no jump
+            hit = np.flatnonzero(t <= t_max)
+            if hit.size:
+                draws = np.array([rngs[r].random() for r in row[hit]])
+                channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws, t[hit])
+                x[hit] = post
+                for r, when, k, state in zip(
+                    row[hit].tolist(), t[hit].tolist(), channel.tolist(), post.view(complex)
+                ):
+                    events[r].append(JumpEvent(time=when, channel=k))
+                    posts[r].append(state)
+                u[hit] = [rngs[r].random() for r in row[hit]]
+                level[hit] = start_level(t[hit])
         keep = t < t_max
         if not keep.all():
-            row, t, x, u, level, right, right_sq = (
-                a[keep] for a in (row, t, x, u, level, right, right_sq)
-            )
-        if row.size and level.max() >= widths.size:
-            raise NumericalError("jump-time bisection failed to reach the norm residual tolerance")
+            row, t, x, u, level = (a[keep] for a in (row, t, x, u, level))
     return [
         LabelledTrajectory(
             initial_state=psi0,

@@ -3,11 +3,16 @@ level per Python iteration.
 
 This is the per-trajectory loop the batched engine in ``uqd.trajectory``
 replaced, kept so tests can hold the engine to it.  It walks a grid of step
-``0.01 / |H_eff|`` where the engine descends dyadic levels, and its
-arithmetic is complex BLAS products and ``vdot`` norms, so the engine agrees
-with it up to the shared time resolution of ``2**-34`` steps, not bit for
-bit: identical channel sequences, event times within ``1e-10 * t_max`` and
-post-jump states within 1e-9.
+``0.01 / |H_eff|`` and bisects the step that crosses, where the engine
+descends dyadic levels to one step and solves for the crossing inside it.
+The reference reports the right end of a resolved cell of ``2**-34`` steps;
+the engine reports the crossing itself.  Its arithmetic is complex BLAS
+products and ``vdot`` norms, so the engine agrees with it up to that cell,
+not bit for bit: identical channel sequences, event times within
+``1e-10 * t_max`` and post-jump states within 1e-9.
+
+The bisection keeps its own depth constants, so this loop stays as it was
+whatever the engine's search does.
 """
 
 from __future__ import annotations
@@ -18,15 +23,16 @@ from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import DEFAULT_TOL, Tolerance, matrix_exponential, normalize
 from uqd.representation import Representation, effective_hamiltonian, require_valid
 from uqd.trajectory import (
-    MAX_LEVELS,
     NORM_RESIDUAL_TOL,
     RATE_FLOOR,
     STEP_SCALE,
-    TIME_LEVELS,
     JumpEvent,
     LabelledTrajectory,
     _check_contractive,
 )
+
+TIME_LEVELS = 34  # bisection levels below a step before the residual is tested
+MAX_LEVELS = 60  # deepest level before the search gives up
 
 
 class _NoJumpPropagator:

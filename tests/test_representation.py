@@ -13,10 +13,12 @@ from uqd.representation import (
     jump_rate,
     jump_rates,
     liouvillian_matrix,
+    matrix_to_json,
     parse,
     serialize,
     to_document,
     validate,
+    vector_to_json,
 )
 from conftest import ket
 from helpers import qme_gauge_variant
@@ -254,6 +256,19 @@ class TestSerialization:
         doc = {"label": "", "dim": 3, "hamiltonian": [[[0, 0]]], "jumps": [[[[1, 0]]]]}
         with pytest.raises(ParseError, match="hamiltonian"):
             from_document(doc)
+
+    def test_pairs_equal_the_per_entry_form(self):
+        import json
+
+        def per_entry(mat):
+            return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+        values = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+        mat = np.array(values, dtype=float).reshape(2, 4) + 1j * np.array(values[::-1]).reshape(2, 4)
+        for m in (mat, mat.T, mat[:, ::2]):
+            assert json.dumps(matrix_to_json(m)) == json.dumps(per_entry(m))
+            assert json.dumps(vector_to_json(m)) == json.dumps(per_entry(m.reshape(1, -1))[0])
+        assert json.dumps(vector_to_json(np.array([-0.0, 5e-324]))) == "[[-0.0, 0.0], [5e-324, 0.0]]"
 
     def test_document_shape(self, qutrit_a):
         doc = to_document(qutrit_a)

@@ -9,9 +9,7 @@ from uqd.representation import Representation, effective_hamiltonian, jump_rates
 from uqd.sjed import partition
 from uqd import trajectory
 from uqd.trajectory import (
-    MAX_LEVELS,
     STEP_SCALE,
-    TIME_LEVELS,
     JumpEvent,
     coarse_grain,
     simulate,
@@ -23,6 +21,7 @@ from uqd.trajectory import (
     _StepTable,
 )
 from conftest import ket
+from helpers import random_minimal_representation
 from scalar_reference import reference_simulate
 
 
@@ -129,6 +128,25 @@ class TestSamplingLawReplay:
             rebuilt_post = normalize(qutrit_a.jumps[event.channel] @ psi_star)
             assert np.max(np.abs(rebuilt_post - post)) < 1e-9
             prev_time, prev_state = event.time, post
+
+    def test_crossings_are_exact(self, qutrit_a):
+        # the norm gap at each replayed crossing, over the decay rate of the
+        # squared norm there, is the error of the event time
+        h_eff = effective_hamiltonian(qutrit_a)
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 200, seed=36)
+        n_events = 0
+        for traj in ensemble:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(traj.seed)))
+            prev_time, prev_state = 0.0, traj.initial_state
+            for event, post in zip(traj.events, traj.post_jump_states):
+                u = rng.random()
+                phi = matrix_exponential(-1j * h_eff * (event.time - prev_time)) @ prev_state
+                rate = float(np.sum(jump_rates(qutrit_a, phi)))
+                assert abs(float(np.vdot(phi, phi).real) - u) / rate <= 2e-14
+                rng.random()
+                prev_time, prev_state = event.time, post
+                n_events += 1
+        assert n_events > 200
 
     def test_norm_monotone_between_jumps(self, qutrit_a):
         traj = simulate(qutrit_a, ket(3, 1), 2.0, seed=8)
@@ -263,8 +281,10 @@ class TestGuards:
 class TestScalarReference:
     """The batched engine against the per-trajectory grid loop it replaced.
 
-    The tolerances come from the search: both resolve event times to
-    ``2**-34`` of ``step = 0.01 / |H_eff|``, well inside ``1e-10 * t_max``.
+    The engine descends to one ``step = 0.01 / |H_eff|`` and solves for the
+    crossing inside it; the reference bisects to cells of ``2**-34`` steps
+    and reports a cell's right end.  The tolerances come from that cell,
+    well inside ``1e-10 * t_max``.
     """
 
     @pytest.mark.parametrize(
@@ -292,7 +312,7 @@ class TestScalarReference:
     def test_crossing_after_t_max_is_no_jump(self):
         # t_max is 1.5 steps, so the widest level is 2 steps and overshoots
         # it by half a step, where about 1 % of the rows cross their u; the
-        # descent keeps those rows above u up to t_max, where they end
+        # solve places those crossings after t_max, where the rows end
         rep = single_decay()
         t_max = 1.5 * step_of(rep)
         ensemble = simulate_ensemble(rep, ket(2, 1), t_max, 2000, seed=33)
@@ -301,24 +321,25 @@ class TestScalarReference:
             assert len(traj.events) == len(ref.events)
             assert all(event.time <= t_max for event in traj.events)
 
-    def test_crossing_in_the_cell_across_t_max_is_no_jump(self):
-        # the first crossing tau = -ln(u) lies in the resolved cell
-        # (left, left + w], and t_max in that cell before tau: the search
-        # finds the jump time left + w > t_max, so the row ends with no jump
+    def test_crossing_is_exact_next_to_t_max(self):
+        # single decay from |1>: the squared norm is exp(-tau), so the jump
+        # is at -ln(u) exactly; the reference's cell end is up to 2**-34
+        # steps (about 1e-12) later
         rep = single_decay()
-        w = step_of(rep) * 2.0**-TIME_LEVELS
-        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(2))).random()
-        tau = -np.log(u)
-        left = np.floor(tau / w) * w
-        assert 0.3 < (tau - left) / w < 0.9
-        assert simulate(rep, ket(2, 1), (left + tau) / 2, seed=2).events == ()
-        (event,) = simulate(rep, ket(2, 1), left + 2 * w, seed=2).events
-        assert abs(event.time - (left + w)) < w / 4
+        for seed in range(2, 8):
+            u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random()
+            tau = -np.log(u)
+            (event,) = simulate(rep, ket(2, 1), tau + 1.0, seed=seed).events
+            assert abs(event.time - tau) <= 1e-14
+            assert simulate(rep, ket(2, 1), tau - 1e-13, seed=seed).events == ()
+            (event,) = simulate(rep, ket(2, 1), tau + 1e-13, seed=seed).events
+            assert abs(event.time - tau) <= 1e-14
 
 
 class TestStiffness:
-    """The dyadic search costs about ``34 + log2(t_max / step)`` passes per
-    segment, whatever ``|H_eff| * t_max`` is."""
+    """The dyadic descent costs at most ``1 + log2(t_max / step)`` passes per
+    segment, and the solve within the last step none, whatever
+    ``|H_eff| * t_max`` is."""
 
     @staticmethod
     def passes(monkeypatch, rep):
@@ -342,6 +363,10 @@ class TestStiffness:
         assert stiff < 2 * plain
         assert stiff < 1000
 
+    def test_passes_stop_at_step(self, monkeypatch):
+        # descending below ``step`` took 558 passes here
+        assert self.passes(monkeypatch, models.qutrit_a()) <= 200
+
     def test_widest_level_matches_squared_step_level(self):
         rep = driven_qutrit_a(100.0)
         h_eff = effective_hamiltonian(rep)
@@ -350,7 +375,7 @@ class TestStiffness:
         top = table.top
         assert table.widths[0] >= t_max > table.widths[1]
         assert table.widths[top] == step
-        assert table.widths[top + TIME_LEVELS] == step * 2.0**-TIME_LEVELS
+        assert table.widths.size == top + 1
         assert np.linalg.norm(h_eff, 2) * table.widths[0] > 300
         table.apply(np.array([top]), np.zeros((1, 2 * rep.dim)))
         squared = table.mats[top]
@@ -360,11 +385,72 @@ class TestStiffness:
         assert np.max(np.abs(squared - table.mats[0])) <= 1e-12
 
 
+class TestSolve:
+    """`_StepTable.solve` on hand-made brackets of one ``step``."""
+
+    @staticmethod
+    def driven_decay():
+        # |0> is dark (the jump annihilates it) but the drive moves it to |1>
+        ham = 3.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        return Representation(hamiltonian=ham, jumps=single_decay(gamma=6.0).jumps)
+
+    @staticmethod
+    def table_and_norms(rep, states, fractions):
+        """The model's table, the rows of ``states`` and targets ``u``: the
+        squared norms after ``fractions`` of a step."""
+        h_eff = effective_hamiltonian(rep)
+        step = step_of(rep)
+        table = _StepTable(h_eff, step, 1.0)
+        taus = step * np.asarray(fractions)
+        u = np.array(
+            [
+                np.linalg.norm(matrix_exponential(-1j * h_eff * tau) @ state) ** 2
+                for tau, state in zip(taus, states)
+            ]
+        )
+        x = np.stack([np.asarray(state, dtype=complex).view(float) for state in states])
+        return table, x, u
+
+    def test_bracket_without_crossing_raises(self, qutrit_a):
+        table, x, u = self.table_and_norms(qutrit_a, [ket(3, 1)], [2.0])
+        with pytest.raises(NumericalError, match="residual"):
+            table.solve(x, u)
+
+    def test_dark_start_meets_the_residual(self):
+        rep = self.driven_decay()
+        table, x, u = self.table_and_norms(rep, [ket(2, 0)], [0.5])
+        assert table.moments[1] @ x[0] @ x[0] == 0.0  # no slope at the start
+        assert u[0] < 1.0
+        tau, phi, phi_sq = table.solve(x, u)
+        # the norm falls as tau**3 here, so the time is ill-conditioned, but
+        # the state at the returned time meets u
+        assert 0.0 < tau[0] < step_of(rep)
+        assert abs(phi_sq[0] - u[0]) <= 1e-15
+        exact = matrix_exponential(-1j * effective_hamiltonian(rep) * tau[0]) @ ket(2, 0)
+        assert np.max(np.abs(phi[0].view(complex) - exact)) <= 1e-15
+
+    def test_batch_equals_rows_alone(self):
+        rep = self.driven_decay()
+        rng = np.random.default_rng(37)
+        states = [ket(2, 0)] + [
+            normalize(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(6)
+        ]
+        fractions = [0.5, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+        table, x, u = self.table_and_norms(rep, states, fractions)
+        # row 0 is dark: its first Newton step divides by a zero slope and
+        # falls back to bisection
+        batch = table.solve(x, u)
+        for n in range(len(states)):
+            alone = table.solve(x[n : n + 1], u[n : n + 1])
+            for a, b in zip(batch, alone):
+                assert np.array_equal(a[n], b[0])
+
+
 class TestBoundedState:
     @pytest.mark.parametrize("n", [10, 1000])
     def test_propagators_built_at_most_once_per_level(self, qutrit_a, monkeypatch, n):
-        # the table spans ``top`` levels above ``step`` and MAX_LEVELS below;
-        # the bound depends on the model and t_max, never on n
+        # the table spans ``step`` and the ``top`` levels above it; the
+        # bound depends on the model and t_max, never on n
         top = int(np.ceil(np.log2(1.0 / step_of(qutrit_a))))
         calls = []
         original = trajectory.matrix_exponential
@@ -376,7 +462,24 @@ class TestBoundedState:
         monkeypatch.setattr(trajectory, "matrix_exponential", counting)
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n, seed=3)
         assert any(traj.events for traj in ensemble)
-        assert 0 < len(calls) <= top + MAX_LEVELS + 1
+        assert 0 < len(calls) <= top + 1
+
+    def test_memory_stays_linear_in_rows(self):
+        import tracemalloc
+
+        # 300 rows of dim 32 peak near 25 MB, most of it the bounded gathers
+        # of the descent and the jump amplitudes; a solve that formed the
+        # (rows, 9, 64, 64) Taylor products of all rows at once reached 70 MB
+        rep = random_minimal_representation(np.random.default_rng(5), 32, max_rank=2)
+        simulate_ensemble(rep, ket(32, 0), 20.0, 2, seed=1)
+        tracemalloc.start()
+        try:
+            ensemble = simulate_ensemble(rep, ket(32, 0), 20.0, 300, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(traj.events for traj in ensemble)
+        assert peak < 35 * 2**20
 
     def test_no_module_state_grows_across_calls(self, qutrit_a):
         def sizes():
