@@ -504,11 +504,6 @@ class BlockIsometry:
         self.col_blocks = tuple(tuple(int(i) for i in blk) for blk in self.col_blocks)
         self.block_map = tuple(int(i) for i in self.block_map)
 
-    def sub_isometry(self, alpha: int) -> np.ndarray:
-        rows = list(self.row_blocks[alpha])
-        cols = list(self.col_blocks[self.block_map[alpha]])
-        return self.matrix[np.ix_(rows, cols)]
-
     def violations(self, tol: Tolerance = DEFAULT_TOL) -> List[str]:
         out: List[str] = []
         d, d_min = self.matrix.shape

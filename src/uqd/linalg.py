@@ -133,8 +133,8 @@ def superoperator_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
     Two operator lists generate the same completely positive map exactly when
     these matrices agree.  The decision path never builds this dim^2 x dim^2
     matrix: it compares Frobenius norms of such sums through
-    :func:`kron_sum_norm`.  The matrix serves the mean-state check,
-    minimisation and the tests.
+    :func:`kron_sum_norm`.  The matrix serves the mean-state check and the
+    tests.
     """
     ops = [as_operator(k) for k in kraus]
     if not ops:

@@ -40,7 +40,6 @@ from .linalg import (
     Tolerance,
     as_rng,
     dagger,
-    density,
     frobenius,
     kron_sum_norm,
     normalize,
@@ -49,7 +48,6 @@ from .linalg import (
     random_pure_state,
     superoperator_matrix,
     trace_distance,
-    vec,
 )
 from .representation import (
     Representation,
@@ -250,13 +248,6 @@ def action_gap(jumps: Sequence[np.ndarray], others: Sequence[np.ndarray] = ()) -
     return kron_sum_norm(lefts, rights)
 
 
-def block_action_matrix(block: SjedBlock) -> np.ndarray:
-    """Composite action reconstructed from the block's canonical data."""
-    if isinstance(block, ResetBlock):
-        return np.outer(vec(density(block.chi)), vec(block.gamma_op).conj())
-    return superoperator_matrix([block.weight * block.canonical_op])
-
-
 def _sorted_eigh(gamma: np.ndarray, cutoff: float):
     """Eigenpairs above ``cutoff``, by descending eigenvalue; phase-fixed
     eigenvectors break exact ties lexicographically."""
@@ -278,22 +269,27 @@ def minimal_block_representation(
 
     Reset blocks diagonalize the weight matrix and emit one rank-1 operator
     per eigenvalue above ``atol * Tr(Gamma)``; non-reset blocks collapse to
-    the single weighted canonical operator.  The emitted list is verified to
-    reproduce the composite action before being returned.
+    the single weighted canonical operator, whose action is the block's by
+    construction.
+
+    The reset operators are verified before being returned.  They are
+    ``J_i = sqrt(w_i) chi v_i^+``, so their summed action is
+    ``vec(chi chi^+) vec(sum_i J_i^+ J_i)^+`` against the block's
+    ``vec(chi chi^+) vec(Gamma)^+``.  With ``|chi| = 1`` both Frobenius norms
+    factor: the gap between the actions is ``|sum_i J_i^+ J_i - Gamma|_F`` and
+    the target's norm is ``|Gamma|_F``, so no dim^2 x dim^2 matrix is built.
     """
-    if isinstance(block, ResetBlock):
-        cutoff = tol.atol * float(np.real(np.trace(block.gamma_op)))
-        ops = [
-            np.sqrt(value) * np.outer(block.chi, vector.conj())
-            for value, vector in _sorted_eigh(block.gamma_op, cutoff)
-        ]
-    else:
-        ops = [block.weight * block.canonical_op]
+    if isinstance(block, NonResetBlock):
+        return [block.weight * block.canonical_op]
+    cutoff = tol.atol * float(np.real(np.trace(block.gamma_op)))
+    ops = [
+        np.sqrt(value) * np.outer(block.chi, vector.conj())
+        for value, vector in _sorted_eigh(block.gamma_op, cutoff)
+    ]
     if not ops:
         raise NumericalError("block weight matrix has no eigenvalue above threshold")
-    target = block_action_matrix(block)
-    residual = frobenius(superoperator_matrix(ops) - target)
-    if residual > Tolerance(1e-10, 1e-10).cutoff(frobenius(target)):
+    residual = frobenius(sum(dagger(op) @ op for op in ops) - block.gamma_op)
+    if residual > Tolerance(1e-10, 1e-10).cutoff(frobenius(block.gamma_op)):
         raise NumericalError(f"minimal block operators miss the composite action by {residual:.2e}")
     return ops
 

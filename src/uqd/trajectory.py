@@ -297,7 +297,7 @@ def _fire(jumps: np.ndarray, phi: np.ndarray, phi_sq: np.ndarray, draws: np.ndar
     norms ``phi_sq``) that jump at ``times``, given one channel uniform per
     row.  ``jumps`` stacks the real forms of the K jump operators into one
     ``(2 d K, 2 d)`` matrix."""
-    amps = _row_sum(jumps * phi[:, None, :]).reshape(len(phi), -1, phi.shape[1])
+    amps = _columns(jumps, phi.T).T.reshape(len(phi), -1, phi.shape[1])
     amps_sq = _row_sum(amps * amps)
     rates = amps_sq / phi_sq[:, None]
     rates[rates < RATE_FLOOR] = 0.0

@@ -7,6 +7,10 @@ hold the factor path to it.  Both compute the same norms against the same
 cutoffs, so their documents must be equal; only the rounding of each norm
 differs, by about ``eps`` times the terms' size.  Theorem 2 compares no
 superoperator and is taken from the package.
+
+:func:`block_action_matrix` rebuilds a block's composite action from its
+canonical data (``chi`` and ``Gamma``, or weight and canonical operator), so
+tests can hold the partition's summaries to the jumps' own action.
 """
 
 from __future__ import annotations
@@ -22,14 +26,21 @@ from uqd.equivalence import (
     check_theorem2,
 )
 from uqd.errors import ValidationError
-from uqd.linalg import DEFAULT_TOL, Tolerance, frobenius
+from uqd.linalg import DEFAULT_TOL, Tolerance, density, frobenius, superoperator_matrix, vec
 from uqd.representation import Representation, liouvillian_matrix
-from uqd.sjed import composite_action, partition
+from uqd.sjed import ResetBlock, SjedBlock, composite_action, partition
 
 
 def kron_sum_norm(lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> float:
     """``|sum_i kron(lefts[i], rights[i])|_F`` from the full matrix."""
     return frobenius(sum(np.kron(a, b) for a, b in zip(lefts, rights)))
+
+
+def block_action_matrix(block: SjedBlock) -> np.ndarray:
+    """Composite action reconstructed from the block's canonical data."""
+    if isinstance(block, ResetBlock):
+        return np.outer(vec(density(block.chi)), vec(block.gamma_op).conj())
+    return superoperator_matrix([block.weight * block.canonical_op])
 
 
 def same_liouvillian(

@@ -307,6 +307,50 @@ class TestFig1:
             pytest.fail("no active row found")
 
 
+class TestNoDenseBuilders:
+    def test_no_command_builds_a_superoperator(self, capsys, monkeypatch, rep_files, tmp_path):
+        # each dim^2 x dim^2 builder raises at every binding it has in uqd.*,
+        # the bindings a tracer wrapping them would replace
+        modules = [m for key, m in sys.modules.items() if key == "uqd" or key.startswith("uqd.")]
+        for name in ("superoperator_matrix", "liouvillian_matrix", "composite_action"):
+            original = getattr(uqd, name)
+
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called")
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+
+        rep_a, rep_min = rep_files
+        rep_b = str(tmp_path / "b.json")
+        iso = str(tmp_path / "iso.json")
+        commands = [
+            (["example", "qutrit-b", "--out", rep_b], 0),
+            (["sjed", rep_a], 0),
+            (["check", "--rep-a", rep_a, "--rep-b", rep_min], 0),
+            (["check", "--rep-a", rep_a, "--rep-b", rep_b, "--level", "qme"], 1),
+            (["check", "--rep-a", rep_a, "--rep-b", rep_min, "--perm-c", "1,2", "--all-perms"], 0),
+            (["minimize", rep_a], 0),
+            (["minimize", rep_b], 0),
+            (["gauge", "extract", "--rep-min", rep_min, "--rep", rep_a, "--out", iso], 0),
+            (["gauge", "apply", "--rep", rep_min, "--isometry", iso], 0),
+            (["simulate", rep_a, "--tmax", "0.5", "--ntraj", "4", "--out", str(tmp_path / "runs")], 0),
+            (["rate-scan", "--rep-a", rep_a, "--rep-b", rep_min, "--n", "20"], 0),
+            (["fig1", "--out", str(tmp_path / "rates.csv"), "--n-polar", "3", "--n-azimuth", "3"], 0),
+        ]
+        for level, extra in (("t1", []), ("t2", ["--perm", "1,2,3,4,5"]), ("t3", ["--perm-c", "1,2"])):
+            commands.append((
+                ["compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_a, "--level", level,
+                 "--ntraj", "20", "--tmax", "0.5", "--psi0", "1", *extra],
+                0,
+            ))
+        for argv, expected in commands:
+            code, _ = run(capsys, *argv)
+            assert code == expected, argv
+
+
 class TestImportCost:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats is most of a cold ``import uqd``, and only the

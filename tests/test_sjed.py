@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from uqd import models
+from uqd.equivalence import apply_gauge
 from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import (
     density,
     frobenius,
+    haar_isometry,
     proportionality_coefficient,
     random_pure_state,
     superoperator_matrix,
@@ -17,7 +19,6 @@ from uqd.sjed import (
     NonResetBlock,
     ResetBlock,
     are_jed,
-    block_action_matrix,
     composite_action,
     find_witness_state,
     fix_phase,
@@ -26,7 +27,8 @@ from uqd.sjed import (
     partition,
 )
 from conftest import ket
-from helpers import random_minimal_representation
+from dense_reference import block_action_matrix
+from helpers import random_block_isometry, random_minimal_representation
 
 
 def reset_gamma_closed_form(theta, gamma):
@@ -181,6 +183,21 @@ class TestMinimalBlockRepresentation:
         lam = proportionality_coefficient(op, rep.jumps[0])
         assert lam is not None and abs(abs(lam) - 1.0) < 1e-12
 
+    def test_missed_weight_raises(self):
+        # one eigenvalue of 1.4e-9 falls below atol * Tr(Gamma) = 1.5e-9 and
+        # is dropped, but it exceeds 1e-10 * |Gamma|_F = 3.9e-10
+        rng = np.random.default_rng(8)
+        basis = haar_isometry(16, 16, rng)
+        weights = np.ones(16)
+        weights[3] = 1.4e-9
+        block = ResetBlock(
+            indices=(0,),
+            chi=random_pure_state(16, rng),
+            gamma_op=(basis * weights) @ basis.conj().T,
+        )
+        with pytest.raises(NumericalError, match="miss the composite action"):
+            minimal_block_representation(block)
+
 
 class TestMinimizeRepresentation:
     def test_five_to_three(self, qutrit_a):
@@ -214,6 +231,23 @@ class TestMinimizeRepresentation:
                 ops = minimal_block_representation(blk)
                 delta = superoperator_matrix(ops) - composite_action(rep, blk)
                 assert np.max(np.abs(delta)) < 1e-10
+
+    def test_memory_is_not_quartic_in_dim(self):
+        import tracemalloc
+
+        # dim 32, two redundant reset blocks and a non-reset block: a check
+        # through dim^2 x dim^2 superoperators peaked near 50 MB
+        rng = np.random.default_rng(132)
+        rep_min = random_minimal_representation(rng, 32, n_reset=2, n_nonreset=1, max_rank=3)
+        rep = apply_gauge(rep_min, random_block_isometry(rng, rep_min, extra=2))
+        tracemalloc.start()
+        try:
+            minimal = minimize_representation(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert minimal.n_jumps == rep_min.n_jumps < rep.n_jumps
+        assert peak < 4 * 2**20
 
     def test_idempotent_up_to_phases(self, qutrit_a):
         once = minimize_representation(qutrit_a)

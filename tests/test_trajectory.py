@@ -481,6 +481,23 @@ class TestBoundedState:
         assert any(traj.events for traj in ensemble)
         assert peak < 35 * 2**20
 
+    def test_jump_amplitudes_stay_linear_in_rows(self):
+        import tracemalloc
+
+        # 1000 rows of dim 32 peak near 20 MB; forming the (rows, 2 d K, 2 d)
+        # product of the firing rows with the stacked jumps at once reached
+        # 42 MB here, and 79 MB by t_max = 20
+        rep = random_minimal_representation(np.random.default_rng(5), 32, max_rank=2)
+        simulate_ensemble(rep, ket(32, 0), 6.0, 2, seed=1)
+        tracemalloc.start()
+        try:
+            ensemble = simulate_ensemble(rep, ket(32, 0), 6.0, 1000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(traj.events) for traj in ensemble) > 500
+        assert peak < 30 * 2**20
+
     def test_no_module_state_grows_across_calls(self, qutrit_a):
         def sizes():
             return {
