@@ -365,11 +365,12 @@ def _cmd_compare(args) -> int:
     rep_b = _load_representation(args.rep_b)
     psi0 = _load_state(args.psi0, rep_a.dim)
     observables = _load_observables(args.observables, rep_a.dim)
-    times = (
-        [float(x) for x in args.times.split(",")]
-        if args.times
-        else [args.tmax / 2, args.tmax]
-    )
+    times = [args.tmax / 2, args.tmax]
+    if args.times:
+        try:
+            times = [float(x) for x in args.times.split(",")]
+        except ValueError:
+            raise InputError("--times must be a comma-separated list of numbers")
     log.info("simulating 2 x %d trajectories", args.ntraj)
     ens_a = trajectory.simulate_ensemble(
         rep_a, psi0, args.tmax, args.ntraj, args.seed_a, tol=tol

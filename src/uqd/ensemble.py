@@ -42,7 +42,7 @@ from .linalg import (
 )
 from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix
-from .sjed import SjedPartition, action_gap, block_jumps, partition
+from .sjed import block_gaps, partition
 from .trajectory import LabelledTrajectory, coarse_grain, states_at
 
 KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
@@ -80,29 +80,6 @@ def _block_action_on_state(rep: Representation, indices: Sequence[int], psi: np.
     return out
 
 
-def _greedy_block_pairing(
-    rep_a: Representation,
-    rep_b: Representation,
-    parts_a: SjedPartition,
-    parts_b: SjedPartition,
-) -> tuple[int, ...]:
-    blocks_a = [block_jumps(rep_a, blk) for blk in parts_a.blocks]
-    taken: set[int] = set()
-    perm: List[int] = []
-    for blk in parts_b.blocks:
-        jumps_b = block_jumps(rep_b, blk)
-        best, best_dist = -1, np.inf
-        for beta, jumps_a in enumerate(blocks_a):
-            if beta in taken:
-                continue
-            dist = action_gap(jumps_b, jumps_a)
-            if dist < best_dist:
-                best, best_dist = beta, dist
-        taken.add(best)
-        perm.append(best)
-    return tuple(perm)
-
-
 def rate_field_scan(
     rep_a: Representation,
     rep_b: Representation,
@@ -121,6 +98,8 @@ def rate_field_scan(
     """
     if rep_a.dim != rep_b.dim:
         raise ValidationError("representations act on different dimensions")
+    if n_states < 1:
+        raise ValidationError(f"n_states must be at least 1, got {n_states}")
     parts_a = partition(rep_a, tol)
     parts_b = partition(rep_b, tol)
     notes: List[str] = []
@@ -129,7 +108,12 @@ def rate_field_scan(
         if len(perm) != parts_b.block_count or sorted(perm) != list(range(parts_a.block_count)):
             raise ValidationError("block permutation does not pair the two block sets")
     elif parts_a.block_count == parts_b.block_count:
-        perm = _greedy_block_pairing(rep_a, rep_b, parts_a, parts_b)
+        gaps, _ = block_gaps(rep_b, parts_b, rep_a, parts_a, tol)
+        taken: List[int] = []
+        for row in gaps:  # the first smallest gap among the blocks not yet taken
+            taken.append(int(np.argmin(row)))
+            gaps[:, taken[-1]] = np.inf
+        perm = tuple(taken)
         notes.append("blocks paired greedily by composite-action distance")
     else:
         perm = None
@@ -350,6 +334,8 @@ def compare_ensembles(
     """
     if level not in ("t1", "t2", "t3"):
         raise ValidationError(f"unknown comparison level {level!r}")
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if not ens_a or not ens_b:
         raise ValidationError("both ensembles must be non-empty")
     if abs(ens_a[0].t_final - ens_b[0].t_final) > 1e-12:

@@ -54,7 +54,7 @@ from .linalg import (
     vec,
 )
 from .representation import Representation, require_valid
-from .sjed import NonResetBlock, SjedPartition, action_gap, block_jumps, partition
+from .sjed import NonResetBlock, SjedPartition, block_gaps, partition
 
 THEOREM2_MATCHING_CAP = 10_000
 
@@ -195,24 +195,14 @@ def _hamiltonian_shift(
     return float(shift.real), []
 
 
-def _match_actions(
-    blocks_b: Sequence[Sequence[np.ndarray]],
-    blocks_a: Sequence[Sequence[np.ndarray]],
-    tol: Tolerance,
-) -> tuple[Optional[tuple[int, ...]], List[str]]:
-    """Pair blocks, given as lists of member jumps, with equal composite
-    actions; unique when it exists."""
-    norms_a = [action_gap(jumps) for jumps in blocks_a]
+def _match_actions(match: np.ndarray) -> tuple[Optional[tuple[int, ...]], List[str]]:
+    """Pair each block of the second representation with its unique match
+    among the first's, from the match mask of `block_gaps`."""
     diagnostics: List[str] = []
     perm: List[int] = []
     taken: set[int] = set()
-    for alpha, jumps_b in enumerate(blocks_b):
-        norm_b = action_gap(jumps_b)
-        hits = [
-            beta
-            for beta, jumps_a in enumerate(blocks_a)
-            if action_gap(jumps_b, jumps_a) <= tol.cutoff(max(norm_b, norms_a[beta]))
-        ]
+    for alpha, row in enumerate(match):
+        hits = np.flatnonzero(row).tolist()
         if not hits:
             diagnostics.append(f"block {alpha + 1} has no counterpart with equal composite action")
         elif len(hits) > 1:
@@ -227,8 +217,14 @@ def _match_actions(
     return tuple(perm), []
 
 
-def _blocks(rep: Representation, parts: SjedPartition) -> List[List[np.ndarray]]:
-    return [block_jumps(rep, blk) for blk in parts.blocks]
+def _pair_blocks(
+    rep_a: Representation, rep_b: Representation, tol: Tolerance
+) -> tuple[tuple[SjedPartition, SjedPartition], Optional[np.ndarray]]:
+    """Both partitions, and the match mask of `block_gaps` if their block counts agree."""
+    parts = partition(rep_a, tol), partition(rep_b, tol)
+    if parts[0].block_count != parts[1].block_count:
+        return parts, None
+    return parts, block_gaps(rep_b, parts[1], rep_a, parts[0], tol)[1]
 
 
 def _theorem1(
@@ -237,9 +233,10 @@ def _theorem1(
     tol: Tolerance,
     same_qme: bool,
     parts: Optional[tuple[SjedPartition, SjedPartition]],
+    match: Optional[np.ndarray],
 ) -> Theorem1Verdict:
     """Theorem 1 on a validated pair, from the generator comparison and,
-    when the generators agree, both partitions."""
+    when the generators agree, both partitions and their block matches."""
     if not same_qme:
         return Theorem1Verdict(holds=False, diagnostics=("different QME",))
     shift, diagnostics = _hamiltonian_shift(rep_a, rep_b, tol)
@@ -250,9 +247,7 @@ def _theorem1(
             f"block counts differ ({parts_b.block_count} vs {parts_a.block_count})"
         )
     else:
-        block_perm, match_diags = _match_actions(
-            _blocks(rep_b, parts_b), _blocks(rep_a, parts_a), tol
-        )
+        block_perm, match_diags = _match_actions(match)
         diagnostics.extend(match_diags)
     return Theorem1Verdict(
         holds=not diagnostics,
@@ -268,8 +263,8 @@ def check_theorem1(
     """Decide trajectory-ensemble equality; all failures become diagnostics."""
     _require_valid_pair(rep_a, rep_b, tol)
     same_qme = same_liouvillian(rep_a, rep_b, tol)
-    parts = (partition(rep_a, tol), partition(rep_b, tol)) if same_qme else None
-    return _theorem1(rep_a, rep_b, tol, same_qme, parts)
+    parts, match = _pair_blocks(rep_a, rep_b, tol) if same_qme else (None, None)
+    return _theorem1(rep_a, rep_b, tol, same_qme, parts, match)
 
 
 def _max_bipartite_matching_size(candidates: Sequence[Sequence[int]], n_right: int) -> int:
@@ -409,8 +404,7 @@ def check_theorem3(
     if block_perm is None:
         return check_theorem1(rep_a, rep_b, tol)
     _require_valid_pair(rep_a, rep_b, tol)
-    parts = (partition(rep_a, tol), partition(rep_b, tol))
-    return _forced_pairing(rep_a, rep_b, tol, parts, block_perm)
+    return _forced_pairing(rep_a, rep_b, tol, *_pair_blocks(rep_a, rep_b, tol), block_perm)
 
 
 def _forced_pairing(
@@ -418,9 +412,11 @@ def _forced_pairing(
     rep_b: Representation,
     tol: Tolerance,
     parts: tuple[SjedPartition, SjedPartition],
+    match: Optional[np.ndarray],
     block_perm: Sequence[int],
 ) -> Theorem3Verdict:
-    """Theorem 3 on a validated pair under the given block pairing."""
+    """Theorem 3 on a validated pair under the given block pairing, from the
+    block matches of `block_gaps`."""
     parts_a, parts_b = parts
     perm = tuple(int(p) for p in block_perm)
     if len(perm) != parts_b.block_count:
@@ -434,10 +430,8 @@ def _forced_pairing(
     diagnostics: List[str] = []
     shift, shift_diags = _hamiltonian_shift(rep_a, rep_b, tol)
     diagnostics.extend(shift_diags)
-    blocks_a, blocks_b = _blocks(rep_a, parts_a), _blocks(rep_b, parts_b)
     for alpha, beta in enumerate(perm):
-        scale = max(action_gap(blocks_a[beta]), action_gap(blocks_b[alpha]))
-        if action_gap(blocks_b[alpha], blocks_a[beta]) > tol.cutoff(scale):
+        if not match[alpha, beta]:
             diagnostics.append(
                 f"block {alpha + 1} does not match block {beta + 1} under the forced pairing"
             )
@@ -460,15 +454,16 @@ def evaluate(
     """Run every check and bundle the verdicts.
 
     Each representation is validated (by ``same_liouvillian``) and
-    partitioned once, and the partitions are built only when theorem 1 or a
-    forced pairing needs them.  Theorem 1 runs once: without ``block_perm``
-    the theorem-3 verdict is the theorem-1 verdict.
+    partitioned once, and the partitions and the block gap matrix are built
+    only when theorem 1 or a forced pairing needs them, at most once.
+    Theorem 1 runs once: without ``block_perm`` the theorem-3 verdict is the
+    theorem-1 verdict.
     """
     same_qme = same_liouvillian(rep_a, rep_b, tol)
-    parts = None
+    parts, match = None, None
     if same_qme or block_perm is not None:
-        parts = (partition(rep_a, tol), partition(rep_b, tol))
-    theorem1 = _theorem1(rep_a, rep_b, tol, same_qme, parts)
+        parts, match = _pair_blocks(rep_a, rep_b, tol)
+    theorem1 = _theorem1(rep_a, rep_b, tol, same_qme, parts, match)
     return EquivalenceReport(
         same_qme=same_qme,
         theorem1=theorem1,
@@ -476,7 +471,7 @@ def evaluate(
         theorem3=(
             theorem1
             if block_perm is None
-            else _forced_pairing(rep_a, rep_b, tol, parts, block_perm)
+            else _forced_pairing(rep_a, rep_b, tol, parts, match, block_perm)
         ),
     )
 

@@ -22,6 +22,8 @@ canonical object compared between representations: classes match exactly
 when the Frobenius gap between the two actions' superoperator matrices is
 below the cutoff.  :func:`action_gap` computes that gap from the jump
 operators themselves, so no dim^2 x dim^2 matrix is built to compare blocks.
+Every block pairing reads the gap matrix ``gaps[alpha, beta]`` between two
+representations' blocks, and its mask of matches, from :func:`block_gaps`.
 
 All functions are pure; witness search owns its generator state.
 """
@@ -246,6 +248,28 @@ def action_gap(jumps: Sequence[np.ndarray], others: Sequence[np.ndarray] = ()) -
     lefts = [np.conj(j) for j in (*jumps, *others)]
     rights = [*jumps, *(-j for j in others)]
     return kron_sum_norm(lefts, rights)
+
+
+def block_gaps(
+    rep_b: Representation,
+    parts_b: SjedPartition,
+    rep_a: Representation,
+    parts_a: SjedPartition,
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gap matrix between two representations' blocks, and its matches.
+
+    ``gaps[alpha, beta]`` is the `action_gap` between block ``alpha`` of
+    ``rep_b`` and block ``beta`` of ``rep_a``; the two blocks match when it
+    is at most ``tol.cutoff(max(norm_b[alpha], norm_a[beta]))``, with each
+    block's action norm."""
+    blocks_a = [block_jumps(rep_a, blk) for blk in parts_a.blocks]
+    blocks_b = [block_jumps(rep_b, blk) for blk in parts_b.blocks]
+    norms_a = [action_gap(jumps) for jumps in blocks_a]
+    norms_b = [action_gap(jumps) for jumps in blocks_b]
+    gaps = np.array([[action_gap(jb, ja) for ja in blocks_a] for jb in blocks_b])
+    cutoffs = np.array([[tol.cutoff(max(nb, na)) for na in norms_a] for nb in norms_b])
+    return gaps, gaps <= cutoffs
 
 
 def _sorted_eigh(gamma: np.ndarray, cutoff: float):

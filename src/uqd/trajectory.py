@@ -35,6 +35,9 @@ Implementation notes:
   the row ends there.  A segment therefore costs at most
   ``1 + log2(t_max / step)`` passes plus its share of one solve, whatever
   ``|H_eff| * t_max`` is.
+* Replay.  `states_at` shares the table, so simulation and replay have one
+  no-jump propagator: the levels above ``step`` cover all but a remainder
+  below ``2 step``, and the solve's Taylor series covers that remainder.
 * Rows never mix: every product and sum runs per row, over a real form of
   the state and operators, in a fixed order.  A row's bits therefore do not
   depend on how many rows share the call, and ensembles equal their
@@ -146,8 +149,9 @@ class _StepTable:
     """No-jump propagation for one call, in the real form: exponentials for
     the descent down to ``step``, and Taylor terms for the solve within it.
 
-    The exponentials ``exp(-i H_eff w_k)`` sit at the dyadic widths
-    ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, with
+    The step is ``min(t_max, STEP_SCALE / |H_eff|_2)``, or ``t_max`` when
+    ``H_eff`` vanishes.  The exponentials ``exp(-i H_eff w_k)`` sit at the
+    dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, with
     ``top = ceil(log2(t_max / step))``: level 0 covers ``t_max`` and level
     ``top`` is ``step``.  Every width is ``step`` times a power of two, so
     the widths are exact.  Each level is computed when a row first needs it.
@@ -158,8 +162,10 @@ class _StepTable:
     ``sum_i tau^i taylor[i] x`` and its squared norm is
     ``sum_m tau^m x^T moments[m] x``, both to degree ``TAYLOR_ORDER``."""
 
-    def __init__(self, h_eff: np.ndarray, step: float, t_max: float):
+    def __init__(self, h_eff: np.ndarray, t_max: float):
         self.generator = -1j * h_eff
+        h_norm = float(np.linalg.norm(h_eff, 2))
+        step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
         top = max(0, int(np.ceil(np.log2(t_max / step))))
         while step * 2.0**top < t_max:
             top += 1
@@ -181,14 +187,26 @@ class _StepTable:
             ]
         )
 
-    def apply(self, level: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Row ``n`` of the result is the level-``level[n]`` propagator times
-        ``x[n]``."""
-        deepest = int(level.max())
+    def _build(self, deepest: int) -> None:
+        """Compute the levels up to ``deepest`` not yet built."""
         while self.built <= deepest:
             exact = matrix_exponential(self.generator * self.widths[self.built])
             self.mats[self.built] = _real_form(exact)
             self.built += 1
+
+    def _taylor(self, cols: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Rows ``sum_i tau[n]^i taylor[i] cols[:, n]``: the no-jump states
+        after ``tau[n]`` from the columns of ``cols``, by Horner's rule."""
+        terms = _columns(self.taylor, cols)
+        phi = terms[TAYLOR_ORDER]
+        for i in range(TAYLOR_ORDER - 1, -1, -1):
+            phi = phi * tau + terms[i]
+        return phi.T
+
+    def apply(self, level: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row ``n`` of the result is the level-``level[n]`` propagator times
+        ``x[n]``."""
+        self._build(int(level.max()))
         rows = max(1, GATHER_BYTES // self.mats[0].nbytes)
         return np.concatenate(
             [
@@ -235,51 +253,27 @@ class _StepTable:
                 break
         else:
             raise NumericalError("jump-time solve did not converge")
-        terms = _columns(self.taylor, cols)
-        phi = terms[TAYLOR_ORDER]
-        for i in range(TAYLOR_ORDER - 1, -1, -1):
-            phi = phi * tau + terms[i]
-        phi = phi.T
+        phi = self._taylor(cols, tau)
         phi_sq = _row_sum(phi * phi)
         if np.any(np.abs(phi_sq - u) > NORM_RESIDUAL_TOL):
             raise NumericalError("jump-time solve failed to reach the norm residual tolerance")
         return tau, phi, phi_sq
 
-
-class _DriftFlow:
-    """Fast ``exp(-i H_eff tau) psi`` for arbitrary ``tau``, row by row.
-
-    Uses the eigendecomposition of the generator when it is well conditioned
-    and verified against a reference exponential; otherwise falls back to a
-    fresh matrix exponential per row.
-    """
-
-    def __init__(self, h_eff: np.ndarray):
-        self.generator = -1j * np.asarray(h_eff, dtype=complex)
-        self._diagonalized = False
-        try:
-            w, v = np.linalg.eig(self.generator)
-            v_inv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            return
-        if np.linalg.cond(v) > 1e8:
-            return
-        scale = max(1.0, float(np.linalg.norm(h_eff, 2)))
-        probe = 1.0 / scale
-        reference = matrix_exponential(self.generator * probe)
-        approx = (v * np.exp(w * probe)) @ v_inv
-        if np.linalg.norm(approx - reference) <= 1e-11 * max(1.0, np.linalg.norm(reference)):
-            self._w, self._v, self._v_inv = w, v, v_inv
-            self._diagonalized = True
-
-    def apply(self, tau: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Row ``n`` of the result is ``exp(-i H_eff tau[n]) psi[n]``."""
-        if self._diagonalized:
-            modes = np.exp(tau[:, None] * self._w) * (psi @ self._v_inv.T)
-            return modes @ self._v.T
-        return np.stack(
-            [matrix_exponential(self.generator * s) @ row for s, row in zip(tau, psi)]
-        )
+    def advance(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Row ``n`` of the result is the no-jump state ``x[n]`` after
+        ``tau[n]`` in ``[0, t_max]``: each level ``k < top`` takes, in one
+        product, the rows with at least ``w_k`` left (an exact subtraction),
+        and the Taylor series covers the rest: below ``2 step``, it errs by
+        at most ``0.02**9 / 9! ~ 1e-21``."""
+        x = x.copy()
+        rest = np.array(tau, dtype=float)
+        for k in range(self.top):
+            rows = np.flatnonzero(rest >= self.widths[k])
+            if rows.size:
+                self._build(k)
+                x[rows] = x[rows] @ self.mats[k].T
+                rest[rows] -= self.widths[k]
+        return self._taylor(x.T, rest)
 
 
 def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
@@ -321,17 +315,15 @@ def _simulate_rows(
 ) -> List[LabelledTrajectory]:
     """One labelled trajectory per seed, all advanced together."""
     require_valid(rep, tol)
-    if t_max <= 0:
-        raise ValidationError("t_max must be positive")
+    if not 0 < t_max < np.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     psi0 = normalize(psi0)
     if psi0.size != rep.dim:
         raise ValidationError(f"initial state has length {psi0.size}, expected {rep.dim}")
     psi0.flags.writeable = False
     h_eff = effective_hamiltonian(rep)
     _check_contractive(h_eff, tol)
-    h_norm = float(np.linalg.norm(h_eff, 2))
-    step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
-    table = _StepTable(h_eff, step, t_max)
+    table = _StepTable(h_eff, t_max)
     widths = table.widths
     jumps = np.concatenate(_real_form(np.stack(rep.jumps)))
 
@@ -431,29 +423,30 @@ def states_at(
     ensemble: Sequence[LabelledTrajectory], rep: Representation, times: Sequence[float]
 ) -> np.ndarray:
     """Conditional states of every trajectory at each of ``times``, with
-    shape ``(len(times), len(ensemble), dim)``, replayed by one drift flow.
+    shape ``(len(times), len(ensemble), dim)``, replayed through one step
+    table for the ensemble's longest horizon.
 
     At an event time a row holds the recorded post-jump state (the right
     limit); between events it is propagated from the latest event and
     renormalized.
     """
-    flow = _DriftFlow(effective_hamiltonian(rep))
     event_times = [[event.time for event in traj.events] for traj in ensemble]
     out = np.empty((len(times), len(ensemble), rep.dim), dtype=complex)
+    tau = np.empty((len(times), len(ensemble)))
     for k, t in enumerate(times):
-        tau = np.empty(len(ensemble))
         for n, (traj, stamps) in enumerate(zip(ensemble, event_times)):
-            if t < 0 or t > traj.t_final:
+            if not 0 <= t <= traj.t_final:
                 raise ValidationError(f"time {t} outside [0, {traj.t_final}]")
             idx = bisect_right(stamps, t) - 1
             if idx < 0:
-                tau[n], out[k, n] = t, traj.initial_state
+                tau[k, n], out[k, n] = t, traj.initial_state
             else:
-                tau[n], out[k, n] = t - stamps[idx], traj.post_jump_states[idx]
-        moving = tau != 0.0
-        if moving.any():
-            drifted = flow.apply(tau[moving], out[k, moving])
-            out[k, moving] = drifted / np.linalg.norm(drifted, axis=1, keepdims=True)
+                tau[k, n], out[k, n] = t - stamps[idx], traj.post_jump_states[idx]
+    moving = tau != 0.0
+    if moving.any():
+        table = _StepTable(effective_hamiltonian(rep), max(traj.t_final for traj in ensemble))
+        drifted = table.advance(out[moving].view(float), tau[moving])
+        out.view(float)[moving] = drifted / np.linalg.norm(drifted, axis=1, keepdims=True)
     return out
 
 

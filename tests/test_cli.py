@@ -285,6 +285,36 @@ class TestCompareEnsembles:
         assert "incomparable" in doc["structural"]
 
 
+class TestMalformedInput:
+    """Degenerate numbers end in a logged error and a usage (2) or numeric
+    (3) exit code, never in an exception or a silent report."""
+
+    COMPARE = ("compare-ensembles", "--rep-b", "{a}", "--level", "t1", "--ntraj", "20",
+               "--tmax", "0.5", "--psi0", "1")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("simulate", "{a}", "--tmax", "nan", "--ntraj", "3", "--out", "{out}"), 3),
+            (("simulate", "{a}", "--tmax", "inf", "--ntraj", "3", "--out", "{out}"), 3),
+            (COMPARE + ("--times", "abc"), 2),
+            (COMPARE + ("--times", "nan"), 3),
+            (COMPARE + ("--alpha", "0"), 3),
+            (("rate-scan", "--rep-b", "{a}", "--n", "0"), 3),
+        ],
+        ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "rate-scan-n-0"],
+    )
+    def test_named_error(self, capsys, caplog, rep_files, tmp_path, argv, expected):
+        rep_a, _ = rep_files
+        args = [arg.format(a=rep_a, out=tmp_path / "records") for arg in argv]
+        if args[0] != "simulate":
+            args += ["--rep-a", rep_a]
+        code, out = run(capsys, *args)
+        assert code == expected
+        assert out == ""
+        assert [r.levelname for r in caplog.records if r.name == "uqd"] == ["ERROR"]
+
+
 class TestFig1:
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "rates.csv"

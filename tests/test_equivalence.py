@@ -467,6 +467,24 @@ class TestDecisionPathCost:
         assert report.theorem3 == check_theorem3(rep, other)
         assert report.theorem3 == report.theorem1 and report.theorem1.holds
 
+    def test_one_gap_matrix_with_a_forced_pairing(self, rng, monkeypatch):
+        import uqd.equivalence as equivalence
+
+        rep, other = self.gauge_pair(rng, 6)
+        block_perm = check_theorem1(rep, other).block_perm
+        calls = []
+        original = equivalence.block_gaps
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "block_gaps", counting)
+        report = evaluate(rep, other, block_perm=block_perm)
+        assert len(calls) == 1
+        assert report.theorem1.holds and report.theorem3.holds
+        assert report.theorem3.block_perm == report.theorem1.block_perm == block_perm
+
     def test_dim_64_gauge_pair_holds(self, rng):
         rep, other = self.gauge_pair(rng, 64)
         verdict = check_theorem1(rep, other)

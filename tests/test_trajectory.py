@@ -371,7 +371,7 @@ class TestStiffness:
         rep = driven_qutrit_a(100.0)
         h_eff = effective_hamiltonian(rep)
         step, t_max = step_of(rep), 2.0
-        table = _StepTable(h_eff, step, t_max)
+        table = _StepTable(h_eff, t_max)
         top = table.top
         assert table.widths[0] >= t_max > table.widths[1]
         assert table.widths[top] == step
@@ -400,7 +400,7 @@ class TestSolve:
         squared norms after ``fractions`` of a step."""
         h_eff = effective_hamiltonian(rep)
         step = step_of(rep)
-        table = _StepTable(h_eff, step, 1.0)
+        table = _StepTable(h_eff, 1.0)
         taus = step * np.asarray(fractions)
         u = np.array(
             [
@@ -516,7 +516,10 @@ class TestBoundedState:
         assert sizes() == before
 
 
-class TestDriftFlowFallback:
+class TestDefectiveGeneratorReplay:
+    """Replay runs through the simulator's step table, so a generator with
+    no eigenbasis needs no special path."""
+
     def test_defective_generator_replays_by_expm(self):
         # H_eff = [[-i/2, 1], [0, -i/2]] is one Jordan block: no eigenbasis
         ham = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -528,6 +531,40 @@ class TestDriftFlowFallback:
         ensemble = simulate_ensemble(rep, ket(2, 1), 3.0, 30, seed=8)
         assert any(traj.events for traj in ensemble)
         times = [0.4, 1.7, 3.0]
+        for t, states in zip(times, states_at(ensemble, rep, times)):
+            for traj, state in zip(ensemble, states):
+                base_time, base = 0.0, traj.initial_state
+                for event, post in zip(traj.events, traj.post_jump_states):
+                    if event.time <= t:
+                        base_time, base = event.time, post
+                drifted = matrix_exponential(-1j * h_eff * (t - base_time)) @ base
+                assert np.max(np.abs(state - normalize(drifted))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [30, 300])
+    def test_exponentials_bounded_by_table_levels(self, monkeypatch, n):
+        ham = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+        jump = np.array([[1.0, 1j], [0.0, 0.0]], dtype=complex)
+        rep = Representation(hamiltonian=ham, jumps=[jump])
+        ensemble = simulate_ensemble(rep, ket(2, 1), 3.0, n, seed=8)
+        top = int(np.ceil(np.log2(3.0 / step_of(rep))))
+        calls = []
+        original = trajectory.matrix_exponential
+
+        def counting(mat):
+            calls.append(mat)
+            return original(mat)
+
+        monkeypatch.setattr(trajectory, "matrix_exponential", counting)
+        states_at(ensemble, rep, [0.4, 1.7, 3.0])
+        # one exponential per moving row and time would be about 3 n
+        assert 0 < len(calls) <= top + 1
+
+    def test_stiff_replay_matches_expm(self):
+        rep = driven_qutrit_a(100.0)
+        h_eff = effective_hamiltonian(rep)
+        ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 40, seed=21)
+        assert sum(len(traj.events) for traj in ensemble) > 40
+        times = [0.013, 0.5, 1.37, 2.0]
         for t, states in zip(times, states_at(ensemble, rep, times)):
             for traj, state in zip(ensemble, states):
                 base_time, base = 0.0, traj.initial_state
