@@ -311,10 +311,10 @@ def _cmd_simulate(args) -> int:
     tol = _tolerance(args)
     rep = _load_representation(args.rep)
     psi0 = _load_state(args.psi0, rep.dim)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log.info("simulating %d trajectories", args.ntraj)
     ensemble = trajectory.simulate_ensemble(rep, psi0, args.tmax, args.ntraj, args.seed, tol=tol)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "trajectories.jsonl"
     with records_path.open("w", encoding="utf-8") as fh:
         for i, traj in enumerate(ensemble):
@@ -371,6 +371,7 @@ def _cmd_compare(args) -> int:
             times = [float(x) for x in args.times.split(",")]
         except ValueError:
             raise InputError("--times must be a comma-separated list of numbers")
+    ens.check_comparison(args.alpha, times, args.tmax)
     log.info("simulating 2 x %d trajectories", args.ntraj)
     ens_a = trajectory.simulate_ensemble(
         rep_a, psi0, args.tmax, args.ntraj, args.seed_a, tol=tol

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .linalg import (
 from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix
 from .sjed import block_gaps, partition
-from .trajectory import LabelledTrajectory, coarse_grain, states_at
+from .trajectory import LabelledTrajectory, check_horizon, coarse_grain, states_at
 
 KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
 _KS_FALLBACK = r"ks_2samp: Exact calculation unsuccessful"
@@ -301,6 +301,39 @@ def _snap(samples: np.ndarray, resolution: float) -> np.ndarray:
     return np.round(samples / resolution)
 
 
+def _label_count_tests(
+    count_tests: Dict[str, Tuple[float, float]], word: str, n_a: int, n_b: int,
+    perm: Optional[Sequence[int]], records_a: Iterable[LabelledTrajectory],
+    records_b: Iterable[LabelledTrajectory],
+) -> Optional[str]:
+    """Add to ``count_tests`` one chi-square test per label, ``"{word} k"``:
+    label ``perm[k]`` of ``records_a`` against label ``k`` of ``records_b``.
+    Records with different label counts are incomparable; the mismatch is
+    returned instead."""
+    if n_a != n_b:
+        return f"{word}-count vectors have different lengths ({n_a} vs {n_b}); records are incomparable"
+    mapping = tuple(range(n_a)) if perm is None else tuple(int(p) for p in perm)
+    if sorted(mapping) != list(range(n_a)):
+        raise ValidationError(f"{word} permutation is not a bijection")
+    counts_a = np.array([traj.counts(n_a) for traj in records_a])
+    counts_b = np.array([traj.counts(n_a) for traj in records_b])
+    for k in range(n_a):
+        count_tests[f"{word} {k + 1}"] = _chi2_two_sample(counts_a[:, mapping[k]], counts_b[:, k])
+    return None
+
+
+def check_comparison(alpha: float, times: Sequence[float], t_final: float) -> None:
+    """Reject a significance level outside (0, 1), a horizon ``t_final``
+    that is not positive and finite, or a sample time outside
+    ``[0, t_final]``, before any ensemble is simulated or replayed."""
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_horizon(t_final)
+    for t in times:
+        if not 0 <= t <= t_final:
+            raise ValidationError(f"time {t} outside [0, {t_final}]")
+
+
 def compare_ensembles(
     ens_a: Sequence[LabelledTrajectory],
     ens_b: Sequence[LabelledTrajectory],
@@ -334,12 +367,11 @@ def compare_ensembles(
     """
     if level not in ("t1", "t2", "t3"):
         raise ValidationError(f"unknown comparison level {level!r}")
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if not ens_a or not ens_b:
         raise ValidationError("both ensembles must be non-empty")
     if abs(ens_a[0].t_final - ens_b[0].t_final) > 1e-12:
         raise ValidationError("ensembles have mismatched horizons")
+    check_comparison(alpha, times, ens_a[0].t_final)
 
     resolution = {
         label: tol.cutoff(float(np.linalg.norm(op, 2))) for label, op in observables.items()
@@ -364,47 +396,16 @@ def compare_ensembles(
     count_tests["total"] = _chi2_two_sample(totals_a, totals_b)
 
     if level == "t2":
-        if rep_a.n_jumps != rep_b.n_jumps:
-            structural = (
-                f"channel-count vectors have different lengths "
-                f"({rep_a.n_jumps} vs {rep_b.n_jumps}); records are incomparable"
-            )
-        else:
-            d = rep_a.n_jumps
-            mapping = tuple(range(d)) if perm is None else tuple(int(p) for p in perm)
-            if sorted(mapping) != list(range(d)):
-                raise ValidationError("channel permutation is not a bijection")
-            counts_a = np.array([traj.counts(d) for traj in ens_a])
-            counts_b = np.array([traj.counts(d) for traj in ens_b])
-            for k in range(d):
-                count_tests[f"channel {k + 1}"] = _chi2_two_sample(
-                    counts_a[:, mapping[k]], counts_b[:, k]
-                )
+        structural = _label_count_tests(
+            count_tests, "channel", rep_a.n_jumps, rep_b.n_jumps, perm, ens_a, ens_b
+        )
     elif level == "t3":
-        parts_a = partition(rep_a, tol)
-        parts_b = partition(rep_b, tol)
-        if parts_a.block_count != parts_b.block_count:
-            structural = (
-                f"block-count vectors have different lengths "
-                f"({parts_a.block_count} vs {parts_b.block_count}); records are incomparable"
-            )
-        else:
-            n_blocks = parts_a.block_count
-            mapping = (
-                tuple(range(n_blocks)) if block_perm is None else tuple(int(p) for p in block_perm)
-            )
-            if sorted(mapping) != list(range(n_blocks)):
-                raise ValidationError("block permutation is not a bijection")
-            blocks_a = np.array(
-                [coarse_grain(traj, parts_a).counts(n_blocks) for traj in ens_a]
-            )
-            blocks_b = np.array(
-                [coarse_grain(traj, parts_b).counts(n_blocks) for traj in ens_b]
-            )
-            for b in range(n_blocks):
-                count_tests[f"block {b + 1}"] = _chi2_two_sample(
-                    blocks_a[:, mapping[b]], blocks_b[:, b]
-                )
+        parts_a, parts_b = partition(rep_a, tol), partition(rep_b, tol)
+        structural = _label_count_tests(
+            count_tests, "block", parts_a.block_count, parts_b.block_count, block_perm,
+            (coarse_grain(traj, parts_a) for traj in ens_a),
+            (coarse_grain(traj, parts_b) for traj in ens_b),
+        )
 
     n_tests = len(ks) + len(count_tests)
     threshold = alpha / max(1, n_tests)

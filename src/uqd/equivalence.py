@@ -322,7 +322,6 @@ def check_theorem2(
     rep_b: Representation,
     tol: Tolerance = DEFAULT_TOL,
     enumerate_all: bool = False,
-    max_matchings: int = THEOREM2_MATCHING_CAP,
 ) -> Theorem2Verdict:
     """Decide labelled-ensemble equivalence up to a permutation of labels.
 
@@ -330,10 +329,10 @@ def check_theorem2(
     representation to unit-modulus multiples among the first's, then searches
     for perfect matchings.  By default one matching is returned and a second
     is only sought to set the ``multiple`` flag; ``enumerate_all`` lists every
-    matching up to ``max_matchings`` (``truncated`` marks a hit cap).
+    matching up to ``THEOREM2_MATCHING_CAP`` (``truncated`` marks a hit cap).
     """
     _require_valid_pair(rep_a, rep_b, tol)
-    return _theorem2(rep_a, rep_b, tol, enumerate_all, max_matchings)
+    return _theorem2(rep_a, rep_b, tol, enumerate_all)
 
 
 def _theorem2(
@@ -341,7 +340,6 @@ def _theorem2(
     rep_b: Representation,
     tol: Tolerance,
     enumerate_all: bool,
-    max_matchings: int,
 ) -> Theorem2Verdict:
     """Theorem 2 on a validated pair."""
     d_a, d_b = rep_a.n_jumps, rep_b.n_jumps
@@ -375,7 +373,7 @@ def _theorem2(
             shift=shift,
             diagnostics=("no permutation aligns all jumps up to phases",),
         )
-    limit = max_matchings if enumerate_all else 2
+    limit = THEOREM2_MATCHING_CAP if enumerate_all else 2
     assignments, truncated = _enumerate_matchings(candidates, limit)
     matchings = tuple(
         JumpMatching(
@@ -449,7 +447,6 @@ def evaluate(
     tol: Tolerance = DEFAULT_TOL,
     block_perm: Optional[Sequence[int]] = None,
     enumerate_all: bool = False,
-    max_matchings: int = THEOREM2_MATCHING_CAP,
 ) -> EquivalenceReport:
     """Run every check and bundle the verdicts.
 
@@ -467,7 +464,7 @@ def evaluate(
     return EquivalenceReport(
         same_qme=same_qme,
         theorem1=theorem1,
-        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all, max_matchings),
+        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all),
         theorem3=(
             theorem1
             if block_perm is None

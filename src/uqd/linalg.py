@@ -29,14 +29,14 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Mixed absolute/relative comparison tolerance; both parts >= 0."""
+    """Mixed absolute/relative comparison tolerance; both parts finite and >= 0."""
 
     atol: float = 1e-10
     rtol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.atol < 0 or self.rtol < 0:
-            raise ValidationError("tolerance components must be non-negative")
+        if not (0 <= self.atol < np.inf and 0 <= self.rtol < np.inf):
+            raise ValidationError("tolerance components must be finite and non-negative")
 
     def cutoff(self, scale: float) -> float:
         """Threshold for comparing quantities of the given magnitude."""

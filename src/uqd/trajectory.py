@@ -13,22 +13,23 @@ Implementation notes:
   ``(N, dim)`` array; `simulate` is the engine with one row.  The search for
   each crossing has two stages: a dyadic descent brackets it to one
   ``step = 0.01 / |H_eff|``, and a solve finds it inside that bracket.
-* Descent.  Each pass gives every descending row one propagator application
-  from a table of exponentials ``exp(-i H_eff w_k)`` at the dyadic widths
-  ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, so level 0 covers
-  ``t_max`` and level ``top`` is ``step``.  Levels are computed when a row
-  first needs them, at most once per call.  The squared norm never increases
-  (`_check_contractive`), so the times where it stays above ``u`` form one
-  interval, and a greedy descent finds its end without a grid.  A segment
-  starts at the narrowest level whose width still reaches ``t_max``; each
-  pass tries the row's current width, keeps the step if the squared norm
-  stays above ``u``, and descends one level.  A kept step that reaches
-  ``t_max`` ends the row with no further jump.  After level ``top`` the row
-  holds a bracket ``(t, t + step]`` and waits.
+* Descent.  A table holds the exponentials ``exp(-i H_eff w_k)`` at the
+  dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, so level 0
+  covers ``t_max`` and level ``top`` is ``step``.  Levels are computed when a
+  row first needs them, at most once per call.  The squared norm never
+  increases (`_check_contractive`), so the times where it stays above ``u``
+  form one interval, and a greedy descent finds its end without a grid.  A
+  segment starts at the narrowest level whose width still reaches
+  ``t_max``.  The engine works in rounds that start every live row on a
+  segment: pass ``k`` applies level ``k``, in one product, to every row whose
+  segment starts at level ``k`` or a wider one, and each row keeps the step
+  if its squared norm stays above ``u``.  A kept step that reaches ``t_max``
+  ends the row with no further jump.  After level ``top`` every row holds a
+  bracket ``(t, t + step]``.
 * Solve.  Within one step, ``|H_eff| tau <= 0.01``, the squared norm is the
   degree-8 polynomial ``sum_m tau^m x^T M_m x`` of the state ``x`` at the
-  bracket's left end, up to about 1e-21.  When no row is descending, the
-  waiting rows are solved together by a safeguarded Newton iteration on that
+  bracket's left end, up to about 1e-21.  At the end of each round the
+  bracketed rows are solved together by a safeguarded Newton iteration on that
   polynomial, to ``2**-34`` of ``step``, and the state at the crossing is
   rebuilt from its Taylor series; its squared norm must meet ``u`` to 1e-9.
   A crossing after ``t_max`` means there is no jump before ``t_max``, and
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -75,9 +76,6 @@ TAYLOR_ORDER = 8
 SOLVE_ITERATIONS = 2 * TIME_LEVELS
 NORM_RESIDUAL_TOL = 1e-9
 RATE_FLOOR = 1e-14
-# Bound on the per-row propagators gathered at once (8 MB), so memory stays
-# linear in the ensemble size at any dimension.
-GATHER_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -99,12 +97,10 @@ class LabelledTrajectory:
     t_final: float
     seed: int
 
-    def counts(self, n_channels: int, up_to: Optional[float] = None) -> np.ndarray:
-        """Per-channel jump counts, optionally restricted to ``time <= up_to``."""
+    def counts(self, n_channels: int) -> np.ndarray:
+        """Per-channel jump counts."""
         out = np.zeros(n_channels, dtype=int)
         for event in self.events:
-            if up_to is not None and event.time > up_to:
-                break
             out[event.channel] += 1
         return out
 
@@ -203,17 +199,12 @@ class _StepTable:
             phi = phi * tau + terms[i]
         return phi.T
 
-    def apply(self, level: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Row ``n`` of the result is the level-``level[n]`` propagator times
-        ``x[n]``."""
-        self._build(int(level.max()))
-        rows = max(1, GATHER_BYTES // self.mats[0].nbytes)
-        return np.concatenate(
-            [
-                _row_sum(self.mats[level[lo : lo + rows]] * x[lo : lo + rows, None, :])
-                for lo in range(0, len(x), rows)
-            ]
-        )
+    def apply(self, k: int, x: np.ndarray) -> np.ndarray:
+        """The level-``k`` propagator applied to each row of ``x``, with the
+        products and left-to-right sums of `_columns`, so each row of the
+        result depends only on its own row of ``x``."""
+        self._build(k)
+        return _columns(self.mats[k], x.T).T
 
     def solve(self, x: np.ndarray, u: np.ndarray):
         """Offsets ``tau`` in ``[0, step]`` where the squared norm of the
@@ -306,6 +297,11 @@ def _fire(jumps: np.ndarray, phi: np.ndarray, phi_sq: np.ndarray, draws: np.ndar
     return channel, amps[rows, channel] / np.sqrt(amps_sq[rows, channel])[:, None]
 
 
+def check_horizon(t_max: float) -> None:
+    if not 0 < t_max < np.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
+
+
 def _simulate_rows(
     rep: Representation,
     psi0: np.ndarray,
@@ -315,8 +311,7 @@ def _simulate_rows(
 ) -> List[LabelledTrajectory]:
     """One labelled trajectory per seed, all advanced together."""
     require_valid(rep, tol)
-    if not 0 < t_max < np.inf:
-        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
+    check_horizon(t_max)
     psi0 = normalize(psi0)
     if psi0.size != rep.dim:
         raise ValidationError(f"initial state has length {psi0.size}, expected {rep.dim}")
@@ -338,39 +333,44 @@ def _simulate_rows(
     posts: List[List[np.ndarray]] = [[] for _ in range(n)]
 
     # Live rows: ``x`` is the state at time ``t``, with squared norm above
-    # ``u``.  A row at ``level <= top`` is descending; a row past ``top``
-    # holds the bracket ``(t, t + step]`` and waits for the solve.
+    # ``u``.  Each round starts every row on a segment at level ``start``,
+    # applies each level to the rows with ``start <= level``, so that after
+    # level ``top`` every row holds the bracket ``(t, t + step]``, and ends
+    # with the solve.  A row leaves once ``t`` reaches ``t_max``.
     row = np.arange(n)
     t = np.zeros(n)
     x = np.tile(psi0.view(float), (n, 1))
     u = np.array([rngs[r].random() for r in row])
-    level = start_level(t)
+
+    def drop_finished(*arrays):
+        keep = t < t_max
+        return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
     while row.size:
-        down = np.flatnonzero(level <= table.top)
-        if down.size:
-            new = table.apply(level[down], x[down])
+        start = start_level(t)
+        for level in range(start.min(), table.top + 1):
+            down = np.flatnonzero(start <= level)
+            if not down.size:
+                continue
+            new = table.apply(level, x[down])
             above = _row_sum(new * new) > u[down]
             x[down[above]] = new[above]
-            t[down] += widths[level[down]] * above
-            level[down] += 1
-        else:
-            tau, phi, phi_sq = table.solve(x, u)
-            t += tau  # a crossing after t_max ends its row with no jump
-            hit = np.flatnonzero(t <= t_max)
-            if hit.size:
-                draws = np.array([rngs[r].random() for r in row[hit]])
-                channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws, t[hit])
-                x[hit] = post
-                for r, when, k, state in zip(
-                    row[hit].tolist(), t[hit].tolist(), channel.tolist(), post.view(complex)
-                ):
-                    events[r].append(JumpEvent(time=when, channel=k))
-                    posts[r].append(state)
-                u[hit] = [rngs[r].random() for r in row[hit]]
-                level[hit] = start_level(t[hit])
-        keep = t < t_max
-        if not keep.all():
-            row, t, x, u, level = (a[keep] for a in (row, t, x, u, level))
+            t[down[above]] += widths[level]
+            row, t, x, u, start = drop_finished(row, t, x, u, start)
+        tau, phi, phi_sq = table.solve(x, u)
+        t += tau  # a crossing after t_max ends its row with no jump
+        hit = np.flatnonzero(t <= t_max)
+        if hit.size:
+            draws = np.array([rngs[r].random() for r in row[hit]])
+            channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws, t[hit])
+            x[hit] = post
+            for r, when, k, state in zip(
+                row[hit].tolist(), t[hit].tolist(), channel.tolist(), post.view(complex)
+            ):
+                events[r].append(JumpEvent(time=when, channel=k))
+                posts[r].append(state)
+            u[hit] = [rngs[r].random() for r in row[hit]]
+        row, t, x, u = drop_finished(row, t, x, u)
     return [
         LabelledTrajectory(
             initial_state=psi0,

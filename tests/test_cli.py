@@ -287,7 +287,8 @@ class TestCompareEnsembles:
 
 class TestMalformedInput:
     """Degenerate numbers end in a logged error and a usage (2) or numeric
-    (3) exit code, never in an exception or a silent report."""
+    (3) exit code, never in an exception or a silent report, and before any
+    trajectory is simulated or an output directory is made."""
 
     COMPARE = ("compare-ensembles", "--rep-b", "{a}", "--level", "t1", "--ntraj", "20",
                "--tmax", "0.5", "--psi0", "1")
@@ -300,19 +301,30 @@ class TestMalformedInput:
             (COMPARE + ("--times", "abc"), 2),
             (COMPARE + ("--times", "nan"), 3),
             (COMPARE + ("--alpha", "0"), 3),
+            (COMPARE + ("--times", "5"), 3),
             (("rate-scan", "--rep-b", "{a}", "--n", "0"), 3),
+            # an equivalent pair: a NaN cutoff would report "different QME"
+            (("check", "--rep-b", "{a_min}", "--atol", "nan", "--rtol", "nan"), 3),
         ],
-        ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "rate-scan-n-0"],
+        ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
+             "rate-scan-n-0", "tolerance-nan"],
     )
-    def test_named_error(self, capsys, caplog, rep_files, tmp_path, argv, expected):
-        rep_a, _ = rep_files
-        args = [arg.format(a=rep_a, out=tmp_path / "records") for arg in argv]
+    def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the arguments were checked")
+
+        if argv[0] == "compare-ensembles":
+            monkeypatch.setattr(uqd.trajectory, "simulate_ensemble", forbidden)
+        rep_a, rep_a_min = rep_files
+        out_dir = tmp_path / "records"
+        args = [arg.format(a=rep_a, a_min=rep_a_min, out=out_dir) for arg in argv]
         if args[0] != "simulate":
             args += ["--rep-a", rep_a]
         code, out = run(capsys, *args)
         assert code == expected
         assert out == ""
         assert [r.levelname for r in caplog.records if r.name == "uqd"] == ["ERROR"]
+        assert not out_dir.exists()
 
 
 class TestFig1:

@@ -40,6 +40,16 @@ class TestTolerance:
         with pytest.raises(ValidationError):
             Tolerance(atol=-1.0)
 
+    @pytest.mark.parametrize(
+        "atol, rtol",
+        [(np.nan, 1e-10), (1e-10, np.nan), (np.inf, 1e-10), (1e-10, np.inf)],
+        ids=["atol-nan", "rtol-nan", "atol-inf", "rtol-inf"],
+    )
+    def test_non_finite_rejected(self, atol, rtol):
+        # a NaN cutoff fails every comparison, which read as a wrong verdict
+        with pytest.raises(ValidationError, match="finite"):
+            Tolerance(atol, rtol)
+
     def test_cutoff_mixes_absolute_and_relative(self):
         tol = Tolerance(atol=1e-10, rtol=1e-6)
         assert tol.cutoff(1e-3) == 1e-9

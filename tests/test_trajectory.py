@@ -82,17 +82,24 @@ class TestDeterminism:
         ham = np.array(
             [[0.3, 0.5 - 0.2j, 0.1], [0.5 + 0.2j, -0.4, 0.7j], [0.1, -0.7j, 0.2]]
         )
-        rep = models.qutrit_a(hamiltonian=ham)
-        ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 40, seed=5)
-        prefix = simulate_ensemble(rep, ket(3, 1), 2.0, 13, seed=5)
-        singles = [simulate(rep, ket(3, 1), 2.0, seed=trajectory_seed(5, i)) for i in range(6)]
-        assert any(traj.events for traj in singles)
-        for other in (prefix, singles):
-            for a, b in zip(ensemble, other):
-                assert a.seed == b.seed
-                assert a.events == b.events
-                assert len(a.post_jump_states) == len(b.post_jump_states)
-                assert all(np.array_equal(p, q) for p, q in zip(a.post_jump_states, b.post_jump_states))
+        # and a dim-32 model, whose rows start their segments at many levels
+        dim32 = random_minimal_representation(np.random.default_rng(5), 32, max_rank=2)
+        for rep, psi0, t_max in [
+            (models.qutrit_a(hamiltonian=ham), ket(3, 1), 2.0),
+            (dim32, ket(32, 0), 20.0),
+        ]:
+            ensemble = simulate_ensemble(rep, psi0, t_max, 40, seed=5)
+            prefix = simulate_ensemble(rep, psi0, t_max, 13, seed=5)
+            singles = [simulate(rep, psi0, t_max, seed=trajectory_seed(5, i)) for i in range(6)]
+            assert any(traj.events for traj in singles)
+            for other in (prefix, singles):
+                for a, b in zip(ensemble, other):
+                    assert a.seed == b.seed
+                    assert a.events == b.events
+                    assert len(a.post_jump_states) == len(b.post_jump_states)
+                    assert all(
+                        np.array_equal(p, q) for p, q in zip(a.post_jump_states, b.post_jump_states)
+                    )
 
     def test_trajectory_seed_is_stable(self):
         assert trajectory_seed(7, 3) == trajectory_seed(7, 3)
@@ -377,7 +384,7 @@ class TestStiffness:
         assert table.widths[top] == step
         assert table.widths.size == top + 1
         assert np.linalg.norm(h_eff, 2) * table.widths[0] > 300
-        table.apply(np.array([top]), np.zeros((1, 2 * rep.dim)))
+        table.apply(top, np.zeros((1, 2 * rep.dim)))
         squared = table.mats[top]
         for _ in range(top):
             squared = squared @ squared
@@ -467,9 +474,10 @@ class TestBoundedState:
     def test_memory_stays_linear_in_rows(self):
         import tracemalloc
 
-        # 300 rows of dim 32 peak near 25 MB, most of it the bounded gathers
-        # of the descent and the jump amplitudes; a solve that formed the
-        # (rows, 9, 64, 64) Taylor products of all rows at once reached 70 MB
+        # 300 rows of dim 32 peak near 4 MB; gathering a (rows, 64, 64)
+        # propagator per row for the descent, in 8 MB chunks, peaked near
+        # 18 MB, and a solve that formed the (rows, 9, 64, 64) Taylor
+        # products of all rows at once reached 70 MB
         rep = random_minimal_representation(np.random.default_rng(5), 32, max_rank=2)
         simulate_ensemble(rep, ket(32, 0), 20.0, 2, seed=1)
         tracemalloc.start()
@@ -479,12 +487,12 @@ class TestBoundedState:
         finally:
             tracemalloc.stop()
         assert any(traj.events for traj in ensemble)
-        assert peak < 35 * 2**20
+        assert peak < 10 * 2**20
 
     def test_jump_amplitudes_stay_linear_in_rows(self):
         import tracemalloc
 
-        # 1000 rows of dim 32 peak near 20 MB; forming the (rows, 2 d K, 2 d)
+        # 1000 rows of dim 32 peak near 7 MB; forming the (rows, 2 d K, 2 d)
         # product of the firing rows with the stacked jumps at once reached
         # 42 MB here, and 79 MB by t_max = 20
         rep = random_minimal_representation(np.random.default_rng(5), 32, max_rank=2)
