@@ -68,7 +68,6 @@ from .sjed import (
     SjedPartition,
     are_jed,
     composite_action,
-    find_witness_state,
     minimal_block_representation,
     minimize_representation,
     partition,

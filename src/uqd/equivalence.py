@@ -9,8 +9,10 @@ Three nested notions of equivalence are decided algebraically:
   superoperators is below the cutoff.
 * **theorem 2** (same labelled ensembles up to relabelling): additionally
   every jump operator of one representation is a unit-modulus multiple of a
-  jump operator of the other, under some permutation; the permutation need
-  not be unique and multiplicity is reported.
+  jump operator of the other, under some permutation.  Unit-modulus
+  proportionality is an equivalence, so the permutation exists exactly when
+  each phase class holds as many jumps on both sides; it need not be unique
+  and multiplicity is reported.
 * **theorem 3** (same coarse-grained ensembles for a *given* block
   pairing): theorem 1's conditions verified for exactly that pairing.
 
@@ -34,23 +36,22 @@ All checks are pure functions of their inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import NumericalError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _proportionality,
     dagger,
     frobenius,
     identity_shift,
     kron_sum_norm,
     numerical_rank,
-    proportionality_coefficient,
     vec,
 )
 from .representation import Representation, require_valid
@@ -267,25 +268,32 @@ def check_theorem1(
     return _theorem1(rep_a, rep_b, tol, same_qme, parts, match)
 
 
-def _max_bipartite_matching_size(candidates: Sequence[Sequence[int]], n_right: int) -> int:
-    rows, cols = [], []
-    for k, options in enumerate(candidates):
-        for j in options:
-            rows.append(k)
-            cols.append(j)
-    if not rows:
-        return 0
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(candidates), n_right)
-    )
-    match = scipy.sparse.csgraph.maximum_bipartite_matching(graph, perm_type="column")
-    return int(np.count_nonzero(match >= 0))
+def _classes_align(candidates: Sequence[Sequence[int]]) -> bool:
+    """Whether phase classes admit a perfect matching: every candidate set
+    is as large as the group of jumps sharing it.  Sets that overlap without
+    being equal raise :class:`NumericalError`."""
+    groups = Counter(map(tuple, candidates))
+    owner: dict[int, tuple[int, ...]] = {}
+    for key in groups:
+        for j in key:
+            if owner.setdefault(j, key) != key:
+                raise NumericalError(
+                    f"theorem-2 phase classes overlap at jump {j + 1} of the first "
+                    "representation: unit-modulus proportionality is not transitive "
+                    "at this tolerance"
+                )
+    return all(len(key) == size for key, size in groups.items())
 
 
 def _enumerate_matchings(
     candidates: Sequence[Sequence[int]], limit: int
 ) -> tuple[List[List[int]], bool]:
-    """Perfect matchings as assignment arrays, at most ``limit`` of them."""
+    """Perfect matchings as assignment arrays, at most ``limit`` of them.
+
+    On candidate sets that are equal or disjoint, with each set as large as
+    the jumps that share it, every partial assignment extends, so the search
+    never backtracks out of a dead end.
+    """
     d = len(candidates)
     order = sorted(range(d), key=lambda k: len(candidates[k]))
     used = [False] * d
@@ -325,11 +333,16 @@ def check_theorem2(
 ) -> Theorem2Verdict:
     """Decide labelled-ensemble equivalence up to a permutation of labels.
 
-    Builds the bipartite graph whose edges join jumps of the second
-    representation to unit-modulus multiples among the first's, then searches
-    for perfect matchings.  By default one matching is returned and a second
-    is only sought to set the ``multiple`` flag; ``enumerate_all`` lists every
-    matching up to ``THEOREM2_MATCHING_CAP`` (``truncated`` marks a hit cap).
+    Each jump of the second representation gets the set of jumps of the
+    first that it is a unit-modulus multiple of.  That relation is an
+    equivalence, so these sets are phase classes: two of them are equal or
+    disjoint, and a permutation exists exactly when every class holds as
+    many jumps on both sides.  Sets that overlap without being equal mean
+    the relation is not transitive at this tolerance, which raises
+    :class:`NumericalError`.  The matchings permute jumps within classes.
+    By default one is returned and a second is only sought to set the
+    ``multiple`` flag; ``enumerate_all`` lists every matching up to
+    ``THEOREM2_MATCHING_CAP`` (``truncated`` marks a hit cap).
     """
     _require_valid_pair(rep_a, rep_b, tol)
     return _theorem2(rep_a, rep_b, tol, enumerate_all)
@@ -352,12 +365,14 @@ def _theorem2(
         return Theorem2Verdict(holds=False, diagnostics=tuple(diagnostics))
 
     unit_cutoff = tol.cutoff(1.0)
+    squares_a = [frobenius(jump) ** 2 for jump in rep_a.jumps]
     coefficients: dict[tuple[int, int], complex] = {}
     candidates: List[List[int]] = []
-    for k in range(d_b):
+    for k, jump in enumerate(rep_b.jumps):
+        norm = frobenius(jump)
         options: List[int] = []
         for j in range(d_a):
-            lam = proportionality_coefficient(rep_b.jumps[k], rep_a.jumps[j], tol)
+            lam = _proportionality(jump, rep_a.jumps[j], norm, squares_a[j], tol)
             if lam is not None and abs(abs(lam) - 1.0) <= unit_cutoff:
                 coefficients[(k, j)] = lam
                 options.append(j)
@@ -367,7 +382,7 @@ def _theorem2(
     if diagnostics:
         return Theorem2Verdict(holds=False, shift=shift, diagnostics=tuple(diagnostics))
 
-    if _max_bipartite_matching_size(candidates, d_a) < d_b:
+    if not _classes_align(candidates):
         return Theorem2Verdict(
             holds=False,
             shift=shift,

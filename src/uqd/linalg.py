@@ -118,11 +118,18 @@ def proportionality_coefficient(
     b = as_operator(b)
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    b_sq = frobenius(b) ** 2
-    if b_sq <= tol.atol**2:
+    return _proportionality(a, b, frobenius(a), frobenius(b) ** 2, tol)
+
+
+def _proportionality(
+    a: np.ndarray, b: np.ndarray, norm_a: float, sq_b: float, tol: Tolerance
+) -> Optional[complex]:
+    """:func:`proportionality_coefficient` of two valid operators of equal
+    shape, given ``|a|_F`` and ``|b|_F ** 2``."""
+    if sq_b <= tol.atol**2:
         raise ValidationError("degenerate reference operator")
-    lam = complex(np.vdot(b, a) / b_sq)
-    if frobenius(a - lam * b) > tol.cutoff(frobenius(a)):
+    lam = complex(np.vdot(b, a) / sq_b)
+    if frobenius(a - lam * b) > tol.cutoff(norm_a):
         return None
     return lam
 
@@ -218,10 +225,6 @@ def haar_isometry(rows: int, cols: int, seed: SeedLike) -> np.ndarray:
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))
-
-
-def random_unitary(dim: int, seed: SeedLike) -> np.ndarray:
-    return haar_isometry(dim, dim, seed)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

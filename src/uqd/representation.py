@@ -189,10 +189,36 @@ def _pair_from_json(obj, where: str) -> complex:
         or not all(isinstance(part, (int, float)) for part in obj)
     ):
         raise ParseError(f"{where}: complex scalars must be [re, im] pairs, got {obj!r}")
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:
+        raise ParseError(f"{where}: number too large for a float") from None
+
+
+def _numeric_array(obj, ndim: int) -> Optional[np.ndarray]:
+    """Complex array of a JSON-decoded nest of ``ndim`` non-empty list levels
+    of ``[re, im]`` pairs, decoded in one numpy pass; ``None`` where it is not
+    plainly numeric (ragged, empty, wrong depth, strings, ``None``, bools
+    only, integers beyond int64), so the per-entry path names the fault.
+
+    Where both paths accept, they give the same bits: each number becomes
+    the nearest double, as ``complex(re, im)`` makes it.
+    """
+    if not isinstance(obj, list):
+        return None
+    try:
+        arr = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype.kind not in "fi" or arr.shape[ndim:] != (2,):
+        return None
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
+    fast = _numeric_array(obj, 2)
+    if fast is not None:
+        return fast
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a non-empty list of rows")
     rows = []
@@ -209,6 +235,9 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
 
 
 def vector_from_json(obj, where: str) -> np.ndarray:
+    fast = _numeric_array(obj, 1)
+    if fast is not None:
+        return fast
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a non-empty list of [re, im] pairs")
     return np.array([_pair_from_json(entry, f"{where}[{i}]") for i, entry in enumerate(obj)])
@@ -258,4 +287,6 @@ def parse(text: str) -> Representation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     return from_document(doc)

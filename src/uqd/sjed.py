@@ -25,7 +25,7 @@ operators themselves, so no dim^2 x dim^2 matrix is built to compare blocks.
 Every block pairing reads the gap matrix ``gaps[alpha, beta]`` between two
 representations' blocks, and its mask of matches, from :func:`block_gaps`.
 
-All functions are pure; witness search owns its generator state.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -38,31 +38,19 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    SeedLike,
     Tolerance,
-    as_rng,
     dagger,
     frobenius,
     kron_sum_norm,
-    normalize,
     numerical_rank,
     proportionality_coefficient,
-    random_pure_state,
     superoperator_matrix,
-    trace_distance,
 )
-from .representation import (
-    Representation,
-    jump_destination,
-    jump_rates,
-    require_valid,
-)
+from .representation import Representation, require_valid
 
 # Entries smaller than this fraction of the largest magnitude are ignored
 # when picking the phase-fixing pivot, so roundoff zeros cannot be chosen.
 _PHASE_PIVOT_REL = 1e-6
-
-WITNESS_THRESHOLD = 1e-6
 
 
 def fix_phase(mat: np.ndarray) -> np.ndarray:
@@ -157,8 +145,10 @@ def _jed(
     """Equal-destination relation of two valid operators, given their
     :func:`_reset_image` values."""
     if image_a is not None and image_b is not None:
-        overlap = abs(np.vdot(image_a, image_b))
-        return bool(1.0 - overlap <= tol.rtol)
+        # the sine of the angle between the unit images: ``1 - |cos|`` is
+        # half its square, so it would join images 1e-5 apart at rtol 1e-10
+        sine = frobenius(image_b - np.vdot(image_a, image_b) * image_a)
+        return bool(sine <= tol.cutoff(1.0))
     return proportionality_coefficient(a, b, tol) is not None
 
 
@@ -321,70 +311,26 @@ def minimal_block_representation(
 def minimize_representation(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> Representation:
     """Same Hamiltonian, with every block replaced by its minimal operators.
 
-    Keeping each block's composite action fixed (verified per block) while
-    leaving the Hamiltonian untouched is exactly what preserves the
-    unravelled dynamics, so the result is trajectory-equivalent to the input
-    with the identity block pairing and zero shift.
+    Keeping each block's composite action fixed while leaving the
+    Hamiltonian untouched is exactly what preserves the unravelled dynamics,
+    so the result is trajectory-equivalent to the input with the identity
+    block pairing and zero shift.  A reset block's operators all reset onto
+    its first member's target, so their action is checked against the
+    block's own jumps by :func:`action_gap`, as theorem 1 compares blocks:
+    members whose targets differ within the partition's cutoff may still
+    act differently beyond it.
     """
     parts = partition(rep, tol)
     jumps: List[np.ndarray] = []
-    for block in parts.blocks:
-        jumps.extend(minimal_block_representation(block, tol))
+    for alpha, block in enumerate(parts.blocks):
+        ops = minimal_block_representation(block, tol)
+        if isinstance(block, ResetBlock):
+            members = block_jumps(rep, block)
+            gap = action_gap(ops, members)
+            if gap > tol.cutoff(action_gap(members)):
+                raise NumericalError(
+                    f"minimal operators of block {alpha + 1} miss its jumps' composite action by {gap:.2e}"
+                )
+        jumps.extend(ops)
     label = f"{rep.label}-minimal" if rep.label else "minimal"
     return Representation(hamiltonian=rep.hamiltonian.copy(), jumps=jumps, label=label)
-
-
-def _witness_ok(
-    psi: np.ndarray,
-    reps: Sequence[Representation],
-    parts: Sequence[SjedPartition],
-    threshold: float,
-) -> bool:
-    for rep, part in zip(reps, parts):
-        if np.any(jump_rates(rep, psi) <= threshold):
-            return False
-        destinations = [jump_destination(rep, k, psi) for k in range(rep.n_jumps)]
-        lookup = part.block_of_channel(rep.n_jumps)
-        for i in range(rep.n_jumps):
-            for j in range(i + 1, rep.n_jumps):
-                if lookup[i] == lookup[j]:
-                    continue
-                if trace_distance(destinations[i], destinations[j]) <= threshold:
-                    return False
-    return True
-
-
-def find_witness_state(
-    rep_a: Representation,
-    rep_b: Representation,
-    seed: SeedLike,
-    threshold: float = WITNESS_THRESHOLD,
-    max_attempts: int = 1000,
-    initial: Optional[np.ndarray] = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """State where all rates exceed ``threshold`` and distinct blocks of each
-    representation have destinations separated in trace distance.
-
-    Starts from a Haar sample (or the supplied candidate) and repairs
-    degeneracies by mixing in random directions with shrinking amplitude,
-    resampling afresh every ten attempts.
-    """
-    if rep_a.dim != rep_b.dim:
-        raise ValidationError("representations act on different Hilbert-space dimensions")
-    reps = (rep_a, rep_b)
-    parts = (partition(rep_a, tol), partition(rep_b, tol))
-    rng = as_rng(seed)
-    candidate = normalize(initial) if initial is not None else random_pure_state(rep_a.dim, rng)
-    for attempt in range(max_attempts):
-        if _witness_ok(candidate, reps, parts, threshold):
-            return candidate
-        if attempt % 10 == 9:
-            candidate = random_pure_state(rep_a.dim, rng)
-        else:
-            amplitude = 2.0 ** -(1 + attempt % 10)
-            direction = random_pure_state(rep_a.dim, rng)
-            candidate = normalize(candidate + amplitude * direction)
-    raise NumericalError(
-        "no witness found: model is near-degenerate or the threshold is too strict"
-    )

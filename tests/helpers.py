@@ -10,6 +10,21 @@ from uqd import BlockIsometry, Representation, partition
 from uqd.linalg import frobenius, haar_isometry, normalize, numerical_rank
 
 
+def random_unitary(dim: int, seed) -> np.ndarray:
+    return haar_isometry(dim, dim, seed)
+
+
+def close_targets(angle: float, weight: float = 1.0) -> Representation:
+    """Jumps |0><1| and weight |chi><2|, with chi at ``angle`` from |0>, and a
+    dephasing jump; H diagonal."""
+    zero, one, two = np.eye(3)
+    chi = np.cos(angle) * zero + np.sin(angle) * one
+    return Representation(
+        hamiltonian=np.diag([0.0, 1.0, 2.5]),
+        jumps=[np.outer(zero, one), weight * np.outer(chi, two), np.diag([1.0, -1.0, 0.5])],
+    )
+
+
 def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (raw + raw.conj().T) / 2

@@ -12,6 +12,7 @@ import uqd
 from uqd import models, schemas
 from uqd.cli import main
 from uqd.representation import from_document, serialize
+from helpers import close_targets
 
 
 def run(capsys, *argv):
@@ -152,6 +153,19 @@ class TestMinimize:
         doc = json.loads(out_path.read_text())
         validate_schema(doc, "representation")
         assert len(doc["jumps"]) == 3
+
+
+    @pytest.mark.parametrize("angle", [1e-4, 1e-5, 1e-6, 1e-8])
+    def test_close_reset_targets_keep_the_qme(self, capsys, tmp_path, angle):
+        # J_2 resets onto a target at ``angle`` from J_1's, so the two share
+        # no block, and the minimal form must still pass ``check``
+        path = write_rep(tmp_path, close_targets(angle), "close.json")
+        out_path = tmp_path / "minimal.json"
+        assert run(capsys, "minimize", path, "--out", str(out_path))[0] == 0
+        code, out = run(capsys, "check", "--rep-a", path, "--rep-b", str(out_path))
+        doc = json.loads(out)
+        assert doc["same_qme"] is True and doc["theorem1"]["holds"] is True
+        assert code == 0
 
 
 class TestGauge:
@@ -327,6 +341,27 @@ class TestMalformedInput:
         assert not out_dir.exists()
 
 
+class TestOversizedNumbers:
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("1" + "0" * 400, "jumps[0][0][0]: number too large for a float"),
+            ("1" * 5000, "invalid JSON: Exceeds the limit (4300 digits)"),
+        ],
+        ids=["beyond-float", "beyond-digit-limit"],
+    )
+    def test_usage_error(self, capsys, caplog, tmp_path, literal, message):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"dim": 1, "hamiltonian": [[[0, 0]]], "jumps": [[[[%s, 0]]]]}' % literal
+        )
+        code, out = run(capsys, "check", "--rep-a", str(path), "--rep-b", str(path))
+        assert code == 2
+        assert out == ""
+        errors = [r.getMessage() for r in caplog.records if r.name == "uqd"]
+        assert len(errors) == 1 and errors[0].startswith(message)
+
+
 class TestFig1:
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "rates.csv"
@@ -409,3 +444,25 @@ class TestImportCost:
             timeout=120,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_theorem2_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # theorem 2 decides from phase classes; qutrit_a at theta = 0 has two
+        # equal decay channels, so the check enumerates several matchings
+        path = write_rep(tmp_path, models.qutrit_a(theta=0.0), "a.json")
+        src = os.path.dirname(os.path.dirname(uqd.__file__))
+        env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys; from uqd.cli import main; code = main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')), file=sys.stderr)"
+        )
+        argv = ["check", "--rep-a", path, "--rep-b", path, "--level", "t2", "--all-perms", "--quiet"]
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": env_path},
+            timeout=120,
+        )
+        assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2
+        assert out.stderr.strip() == "0 []"

@@ -14,7 +14,7 @@ from uqd.equivalence import (
     same_liouvillian,
 )
 from uqd.errors import NumericalError, ValidationError
-from uqd.linalg import frobenius, haar_isometry
+from uqd.linalg import Tolerance, frobenius, haar_isometry
 from uqd.representation import Representation, liouvillian_matrix
 from uqd.sjed import partition
 import dense_reference
@@ -175,6 +175,39 @@ class TestTheorem2:
         for k in range(other.n_jumps):
             rebuilt = np.exp(1j * phases[k]) * rep.jumps[perm[k]]
             assert frobenius(other.jumps[k] - rebuilt) < 1e-10
+
+
+def tilted(*angles: float) -> Representation:
+    """Unit jumps ``cos(t)|0><0| + sin(t)|1><1|``, one per angle; two of them
+    at angle gap ``g`` are proportional up to a residual ``sin(g)``."""
+    return Representation(
+        hamiltonian=None, jumps=[np.diag([np.cos(t), np.sin(t)]) for t in angles]
+    )
+
+
+class TestPhaseClasses:
+    def test_equal_classes_match_within_each_class(self):
+        # jumps 1 and 3 form one class of two on each side
+        rep = tilted(0.0, 1.0, 0.0)
+        other = tilted(1.0, 0.0, 0.0)
+        verdict = check_theorem2(rep, other, enumerate_all=True)
+        assert verdict.holds and verdict.multiple
+        assert [m.perm for m in verdict.matchings] == [(1, 0, 2), (1, 2, 0)]
+
+    def test_class_size_mismatch(self):
+        # every jump has a counterpart, but class {1, 2} has one jump on
+        # the second side and class {3} two
+        verdict = check_theorem2(tilted(0.0, 0.0, 1.0), tilted(0.0, 1.0, 1.0))
+        assert not verdict.holds
+        assert verdict.diagnostics == ("no permutation aligns all jumps up to phases",)
+
+    def test_overlapping_classes_are_a_named_error(self):
+        # at rtol 0.1 jumps within 0.1 rad are proportional: the second
+        # side's first jump matches both of the first side's, its second
+        # jump only the second
+        loose = Tolerance(atol=1e-10, rtol=0.1)
+        with pytest.raises(NumericalError, match="phase classes overlap at jump 2"):
+            check_theorem2(tilted(0.0, 0.15), tilted(0.075, 0.2), loose)
 
 
 class TestTheorem3:

@@ -17,7 +17,6 @@ from uqd.linalg import (
     numerical_rank,
     proportionality_coefficient,
     random_pure_state,
-    random_unitary,
     superoperator_matrix,
     trace_distance,
     unvec,
@@ -25,7 +24,7 @@ from uqd.linalg import (
 )
 from conftest import ket
 import dense_reference
-from helpers import random_minimal_representation
+from helpers import random_minimal_representation, random_unitary
 
 
 def dyad(i, j, dim=3):

@@ -14,13 +14,12 @@ from uqd.linalg import (
     trace_distance,
     vec,
 )
-from uqd.representation import Representation, jump_destination, jump_rates, liouvillian_matrix
+from uqd.representation import Representation, jump_destination, liouvillian_matrix
 from uqd.sjed import (
     NonResetBlock,
     ResetBlock,
     are_jed,
     composite_action,
-    find_witness_state,
     fix_phase,
     minimal_block_representation,
     minimize_representation,
@@ -28,7 +27,7 @@ from uqd.sjed import (
 )
 from conftest import ket
 from dense_reference import block_action_matrix
-from helpers import random_block_isometry, random_minimal_representation
+from helpers import close_targets, random_block_isometry, random_minimal_representation
 
 
 def reset_gamma_closed_form(theta, gamma):
@@ -63,6 +62,11 @@ class TestAreJed:
 
 
 class TestPartition:
+    def test_reset_targets_split_by_the_sine_of_their_angle(self):
+        # 1 - cos(1e-9) is 5e-19, far below rtol; the sine 1e-9 is above it
+        assert [blk.indices for blk in partition(close_targets(1e-9)).blocks] == [(0,), (1,), (2,)]
+        assert [blk.indices for blk in partition(close_targets(1e-11)).blocks] == [(0, 1), (2,)]
+
     def test_five_jump_model(self, qutrit_a):
         parts = partition(qutrit_a)
         assert [blk.indices for blk in parts.blocks] == [(0, 1, 2), (3, 4)]
@@ -249,6 +253,16 @@ class TestMinimizeRepresentation:
         assert minimal.n_jumps == rep_min.n_jumps < rep.n_jumps
         assert peak < 4 * 2**20
 
+    def test_block_checked_against_its_own_jumps(self):
+        # targets 0.9e-10 apart share a block, but the heavy second member's
+        # action differs from one reset onto the first target by 1.3e-8,
+        # above the block's cutoff of 1.0e-8
+        rep = close_targets(0.9e-10, weight=10.0)
+        assert partition(rep).block_count == 2
+        with pytest.raises(NumericalError, match="block 1 miss its jumps' composite action"):
+            minimize_representation(rep)
+        assert minimize_representation(close_targets(0.9e-10)).n_jumps == 3
+
     def test_idempotent_up_to_phases(self, qutrit_a):
         once = minimize_representation(qutrit_a)
         twice = minimize_representation(once)
@@ -267,42 +281,3 @@ class TestPhaseFixing:
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
             fix_phase(np.zeros((2, 2)))
-
-
-class TestWitnessState:
-    def test_generic_state_qualifies(self, qutrit_a):
-        psi = find_witness_state(qutrit_a, qutrit_a, seed=11)
-        assert np.all(jump_rates(qutrit_a, psi) > 1e-6)
-
-    def test_single_block_model_is_trivial(self):
-        jumps = [np.outer(ket(3, 0), ket(3, 1)), np.outer(ket(3, 0), ket(3, 2))]
-        rep = Representation(hamiltonian=None, jumps=jumps)
-        psi = find_witness_state(rep, rep, seed=3)
-        assert np.all(jump_rates(rep, psi) > 1e-6)
-
-    def test_degenerate_proposal_is_repaired(self, qutrit_a):
-        # |0> has zero rate on the first decay channel and must be perturbed
-        psi = find_witness_state(qutrit_a, qutrit_a, seed=5, initial=ket(3, 0))
-        assert np.all(jump_rates(qutrit_a, psi) > 1e-6)
-        assert np.linalg.norm(psi - ket(3, 0)) > 1e-4
-
-    def test_cross_block_destinations_separated(self, qutrit_a):
-        psi = find_witness_state(qutrit_a, qutrit_a, seed=7)
-        parts = partition(qutrit_a)
-        lookup = parts.block_of_channel(qutrit_a.n_jumps)
-        for i in range(qutrit_a.n_jumps):
-            for j in range(i + 1, qutrit_a.n_jumps):
-                if lookup[i] != lookup[j]:
-                    d_i = jump_destination(qutrit_a, i, psi)
-                    d_j = jump_destination(qutrit_a, j, psi)
-                    assert trace_distance(d_i, d_j) > 1e-6
-
-    def test_exhaustion_raises(self):
-        # two proportional rank-2 jumps forms one block, but an impossible
-        # threshold can never be met
-        rep = Representation(
-            hamiltonian=None,
-            jumps=[models.shared_dephasing_operator(), 2 * models.shared_dephasing_operator()],
-        )
-        with pytest.raises(NumericalError, match="no witness"):
-            find_witness_state(rep, rep, seed=1, threshold=10.0, max_attempts=50)
