@@ -12,7 +12,9 @@ Three nested notions of equivalence are decided algebraically:
   jump operator of the other, under some permutation.  Unit-modulus
   proportionality is an equivalence, so the permutation exists exactly when
   each phase class holds as many jumps on both sides; it need not be unique
-  and multiplicity is reported.
+  and multiplicity is reported.  Labelled equivalence implies ensemble
+  equivalence, so the phase classes are only tested where theorem 1 holds;
+  at a loose tolerance they could otherwise hold where theorem 1 fails.
 * **theorem 3** (same coarse-grained ensembles for a *given* block
   pairing): theorem 1's conditions verified for exactly that pairing.
 
@@ -342,10 +344,11 @@ def check_theorem2(
     :class:`NumericalError`.  The matchings permute jumps within classes.
     By default one is returned and a second is only sought to set the
     ``multiple`` flag; ``enumerate_all`` lists every matching up to
-    ``THEOREM2_MATCHING_CAP`` (``truncated`` marks a hit cap).
+    ``THEOREM2_MATCHING_CAP`` (``truncated`` marks a hit cap).  Where
+    theorem 1 fails the verdict fails with the diagnostic "theorem 1 fails"
+    and no class is tested.
     """
-    _require_valid_pair(rep_a, rep_b, tol)
-    return _theorem2(rep_a, rep_b, tol, enumerate_all)
+    return _theorem2(rep_a, rep_b, tol, enumerate_all, check_theorem1(rep_a, rep_b, tol))
 
 
 def _theorem2(
@@ -353,16 +356,17 @@ def _theorem2(
     rep_b: Representation,
     tol: Tolerance,
     enumerate_all: bool,
+    theorem1: Theorem1Verdict,
 ) -> Theorem2Verdict:
-    """Theorem 2 on a validated pair."""
+    """Theorem 2 on a validated pair with the given theorem-1 verdict."""
+    if not theorem1.holds:
+        return Theorem2Verdict(holds=False, diagnostics=("theorem 1 fails",))
     d_a, d_b = rep_a.n_jumps, rep_b.n_jumps
     if d_a != d_b:
         return Theorem2Verdict(
             holds=False, diagnostics=(f"jump counts differ ({d_a} vs {d_b})",)
         )
-    shift, diagnostics = _hamiltonian_shift(rep_a, rep_b, tol)
-    if diagnostics:
-        return Theorem2Verdict(holds=False, diagnostics=tuple(diagnostics))
+    shift, diagnostics = theorem1.shift, []
 
     unit_cutoff = tol.cutoff(1.0)
     squares_a = [frobenius(jump) ** 2 for jump in rep_a.jumps]
@@ -479,7 +483,7 @@ def evaluate(
     return EquivalenceReport(
         same_qme=same_qme,
         theorem1=theorem1,
-        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all),
+        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all, theorem1),
         theorem3=(
             theorem1
             if block_perm is None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
@@ -192,7 +191,12 @@ def identity_shift(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Optional[co
 
 
 def matrix_exponential(mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with Pade approximants."""
+    """Matrix exponential via scaling-and-squaring with Pade approximants.
+
+    scipy is imported on use: within ``uqd`` only the mean-state check
+    calls this, and the import would be most of ``import uqd``'s time."""
+    import scipy.linalg
+
     mat = as_operator(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError("matrix exponential requires a square matrix")

@@ -303,7 +303,7 @@ def minimal_block_representation(
     if not ops:
         raise NumericalError("block weight matrix has no eigenvalue above threshold")
     residual = frobenius(sum(dagger(op) @ op for op in ops) - block.gamma_op)
-    if residual > Tolerance(1e-10, 1e-10).cutoff(frobenius(block.gamma_op)):
+    if residual > tol.cutoff(frobenius(block.gamma_op)):
         raise NumericalError(f"minimal block operators miss the composite action by {residual:.2e}")
     return ops
 

@@ -15,17 +15,17 @@ Implementation notes:
   ``step = 0.01 / |H_eff|``, and a solve finds it inside that bracket.
 * Descent.  A table holds the exponentials ``exp(-i H_eff w_k)`` at the
   dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, so level 0
-  covers ``t_max`` and level ``top`` is ``step``.  Levels are computed when a
-  row first needs them, at most once per call.  The squared norm never
-  increases (`_check_contractive`), so the times where it stays above ``u``
-  form one interval, and a greedy descent finds its end without a grid.  A
-  segment starts at the narrowest level whose width still reaches
-  ``t_max``.  The engine works in rounds that start every live row on a
-  segment: pass ``k`` applies level ``k``, in one product, to every row whose
-  segment starts at level ``k`` or a wider one, and each row keeps the step
-  if its squared norm stays above ``u``.  A kept step that reaches ``t_max``
-  ends the row with no further jump.  After level ``top`` every row holds a
-  bracket ``(t, t + step]``.
+  covers ``t_max`` and level ``top`` is ``step``.  Level ``top`` is summed
+  from the Taylor series of the solve, and each wider level squares the
+  next.  The squared norm never increases (`_check_contractive`), so the
+  times where it stays above ``u`` form one interval, and a greedy descent
+  finds its end without a grid.  A segment starts at the narrowest level
+  whose width still reaches ``t_max``.  The engine works in rounds that start
+  every live row on a segment: pass ``k`` applies level ``k``, in one
+  product, to every row whose segment starts at level ``k`` or a wider one,
+  and each row keeps the step if its squared norm stays above ``u``.  A kept
+  step that reaches ``t_max`` ends the row with no further jump.  After level
+  ``top`` every row holds a bracket ``(t, t + step]``.
 * Solve.  Within one step, ``|H_eff| tau <= 0.01``, the squared norm is the
   degree-8 polynomial ``sum_m tau^m x^T M_m x`` of the state ``x`` at the
   bracket's left end, up to about 1e-21.  At the end of each round the
@@ -63,7 +63,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import DEFAULT_TOL, Tolerance, dagger, matrix_exponential, normalize
+from .linalg import DEFAULT_TOL, Tolerance, dagger, normalize
 from .representation import Representation, effective_hamiltonian, require_valid
 from .sjed import SjedPartition
 
@@ -150,7 +150,10 @@ class _StepTable:
     dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, with
     ``top = ceil(log2(t_max / step))``: level 0 covers ``t_max`` and level
     ``top`` is ``step``.  Every width is ``step`` times a power of two, so
-    the widths are exact.  Each level is computed when a row first needs it.
+    the widths are exact.  Level ``top`` is ``1 + y``, with ``y`` the Taylor
+    series of ``exp(A step) - 1`` from the terms below, and each wider level
+    squares the next by ``y <- 2 y + y y`` (scaling and squaring; squaring
+    ``y`` rather than ``1 + y`` keeps its low digits).
 
     With ``A`` the real form of ``-i H_eff``, ``taylor[i] = A^i / i!`` and
     the moment matrices ``moments[m] = sum_{i+j=m} taylor[i]^T taylor[j]``,
@@ -159,7 +162,6 @@ class _StepTable:
     ``sum_m tau^m x^T moments[m] x``, both to degree ``TAYLOR_ORDER``."""
 
     def __init__(self, h_eff: np.ndarray, t_max: float):
-        self.generator = -1j * h_eff
         h_norm = float(np.linalg.norm(h_eff, 2))
         step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
         top = max(0, int(np.ceil(np.log2(t_max / step))))
@@ -169,9 +171,7 @@ class _StepTable:
         self.step = step
         self.widths = step * 2.0 ** (top - np.arange(top + 1))
         size = 2 * h_eff.shape[0]
-        self.mats = np.empty((self.widths.size, size, size))
-        self.built = 0
-        real = _real_form(self.generator)
+        real = _real_form(-1j * h_eff)
         powers = [np.eye(size)]
         for i in range(1, TAYLOR_ORDER + 1):
             powers.append(powers[-1] @ real / i)
@@ -182,13 +182,12 @@ class _StepTable:
                 for m in range(TAYLOR_ORDER + 1)
             ]
         )
-
-    def _build(self, deepest: int) -> None:
-        """Compute the levels up to ``deepest`` not yet built."""
-        while self.built <= deepest:
-            exact = matrix_exponential(self.generator * self.widths[self.built])
-            self.mats[self.built] = _real_form(exact)
-            self.built += 1
+        y = np.zeros((top + 1, size, size))  # y[k] = exp(A w_k) - 1
+        for term in self.taylor[:0:-1]:  # Horner's rule
+            y[top] = (y[top] + term) * step
+        for k in range(top, 0, -1):
+            y[k - 1] = 2.0 * y[k] + y[k] @ y[k]
+        self.mats = y + np.eye(size)
 
     def _taylor(self, cols: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Rows ``sum_i tau[n]^i taylor[i] cols[:, n]``: the no-jump states
@@ -203,7 +202,6 @@ class _StepTable:
         """The level-``k`` propagator applied to each row of ``x``, with the
         products and left-to-right sums of `_columns`, so each row of the
         result depends only on its own row of ``x``."""
-        self._build(k)
         return _columns(self.mats[k], x.T).T
 
     def solve(self, x: np.ndarray, u: np.ndarray):
@@ -261,7 +259,6 @@ class _StepTable:
         for k in range(self.top):
             rows = np.flatnonzero(rest >= self.widths[k])
             if rows.size:
-                self._build(k)
                 x[rows] = x[rows] @ self.mats[k].T
                 rest[rows] -= self.widths[k]
         return self._taylor(x.T, rest)

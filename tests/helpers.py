@@ -25,6 +25,14 @@ def close_targets(angle: float, weight: float = 1.0) -> Representation:
     )
 
 
+def tilted(*angles: float) -> Representation:
+    """Unit jumps ``cos(t)|0><0| + sin(t)|1><1|``, one per angle; two of them
+    at angle gap ``g`` are proportional up to a residual ``sin(g)``."""
+    return Representation(
+        hamiltonian=None, jumps=[np.diag([np.cos(t), np.sin(t)]) for t in angles]
+    )
+
+
 def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (raw + raw.conj().T) / 2

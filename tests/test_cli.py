@@ -11,8 +11,8 @@ import pytest
 import uqd
 from uqd import models, schemas
 from uqd.cli import main
-from uqd.representation import from_document, serialize
-from helpers import close_targets
+from uqd.representation import Representation, from_document, serialize
+from helpers import close_targets, tilted
 
 
 def run(capsys, *argv):
@@ -120,6 +120,22 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["same_qme"] is False
 
+    @pytest.mark.parametrize("level", ["qme", "t1", "t2", "t3"])
+    def test_loose_overlapping_classes_give_a_document(self, capsys, tmp_path, level):
+        # at rtol 0.1 these jumps form overlapping phase classes, but the
+        # generators differ, so theorem 2 fails with theorem 1 and no class
+        # is tested
+        one = write_rep(tmp_path, tilted(0.0, 0.15), "one.json")
+        two = write_rep(tmp_path, tilted(0.075, 0.2), "two.json")
+        code, out = run(
+            capsys, "check", "--rep-a", one, "--rep-b", two, "--level", level, "--rtol", "0.1"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        validate_schema(doc, "equivalence_report")
+        assert doc["same_qme"] is False
+        assert doc["theorem2"]["diagnostics"] == ["theorem 1 fails"]
+
     def test_forced_block_permutation(self, capsys, tmp_path):
         tilde = write_rep(tmp_path, models.qutrit_b(theta=0.0, gammas=(0.7, 0.8, 2.0)), "t.json")
         rot = write_rep(
@@ -166,6 +182,17 @@ class TestMinimize:
         doc = json.loads(out)
         assert doc["same_qme"] is True and doc["theorem1"]["holds"] is True
         assert code == 0
+
+    def test_weak_reset_weight_drops_at_the_callers_atol(self, capsys, tmp_path):
+        # one reset block with weights 1 and 1e-8: at atol 1e-6 the weak
+        # member is dropped, and its 1e-8 share is within that tolerance
+        jumps = [np.diag([1.0, 0.0]), 1e-4 * np.eye(2, k=1)]
+        path = write_rep(tmp_path, Representation(hamiltonian=None, jumps=jumps), "weak.json")
+        out_path = tmp_path / "minimal.json"
+        assert run(capsys, "minimize", path, "--atol", "1e-6", "--out", str(out_path))[0] == 0
+        assert len(json.loads(out_path.read_text())["jumps"]) == 1
+        code, out = run(capsys, "check", "--rep-a", path, "--rep-b", str(out_path), "--atol", "1e-6")
+        assert code == 0 and json.loads(out)["theorem1"]["holds"] is True
 
 
 class TestGauge:
@@ -429,33 +456,32 @@ class TestNoDenseBuilders:
 
 
 class TestImportCost:
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is most of a cold ``import uqd``, and only the
-        # statistical cross-checks use it
-        src = os.path.dirname(os.path.dirname(uqd.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = "import sys, uqd, uqd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
-        assert out.stdout.strip() == "[]"
-
-    def test_theorem2_leaves_scipy_sparse_unloaded(self, tmp_path):
-        # theorem 2 decides from phase classes; qutrit_a at theta = 0 has two
-        # equal decay channels, so the check enumerates several matchings
-        path = write_rep(tmp_path, models.qutrit_a(theta=0.0), "a.json")
+    # scipy is most of a cold ``import uqd``; only the statistical and
+    # mean-state cross-checks use it.  qutrit_a at theta = 0 has two equal
+    # decay channels, so ``--all-perms`` enumerates two matchings.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["check", "--rep-a", "{rep}", "--rep-b", "{rep}"],
+            ["check", "--rep-a", "{rep}", "--rep-b", "{rep}", "--level", "t2", "--all-perms"],
+            ["sjed", "{rep}"],
+            ["minimize", "{rep}"],
+            ["simulate", "{rep}", "--tmax", "1", "--ntraj", "20", "--out", "{out}"],
+            ["rate-scan", "--rep-a", "{rep}", "--rep-b", "{rep}", "--n", "20"],
+        ],
+        ids=["import", "check", "check-t2-all-perms", "sjed", "minimize", "simulate", "rate-scan"],
+    )
+    def test_leaves_scipy_unloaded(self, tmp_path, argv):
+        rep = write_rep(tmp_path, models.qutrit_a(theta=0.0), "a.json")
+        argv = [arg.format(rep=rep, out=tmp_path / "runs") for arg in argv]
         src = os.path.dirname(os.path.dirname(uqd.__file__))
         env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
-            "import sys; from uqd.cli import main; code = main(sys.argv[1:]); "
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')), file=sys.stderr)"
+            "import sys, uqd, uqd.cli; "
+            "code = uqd.cli.main(sys.argv[1:] + ['--quiet']) if sys.argv[1:] else 0; "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)"
         )
-        argv = ["check", "--rep-a", path, "--rep-b", path, "--level", "t2", "--all-perms", "--quiet"]
         out = subprocess.run(
             [sys.executable, "-c", probe, *argv],
             capture_output=True,
@@ -464,5 +490,6 @@ class TestImportCost:
             env={**os.environ, "PYTHONPATH": env_path},
             timeout=120,
         )
-        assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2
         assert out.stderr.strip() == "0 []"
+        if "--all-perms" in argv:
+            assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2

@@ -24,6 +24,7 @@ from helpers import (
     qme_gauge_variant,
     random_block_isometry,
     random_minimal_representation,
+    tilted,
 )
 
 THETA = np.pi / 6
@@ -177,11 +178,12 @@ class TestTheorem2:
             assert frobenius(other.jumps[k] - rebuilt) < 1e-10
 
 
-def tilted(*angles: float) -> Representation:
-    """Unit jumps ``cos(t)|0><0| + sin(t)|1><1|``, one per angle; two of them
-    at angle gap ``g`` are proportional up to a residual ``sin(g)``."""
+def scaled(*weights: float) -> Representation:
+    """Jumps ``sqrt(w) * diag(cos 0.3, sin 0.3)``, one per weight: one
+    equal-destination block, in one phase class per weight."""
     return Representation(
-        hamiltonian=None, jumps=[np.diag([np.cos(t), np.sin(t)]) for t in angles]
+        hamiltonian=None,
+        jumps=[np.sqrt(w) * np.diag([np.cos(0.3), np.sin(0.3)]) for w in weights],
     )
 
 
@@ -195,19 +197,41 @@ class TestPhaseClasses:
         assert [m.perm for m in verdict.matchings] == [(1, 0, 2), (1, 2, 0)]
 
     def test_class_size_mismatch(self):
-        # every jump has a counterpart, but class {1, 2} has one jump on
-        # the second side and class {3} two
-        verdict = check_theorem2(tilted(0.0, 0.0, 1.0), tilted(0.0, 1.0, 1.0))
+        # the composite actions agree (weights 1 + 2 + 3 = 2 + 2 + 2) and
+        # every jump of the second side has a counterpart, but class {2}
+        # has one jump on the first side and three on the second
+        rep, other = scaled(1.0, 2.0, 3.0), scaled(2.0, 2.0, 2.0)
+        assert check_theorem1(rep, other).holds
+        verdict = check_theorem2(rep, other)
         assert not verdict.holds
         assert verdict.diagnostics == ("no permutation aligns all jumps up to phases",)
 
     def test_overlapping_classes_are_a_named_error(self):
-        # at rtol 0.1 jumps within 0.1 rad are proportional: the second
-        # side's first jump matches both of the first side's, its second
-        # jump only the second
+        # at rtol 0.1 jumps within 0.1 rad are proportional and theorem 1
+        # holds: the second side's first jump matches both of the first
+        # side's, its second jump only the second
         loose = Tolerance(atol=1e-10, rtol=0.1)
+        rep, other = tilted(0.0, 0.15), tilted(0.05, 0.175)
+        assert check_theorem1(rep, other, loose).holds
         with pytest.raises(NumericalError, match="phase classes overlap at jump 2"):
-            check_theorem2(tilted(0.0, 0.15), tilted(0.075, 0.2), loose)
+            check_theorem2(rep, other, loose)
+
+    @pytest.mark.parametrize(
+        "angles_a, angles_b",
+        [((0.0,), (0.09,)), ((0.0, 0.15), (0.075, 0.2))],
+        ids=["proportional", "overlapping"],
+    )
+    def test_classes_need_theorem1(self, angles_a, angles_b):
+        # at rtol 0.1 every jump of the second side is a phase times one of
+        # the first's, but the generators differ: theorem 2 fails with
+        # theorem 1, and overlapping classes are never tested
+        loose = Tolerance(atol=1e-10, rtol=0.1)
+        rep, other = tilted(*angles_a), tilted(*angles_b)
+        report = evaluate(rep, other, loose)
+        assert not report.same_qme and not report.theorem1.holds
+        assert not report.theorem2.holds
+        assert report.theorem2.diagnostics == ("theorem 1 fails",)
+        assert check_theorem2(rep, other, loose) == report.theorem2
 
 
 class TestTheorem3:

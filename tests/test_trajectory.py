@@ -18,6 +18,7 @@ from uqd.trajectory import (
     states_at,
     trajectory_seed,
     _check_contractive,
+    _real_form,
     _StepTable,
 )
 from conftest import ket
@@ -35,6 +36,13 @@ def driven_qutrit_a(drive):
     """``qutrit_a`` with H = ``drive`` times the matrix of ones on the first
     off-diagonals: ``|H_eff|`` grows about as ``1.4 * drive``."""
     return models.qutrit_a(hamiltonian=drive * (np.eye(3, k=1) + np.eye(3, k=-1)))
+
+
+def jordan_block():
+    """H_eff = [[-i/2, 1], [0, -i/2]]: one Jordan block, no eigenbasis."""
+    ham = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    jump = np.array([[1.0, 1j], [0.0, 0.0]], dtype=complex)
+    return Representation(hamiltonian=ham, jumps=[jump])
 
 
 def step_of(rep):
@@ -374,22 +382,47 @@ class TestStiffness:
         # descending below ``step`` took 558 passes here
         assert self.passes(monkeypatch, models.qutrit_a()) <= 200
 
-    def test_widest_level_matches_squared_step_level(self):
-        rep = driven_qutrit_a(100.0)
+
+class TestStepTable:
+    """Level ``top`` is the Taylor step and every wider level squares the
+    next, so the table needs no exponential of its own."""
+
+    @pytest.mark.parametrize(
+        "rep, t_max",
+        [
+            (driven_qutrit_a(100.0), 2.0),
+            (random_minimal_representation(np.random.default_rng(5), 32, max_rank=2), 20.0),
+            (jordan_block(), 3.0),
+        ],
+        ids=["stiff", "dim32", "jordan"],
+    )
+    def test_levels_match_expm(self, rep, t_max):
         h_eff = effective_hamiltonian(rep)
-        step, t_max = step_of(rep), 2.0
         table = _StepTable(h_eff, t_max)
         top = table.top
         assert table.widths[0] >= t_max > table.widths[1]
-        assert table.widths[top] == step
-        assert table.widths.size == top + 1
-        assert np.linalg.norm(h_eff, 2) * table.widths[0] > 300
-        table.apply(top, np.zeros((1, 2 * rep.dim)))
-        squared = table.mats[top]
-        for _ in range(top):
-            squared = squared @ squared
-        assert np.linalg.norm(table.mats[0], 2) > 0.05
-        assert np.max(np.abs(squared - table.mats[0])) <= 1e-12
+        assert table.widths[top] == step_of(rep)
+        assert table.mats.shape == (top + 1, 2 * rep.dim, 2 * rep.dim)
+        for width, mat in zip(table.widths, table.mats):
+            exact = _real_form(matrix_exponential(-1j * h_eff * width))
+            assert np.max(np.abs(mat - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_one_table_per_call(self, qutrit_a, monkeypatch, n):
+        # the table spans ``step`` and the ``top`` levels above it, whatever n is
+        tables = []
+        original = _StepTable.__init__
+
+        def recording(self, *args):
+            original(self, *args)
+            tables.append(self)
+
+        monkeypatch.setattr(_StepTable, "__init__", recording)
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n, seed=3)
+        assert any(traj.events for traj in ensemble)
+        states_at(ensemble, qutrit_a, [0.25, 0.5, 1.0])
+        top = int(np.ceil(np.log2(1.0 / step_of(qutrit_a))))
+        assert [len(table.mats) for table in tables] == [top + 1, top + 1]
 
 
 class TestSolve:
@@ -454,23 +487,6 @@ class TestSolve:
 
 
 class TestBoundedState:
-    @pytest.mark.parametrize("n", [10, 1000])
-    def test_propagators_built_at_most_once_per_level(self, qutrit_a, monkeypatch, n):
-        # the table spans ``step`` and the ``top`` levels above it; the
-        # bound depends on the model and t_max, never on n
-        top = int(np.ceil(np.log2(1.0 / step_of(qutrit_a))))
-        calls = []
-        original = trajectory.matrix_exponential
-
-        def counting(mat):
-            calls.append(mat)
-            return original(mat)
-
-        monkeypatch.setattr(trajectory, "matrix_exponential", counting)
-        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n, seed=3)
-        assert any(traj.events for traj in ensemble)
-        assert 0 < len(calls) <= top + 1
-
     def test_memory_stays_linear_in_rows(self):
         import tracemalloc
 
@@ -529,10 +545,7 @@ class TestDefectiveGeneratorReplay:
     no eigenbasis needs no special path."""
 
     def test_defective_generator_replays_by_expm(self):
-        # H_eff = [[-i/2, 1], [0, -i/2]] is one Jordan block: no eigenbasis
-        ham = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-        jump = np.array([[1.0, 1j], [0.0, 0.0]], dtype=complex)
-        rep = Representation(hamiltonian=ham, jumps=[jump])
+        rep = jordan_block()
         h_eff = effective_hamiltonian(rep)
         _, vectors = np.linalg.eig(-1j * h_eff)
         assert np.linalg.cond(vectors) > 1e8
@@ -547,25 +560,6 @@ class TestDefectiveGeneratorReplay:
                         base_time, base = event.time, post
                 drifted = matrix_exponential(-1j * h_eff * (t - base_time)) @ base
                 assert np.max(np.abs(state - normalize(drifted))) <= 1e-12
-
-    @pytest.mark.parametrize("n", [30, 300])
-    def test_exponentials_bounded_by_table_levels(self, monkeypatch, n):
-        ham = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-        jump = np.array([[1.0, 1j], [0.0, 0.0]], dtype=complex)
-        rep = Representation(hamiltonian=ham, jumps=[jump])
-        ensemble = simulate_ensemble(rep, ket(2, 1), 3.0, n, seed=8)
-        top = int(np.ceil(np.log2(3.0 / step_of(rep))))
-        calls = []
-        original = trajectory.matrix_exponential
-
-        def counting(mat):
-            calls.append(mat)
-            return original(mat)
-
-        monkeypatch.setattr(trajectory, "matrix_exponential", counting)
-        states_at(ensemble, rep, [0.4, 1.7, 3.0])
-        # one exponential per moving row and time would be about 3 n
-        assert 0 < len(calls) <= top + 1
 
     def test_stiff_replay_matches_expm(self):
         rep = driven_qutrit_a(100.0)
