@@ -278,10 +278,21 @@ def _isometry_from_document(doc) -> equivalence.BlockIsometry:
             raise InputError(f"missing field {key}")
     return equivalence.BlockIsometry(
         matrix=matrix_from_json(doc["matrix"], "matrix"),
-        row_blocks=tuple(tuple(i - 1 for i in blk) for blk in doc["row_blocks"]),
-        col_blocks=tuple(tuple(i - 1 for i in blk) for blk in doc["col_blocks"]),
-        block_map=tuple(b - 1 for b in doc["block_map"]),
+        row_blocks=_indices(doc["row_blocks"], "row_blocks", depth=2),
+        col_blocks=_indices(doc["col_blocks"], "col_blocks", depth=2),
+        block_map=_indices(doc["block_map"], "block_map"),
     )
+
+
+def _indices(obj, where: str, depth: int = 1):
+    """0-based indices of a JSON list (or, at ``depth`` 2, list of lists) of 1-based ones."""
+    if not isinstance(obj, list):
+        raise InputError(f"{where}: expected a list")
+    if depth == 2:
+        return tuple(_indices(blk, f"{where}[{n}]") for n, blk in enumerate(obj))
+    if not all(type(i) is int and i >= 1 for i in obj):
+        raise InputError(f"{where}: expected 1-based indices")
+    return tuple(i - 1 for i in obj)
 
 
 def _cmd_gauge(args) -> int:
@@ -355,7 +366,10 @@ def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
         if not isinstance(entry, dict) or "matrix" not in entry:
             raise InputError(f"observables[{i}] must be an object with a 'matrix' field")
         label = entry.get("label", f"obs_{i}")
-        out[label] = matrix_from_json(entry["matrix"], f"observables[{i}].matrix")
+        matrix = matrix_from_json(entry["matrix"], f"observables[{i}].matrix")
+        if matrix.shape != (dim, dim):
+            raise InputError(f"observables[{i}].matrix: shape {matrix.shape} does not match dim {dim}")
+        out[label] = matrix
     return out
 
 
@@ -451,15 +465,10 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    rows = ens.rate_curves(
-        theta=args.theta,
-        gamma=args.gamma,
-        vartheta=args.vartheta,
-        lam=args.lam,
-        phi=args.phi,
-        n_polar=args.n_polar,
-        n_azimuth=args.n_azimuth,
-    )
+    # every row before the header, so a bad grid size writes nothing
+    rows = list(ens.rate_curves(theta=args.theta, gamma=args.gamma, vartheta=args.vartheta,
+                                lam=args.lam, phi=args.phi, n_polar=args.n_polar,
+                                n_azimuth=args.n_azimuth))
     handle = Path(args.out).open("w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         handle.write(f"# {ens.RATE_CURVE_CONVENTION}\n")

@@ -372,6 +372,9 @@ def compare_ensembles(
     if abs(ens_a[0].t_final - ens_b[0].t_final) > 1e-12:
         raise ValidationError("ensembles have mismatched horizons")
     check_comparison(alpha, times, ens_a[0].t_final)
+    for label, op in observables.items():
+        if np.shape(op) != (rep_a.dim,) * 2:
+            raise ValidationError(f"observable {label!r} has shape {np.shape(op)}, not {(rep_a.dim,) * 2}")
 
     resolution = {
         label: tol.cutoff(float(np.linalg.norm(op, 2))) for label, op in observables.items()
@@ -457,7 +460,9 @@ def rate_curves(
 ):
     """Jump rates of the five-jump qutrit model and its minimal form on the
     sphere of real-coefficient pure states.  Yields rows matching
-    ``FIG_RATE_COLUMNS``."""
+    ``FIG_RATE_COLUMNS``.  Both grid sizes must be at least 1."""
+    if n_polar < 1 or n_azimuth < 1:
+        raise ValidationError(f"n_polar and n_azimuth must be at least 1, got {n_polar}, {n_azimuth}")
     rep = qutrit_a(theta=theta, gamma=gamma, vartheta=vartheta, lam=lam, phi=phi)
     rep_min = qutrit_a_minimal(theta=theta, gamma=gamma, lam=lam)
     for polar in np.linspace(0.0, np.pi, n_polar):

@@ -49,14 +49,13 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _proportionality,
-    dagger,
     frobenius,
     identity_shift,
     kron_sum_norm,
     numerical_rank,
     vec,
 )
-from .representation import Representation, require_valid
+from .representation import Representation, _generator_terms, require_valid
 from .sjed import NonResetBlock, SjedPartition, block_gaps, partition
 
 THEOREM2_MATCHING_CAP = 10_000
@@ -158,18 +157,6 @@ def _require_valid_pair(rep_a: Representation, rep_b: Representation, tol: Toler
     require_valid(rep_a, tol)
     require_valid(rep_b, tol)
     _require_same_dim(rep_a, rep_b)
-
-
-def _generator_terms(rep: Representation) -> tuple[list, list]:
-    """Kronecker factors of the generator, term for term as in
-    ``liouvillian_matrix``: ``L = 1 (x) K + (iH^T - G^T/2) (x) 1 +
-    sum_k conj(J_k) (x) J_k`` with ``K = -iH - G/2`` and ``G = sum_k J_k^+ J_k``."""
-    ham = rep.hamiltonian
-    gain = sum(dagger(j) @ j for j in rep.jumps)
-    eye = np.eye(rep.dim)
-    lefts = [eye, 1j * ham.T - 0.5 * gain.T, *(j.conj() for j in rep.jumps)]
-    rights = [-1j * ham - 0.5 * gain, eye, *rep.jumps]
-    return lefts, rights
 
 
 def same_liouvillian(

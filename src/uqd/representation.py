@@ -37,7 +37,6 @@ from .linalg import (
     as_operator,
     dagger,
     frobenius,
-    superoperator_matrix,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -114,6 +113,18 @@ def effective_hamiltonian(rep: Representation) -> np.ndarray:
     return rep.hamiltonian - 0.5j * acc
 
 
+def _generator_terms(rep: Representation) -> tuple[list, list]:
+    """Kronecker factors of the generator on column-stacked matrices:
+    ``L = 1 (x) K + (iH^T - G^T/2) (x) 1 + sum_k conj(J_k) (x) J_k`` with
+    ``K = -iH - G/2`` and ``G = sum_k J_k^+ J_k``."""
+    ham = rep.hamiltonian
+    gain = sum(dagger(j) @ j for j in rep.jumps)
+    eye = np.eye(rep.dim)
+    lefts = [eye, 1j * ham.T - 0.5 * gain.T, *(j.conj() for j in rep.jumps)]
+    rights = [-1j * ham - 0.5 * gain, eye, *rep.jumps]
+    return lefts, rights
+
+
 def liouvillian_matrix(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Generator of the averaged-state dynamics on column-stacked matrices.
 
@@ -121,15 +132,7 @@ def liouvillian_matrix(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> np.
     ``-i[H, rho] + sum_k (J_k rho J_k^+ - (1/2){J_k^+ J_k, rho})``.
     """
     require_valid(rep, tol)
-    dim = rep.dim
-    eye = np.eye(dim)
-    ham = rep.hamiltonian
-    out = -1j * (np.kron(eye, ham) - np.kron(ham.T, eye))
-    out += superoperator_matrix(rep.jumps)
-    for jump in rep.jumps:
-        jj = dagger(jump) @ jump
-        out -= 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
-    return out
+    return sum(np.kron(a, b) for a, b in zip(*_generator_terms(rep)))
 
 
 def jump_rate(rep: Representation, k: int, psi: np.ndarray) -> float:

@@ -17,6 +17,12 @@ Rank-1 operators that happen to be mutually proportional are still
 classified as reset (parallel images take precedence), which keeps each
 class homogeneous in type.
 
+One test decides the relation: two jumps share destinations when both have
+numerical rank 1 or both do not, and the sine of the angle between their
+unit directions (leading image, or flattened operator) is at most
+``tol.cutoff(1.0)``.  :func:`partition` returns exact classes, or raises
+:class:`NumericalError` where the relation is not transitive.
+
 The composite action of a class, ``rho -> sum_k J_k rho J_k^+``, is the
 canonical object compared between representations: classes match exactly
 when the Frobenius gap between the two actions' superoperator matrices is
@@ -31,7 +37,7 @@ All functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +48,6 @@ from .linalg import (
     dagger,
     frobenius,
     kron_sum_norm,
-    numerical_rank,
     proportionality_coefficient,
     superoperator_matrix,
 )
@@ -122,63 +127,35 @@ class SjedPartition:
         return lookup
 
 
-def _leading_image(mat: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the dominant left-singular direction."""
-    u, _, _ = np.linalg.svd(mat)
-    return u[:, 0]
-
-
-def _reset_image(mat: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
-    """Leading image of a rank-1 operator, ``None`` for higher rank."""
-    if numerical_rank(mat, tol) != 1:
-        return None
-    return _leading_image(mat)
-
-
-def _jed(
-    a: np.ndarray,
-    b: np.ndarray,
-    image_a: Optional[np.ndarray],
-    image_b: Optional[np.ndarray],
-    tol: Tolerance,
-) -> bool:
-    """Equal-destination relation of two valid operators, given their
-    :func:`_reset_image` values."""
-    if image_a is not None and image_b is not None:
-        # the sine of the angle between the unit images: ``1 - |cos|`` is
-        # half its square, so it would join images 1e-5 apart at rtol 1e-10
-        sine = frobenius(image_b - np.vdot(image_a, image_b) * image_a)
-        return bool(sine <= tol.cutoff(1.0))
-    return proportionality_coefficient(a, b, tol) is not None
+def _direction(jump: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:
+    """Whether a valid operator has numerical rank 1, and its unit direction:
+    the leading image when it does, else the flattened operator over its norm."""
+    u, sigma, _ = np.linalg.svd(jump)
+    if np.count_nonzero(sigma > tol.cutoff(sigma[0])) == 1:
+        return True, u[:, 0]
+    return False, jump.reshape(-1) / frobenius(jump)
 
 
 def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether two nonzero operators have equal destinations everywhere.
-
-    By the classification dichotomy this holds exactly when both have rank 1
-    with parallel images, or when one is a scalar multiple of the other.
-    """
+    """Whether two nonzero square operators of one shape have equal
+    destinations everywhere: their two-jump :func:`partition` has one block."""
     if frobenius(a) <= tol.atol or frobenius(b) <= tol.atol:
         raise ValidationError("equal-destination test requires nonzero operators")
     if np.shape(a) != np.shape(b):
         raise ValidationError("equal-destination test requires equal shapes")
-    image_a = _reset_image(a, tol)
-    image_b = _reset_image(b, tol) if image_a is not None else None
-    return _jed(a, b, image_a, image_b, tol)
+    return partition(Representation(None, [a, b]), tol).block_count == 1
 
 
 def _classify(
-    rep: Representation, indices: List[int], image: Optional[np.ndarray], tol: Tolerance
+    rep: Representation, indices: List[int], reset: bool, direction: np.ndarray, tol: Tolerance
 ) -> SjedBlock:
-    """Summarise one class; ``image`` is the first member's reset image."""
-    first = rep.jumps[indices[0]]
-    if image is not None:
-        chi = fix_vector_phase(image)
+    """Summarise one class from its first member's kind and unit direction."""
+    if reset:
         gamma = np.zeros((rep.dim, rep.dim), dtype=complex)
         for k in indices:
             gamma += dagger(rep.jumps[k]) @ rep.jumps[k]
-        return ResetBlock(indices=tuple(indices), chi=chi, gamma_op=gamma)
-    canonical = fix_phase(first / frobenius(first))
+        return ResetBlock(indices=tuple(indices), chi=fix_vector_phase(direction), gamma_op=gamma)
+    canonical = fix_phase(direction.reshape(rep.dim, rep.dim))
     weight_sq = 0.0
     for k in indices:
         lam = proportionality_coefficient(rep.jumps[k], canonical, tol)
@@ -191,30 +168,43 @@ def _classify(
 
 
 def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartition:
-    """Group jumps into equal-destination classes via union-find."""
+    """Exact equal-destination classes of the jumps, by smallest member.
+
+    Two jumps share destinations when they are of one kind (rank 1 or not)
+    and the sine of the angle between their unit directions is at most
+    ``tol.cutoff(1.0)``.  Each jump joins the class whose members are
+    exactly the earlier jumps it relates to, or opens a class when it
+    relates to none.  Any other pattern means the relation is not
+    transitive at this tolerance, which raises :class:`NumericalError`
+    whatever the order of the jumps.
+    """
     require_valid(rep, tol)
-    d = rep.n_jumps
-    images = [_reset_image(jump, tol) for jump in rep.jumps]
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            if find(i) == find(j):
-                continue
-            if _jed(rep.jumps[i], rep.jumps[j], images[i], images[j], tol):
-                parent[find(j)] = find(i)
-
-    groups: dict[int, List[int]] = {}
-    for k in range(d):
-        groups.setdefault(find(k), []).append(k)
-    ordered = sorted(groups.values(), key=min)
-    return SjedPartition(tuple(_classify(rep, g, images[g[0]], tol) for g in ordered))
+    cutoff = tol.cutoff(1.0)
+    kinds, directions = zip(*(_direction(jump, tol) for jump in rep.jumps))
+    classes: List[List[int]] = []
+    class_of: List[int] = []
+    for j, (reset, v) in enumerate(zip(kinds, directions)):
+        # the sine as a residual norm: ``1 - |cos|`` is half its square, so
+        # it would join directions 1e-5 apart at rtol 1e-10
+        related = [
+            i
+            for i in range(j)
+            if kinds[i] == reset
+            and frobenius(v - np.vdot(directions[i], v) * directions[i]) <= cutoff
+        ]
+        if not related:
+            classes.append([])
+            class_of.append(len(classes) - 1)
+        elif related == classes[class_of[related[0]]]:
+            class_of.append(class_of[related[0]])
+        else:
+            raise NumericalError(
+                f"equal-destination relation is not transitive at this tolerance (jump {j + 1})"
+            )
+        classes[class_of[j]].append(j)
+    return SjedPartition(
+        tuple(_classify(rep, g, kinds[g[0]], directions[g[0]], tol) for g in classes)
+    )
 
 
 def composite_action(rep: Representation, block: SjedBlock) -> np.ndarray:

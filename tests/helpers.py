@@ -25,6 +25,15 @@ def close_targets(angle: float, weight: float = 1.0) -> Representation:
     )
 
 
+def mixed_rank(*order: int) -> Representation:
+    """Jumps ``1e-3 |0><1|`` (rank 1) and ``|0><1| + 5e-9 |2><2|`` (rank 2),
+    in the given order: the first is a multiple of the second up to a
+    residual of 5e-12, below ``atol``, yet they are of different kinds."""
+    zero, one, two = np.eye(3)
+    jumps = [1e-3 * np.outer(zero, one), np.outer(zero, one) + 5e-9 * np.outer(two, two)]
+    return Representation(hamiltonian=None, jumps=[jumps[k] for k in order])
+
+
 def tilted(*angles: float) -> Representation:
     """Unit jumps ``cos(t)|0><0| + sin(t)|1><1|``, one per angle; two of them
     at angle gap ``g`` are proportional up to a residual ``sin(g)``."""

@@ -11,7 +11,7 @@ import pytest
 import uqd
 from uqd import models, schemas
 from uqd.cli import main
-from uqd.representation import Representation, from_document, serialize
+from uqd.representation import Representation, from_document, matrix_to_json, serialize
 from helpers import close_targets, tilted
 
 
@@ -327,9 +327,10 @@ class TestCompareEnsembles:
 
 
 class TestMalformedInput:
-    """Degenerate numbers end in a logged error and a usage (2) or numeric
-    (3) exit code, never in an exception or a silent report, and before any
-    trajectory is simulated or an output directory is made."""
+    """Degenerate numbers and malformed documents end in a logged error and a
+    usage (2) or numeric (3) exit code, never in an exception or a silent
+    report, and before any trajectory is simulated or an output directory is
+    made."""
 
     COMPARE = ("compare-ensembles", "--rep-b", "{a}", "--level", "t1", "--ntraj", "20",
                "--tmax", "0.5", "--psi0", "1")
@@ -346,9 +347,15 @@ class TestMalformedInput:
             (("rate-scan", "--rep-b", "{a}", "--n", "0"), 3),
             # an equivalent pair: a NaN cutoff would report "different QME"
             (("check", "--rep-b", "{a_min}", "--atol", "nan", "--rtol", "nan"), 3),
+            (COMPARE + ("--observables", "{obs}"), 2),
+            (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{iso_int}"), 2),
+            (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{iso_str}"), 2),
+            (("fig1", "--n-polar", "-1"), 3),
+            (("fig1", "--n-polar", "0"), 3),
         ],
         ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
-             "rate-scan-n-0", "tolerance-nan"],
+             "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
+             "row-blocks-str", "n-polar--1", "n-polar-0"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
@@ -358,8 +365,17 @@ class TestMalformedInput:
             monkeypatch.setattr(uqd.trajectory, "simulate_ensemble", forbidden)
         rep_a, rep_a_min = rep_files
         out_dir = tmp_path / "records"
-        args = [arg.format(a=rep_a, a_min=rep_a_min, out=out_dir) for arg in argv]
-        if args[0] != "simulate":
+        files = {"out": out_dir, "obs": tmp_path / "obs.json"}
+        # a 2 x 2 observable for a qutrit; row blocks that are not index lists
+        files["obs"].write_text(json.dumps([{"label": "p", "matrix": matrix_to_json(np.eye(2))}]))
+        for name, row_blocks in (("iso_int", 5), ("iso_str", [["a"]])):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps({
+                "matrix": matrix_to_json(np.eye(3)), "row_blocks": row_blocks,
+                "col_blocks": [[1, 2], [3]], "block_map": [1, 2],
+            }))
+        args = [arg.format(a=rep_a, a_min=rep_a_min, **files) for arg in argv]
+        if "--rep-b" in args:
             args += ["--rep-a", rep_a]
         code, out = run(capsys, *args)
         assert code == expected

@@ -232,6 +232,11 @@ class TestCompareEnsembles:
         with pytest.raises(ValidationError):
             compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
 
+    def test_observable_of_another_dimension_rejected(self, qutrit_a):
+        ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        with pytest.raises(ValidationError, match="shape"):
+            compare_ensembles(ens, ens, qutrit_a, qutrit_a, {"p": np.eye(2)}, [1.0])
+
     def test_rate_doubling_detected_at_level_t1(self, qutrit_a):
         other = models.qutrit_a(gamma=2.0)
         ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=31)
@@ -268,6 +273,11 @@ class TestRateCurves:
         assert len(rows) == 40
         assert len(rows[0]) == len(FIG_RATE_COLUMNS)
         assert "polar" in RATE_CURVE_CONVENTION
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(0, 3), (-1, 3), (3, 0)])
+    def test_empty_grid_rejected(self, n_polar, n_azimuth):
+        with pytest.raises(ValidationError, match="at least 1"):
+            list(rate_curves(n_polar=n_polar, n_azimuth=n_azimuth))
 
     def test_proportional_dephasing_rates(self):
         # the split pair and the merged operator fire at proportional rates

@@ -4,7 +4,6 @@ import pytest
 from uqd import models
 from uqd.equivalence import (
     BlockIsometry,
-    _generator_terms,
     apply_gauge,
     check_theorem1,
     check_theorem2,
@@ -15,11 +14,12 @@ from uqd.equivalence import (
 )
 from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import Tolerance, frobenius, haar_isometry
-from uqd.representation import Representation, liouvillian_matrix
+from uqd.representation import Representation
 from uqd.sjed import partition
 import dense_reference
 from helpers import (
     cross_block_mixture,
+    mixed_rank,
     permuted_phase_variant,
     qme_gauge_variant,
     random_block_isometry,
@@ -416,6 +416,12 @@ class TestEvaluate:
         assert doc["theorem1"]["block_perm"] == [1, 2]
         assert any("jump counts differ" in d for d in doc["diagnostics"])
 
+    def test_relabelled_mixed_rank_pair_is_labelled_equivalent(self):
+        # a rank-1 and a rank-2 jump never share a block, in either order
+        report = evaluate(mixed_rank(0, 1), mixed_rank(1, 0))
+        assert report.theorem1.holds and report.theorem2.holds
+        assert report.theorem1.block_perm == (1, 0)
+
 
 def _scaled_jump(rep, k, factor):
     jumps = list(rep.jumps)
@@ -432,13 +438,6 @@ class TestDenseReference:
         dense = dense_reference.evaluate(rep_a, rep_b, block_perm=block_perm).to_document()
         assert fast == dense
         return fast
-
-    def test_generator_terms_rebuild_the_dense_generator(self, rng):
-        for dim in range(2, 6):
-            rep = random_minimal_representation(rng, dim, n_reset=1, n_nonreset=1)
-            lefts, rights = _generator_terms(rep)
-            rebuilt = sum(np.kron(a, b) for a, b in zip(lefts, rights))
-            assert np.max(np.abs(rebuilt - liouvillian_matrix(rep))) < 1e-12
 
     def test_families_match_dense_documents(self, rng):
         verdicts = set()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from uqd import models
 from uqd.equivalence import apply_gauge
 from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import (
+    Tolerance,
     density,
     frobenius,
     haar_isometry,
@@ -27,7 +30,13 @@ from uqd.sjed import (
 )
 from conftest import ket
 from dense_reference import block_action_matrix
-from helpers import close_targets, random_block_isometry, random_minimal_representation
+from helpers import (
+    close_targets,
+    mixed_rank,
+    random_block_isometry,
+    random_minimal_representation,
+    random_unitary,
+)
 
 
 def reset_gamma_closed_form(theta, gamma):
@@ -60,12 +69,42 @@ class TestAreJed:
         a = np.outer(ket(3, 0), ket(3, 1))
         assert are_jed(a, 2j * a)
 
+    def test_rectangles_rejected(self):
+        a = np.ones((2, 3))
+        with pytest.raises(ValidationError):
+            are_jed(a, 2 * a)
+
 
 class TestPartition:
     def test_reset_targets_split_by_the_sine_of_their_angle(self):
         # 1 - cos(1e-9) is 5e-19, far below rtol; the sine 1e-9 is above it
         assert [blk.indices for blk in partition(close_targets(1e-9)).blocks] == [(0,), (1,), (2,)]
         assert [blk.indices for blk in partition(close_targets(1e-11)).blocks] == [(0, 1), (2,)]
+
+    def test_rank_one_and_rank_two_jumps_never_share_a_block(self):
+        for order in ((0, 1), (1, 0)):
+            assert [blk.indices for blk in partition(mixed_rank(*order)).blocks] == [(0,), (1,)]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_scale_free(self, scale):
+        # the jumps' directions are 0.9e-6 apart at every scale
+        jumps = [scale * np.diag([np.cos(t), np.sin(t), 0.5]) for t in (0.0, 1e-6)]
+        assert partition(Representation(hamiltonian=None, jumps=jumps)).block_count == 2
+
+    def test_reset_chain_is_not_transitive_in_any_order(self):
+        # each neighbour is within the cutoff of 1e-10, the outer pair is not
+        zero, one, two = np.eye(3)
+        for angles in itertools.permutations((0.0, 0.9e-10, 1.8e-10)):
+            jumps = [np.outer(np.cos(t) * zero + np.sin(t) * one, two) for t in angles]
+            with pytest.raises(NumericalError, match="not transitive"):
+                partition(Representation(hamiltonian=None, jumps=jumps))
+
+    def test_non_reset_chain_is_not_transitive_in_any_order(self):
+        loose = Tolerance(atol=1e-10, rtol=0.1)
+        for angles in itertools.permutations((0.0, 0.075, 0.15)):
+            jumps = [np.diag([np.cos(t), np.sin(t), 0.3]) for t in angles]
+            with pytest.raises(NumericalError, match="not transitive"):
+                partition(Representation(hamiltonian=None, jumps=jumps), loose)
 
     def test_five_jump_model(self, qutrit_a):
         parts = partition(qutrit_a)
@@ -115,6 +154,54 @@ class TestPartition:
         parts = partition(qutrit_a)
         actions = [composite_action(qutrit_a, blk) for blk in parts.blocks]
         assert frobenius(actions[0] - actions[1]) > 1e-3
+
+
+def _classes(rep, relabel=None):
+    """Blocks as (kind, member set), members mapped through ``relabel``."""
+    relabel = range(rep.n_jumps) if relabel is None else relabel
+    return {
+        (blk.kind, frozenset(relabel[k] for k in blk.indices)) for blk in partition(rep).blocks
+    }
+
+
+class TestPartitionSymmetries:
+    """The partition is unchanged, up to the relabelling of indices, under
+    the symmetries of the theorems."""
+
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(4113)
+        for trial in range(40):
+            dim = int(rng.integers(2, 6))
+            rep = random_minimal_representation(rng, dim, n_reset=2, n_nonreset=2)
+            if trial % 2:
+                rep = apply_gauge(rep, random_block_isometry(rng, rep, extra=2))
+            yield rng, rep
+
+    def test_relabelling_with_phases(self):
+        for rng, rep in self.models():
+            perm = rng.permutation(rep.n_jumps)
+            phases = np.exp(1j * rng.uniform(-np.pi, np.pi, rep.n_jumps))
+            jumps = [phases[k] * rep.jumps[perm[k]] for k in range(rep.n_jumps)]
+            other = Representation(hamiltonian=rep.hamiltonian, jumps=jumps)
+            assert _classes(other, perm) == _classes(rep)
+
+    def test_basis_change(self):
+        for rng, rep in self.models():
+            u = random_unitary(rep.dim, rng)
+            other = Representation(
+                hamiltonian=u @ rep.hamiltonian @ u.conj().T,
+                jumps=[u @ jump @ u.conj().T for jump in rep.jumps],
+            )
+            assert _classes(other) == _classes(rep)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_common_rescale(self, scale):
+        for _, rep in self.models():
+            other = Representation(
+                hamiltonian=scale**2 * rep.hamiltonian, jumps=[scale * j for j in rep.jumps]
+            )
+            assert _classes(other) == _classes(rep)
 
 
 class TestCompositeAction:
