@@ -466,9 +466,17 @@ def _cmd_example(args) -> int:
 
 def _cmd_fig1(args) -> int:
     # every row before the header, so a bad grid size writes nothing
-    rows = list(ens.rate_curves(theta=args.theta, gamma=args.gamma, vartheta=args.vartheta,
-                                lam=args.lam, phi=args.phi, n_polar=args.n_polar,
-                                n_azimuth=args.n_azimuth))
+    rows = list(
+        ens.rate_curves(
+            theta=args.theta,
+            gamma=args.gamma,
+            vartheta=args.vartheta,
+            lam=args.lam,
+            phi=args.phi,
+            n_polar=args.n_polar,
+            n_azimuth=args.n_azimuth,
+        )
+    )
     handle = Path(args.out).open("w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         handle.write(f"# {ens.RATE_CURVE_CONVENTION}\n")

@@ -48,7 +48,6 @@ from .linalg import (
     dagger,
     frobenius,
     kron_sum_norm,
-    proportionality_coefficient,
     superoperator_matrix,
 )
 from .representation import Representation, require_valid
@@ -146,24 +145,19 @@ def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return partition(Representation(None, [a, b]), tol).block_count == 1
 
 
-def _classify(
-    rep: Representation, indices: List[int], reset: bool, direction: np.ndarray, tol: Tolerance
-) -> SjedBlock:
-    """Summarise one class from its first member's kind and unit direction."""
+def _classify(rep: Representation, indices: List[int], reset: bool, direction: np.ndarray) -> SjedBlock:
+    """Summarise one class from its first member's kind and unit direction.
+
+    :func:`partition` has already related every member to that direction, so
+    each non-reset member's coefficient is its projection onto it."""
     if reset:
         gamma = np.zeros((rep.dim, rep.dim), dtype=complex)
         for k in indices:
             gamma += dagger(rep.jumps[k]) @ rep.jumps[k]
         return ResetBlock(indices=tuple(indices), chi=fix_vector_phase(direction), gamma_op=gamma)
     canonical = fix_phase(direction.reshape(rep.dim, rep.dim))
-    weight_sq = 0.0
-    for k in indices:
-        lam = proportionality_coefficient(rep.jumps[k], canonical, tol)
-        if lam is None:
-            raise NumericalError(
-                f"jump {k + 1} drifted off its canonical direction; tolerance mismatch"
-            )
-        weight_sq += abs(lam) ** 2
+    sq = frobenius(canonical) ** 2
+    weight_sq = sum(abs(complex(np.vdot(canonical, rep.jumps[k]) / sq)) ** 2 for k in indices)
     return NonResetBlock(indices=tuple(indices), weight=float(np.sqrt(weight_sq)), canonical_op=canonical)
 
 
@@ -203,7 +197,7 @@ def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartitio
             )
         classes[class_of[j]].append(j)
     return SjedPartition(
-        tuple(_classify(rep, g, kinds[g[0]], directions[g[0]], tol) for g in classes)
+        tuple(_classify(rep, g, kinds[g[0]], directions[g[0]]) for g in classes)
     )
 
 

@@ -91,6 +91,15 @@ class TestPartition:
         jumps = [scale * np.diag([np.cos(t), np.sin(t), 0.5]) for t in (0.0, 1e-6)]
         assert partition(Representation(hamiltonian=None, jumps=jumps)).block_count == 2
 
+    def test_weights_follow_the_relation_when_atol_exceeds_rtol(self):
+        # the sine is 4.5e-7, within the cutoff 1e-6, while the residual
+        # 5e-5 is above both atol and rtol times the jump norm
+        big = 100 * np.diag([1.0, 0.5, 0.0])
+        jumps = [big, big + 5e-5 * np.diag([0.0, 0.0, 1.0])]
+        parts = partition(Representation(hamiltonian=None, jumps=jumps), Tolerance(atol=1e-6, rtol=1e-10))
+        assert [blk.indices for blk in parts.blocks] == [(0, 1)]
+        assert parts.blocks[0].weight == pytest.approx(np.hypot(*map(frobenius, jumps)), rel=1e-12)
+
     def test_reset_chain_is_not_transitive_in_any_order(self):
         # each neighbour is within the cutoff of 1e-10, the outer pair is not
         zero, one, two = np.eye(3)
