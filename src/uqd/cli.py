@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
@@ -48,7 +49,11 @@ def _common_parser() -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``uqd`` argument parser, built once per process and shared by
+    every :func:`main` call; parsing leaves it unchanged, so callers must
+    not change it either."""
     parser = argparse.ArgumentParser(
         prog="uqd",
         description=(
@@ -505,13 +510,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.ERROR if args.quiet else logging.INFO,
-        format="uqd: %(message)s",
-    )
+    args = build_parser().parse_args(argv)
+    # the first call installs the stderr handler; every call sets the level
+    logging.basicConfig(stream=sys.stderr, format="uqd: %(message)s")
+    log.setLevel(logging.ERROR if args.quiet else logging.INFO)
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

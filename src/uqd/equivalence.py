@@ -27,11 +27,16 @@ matched blocks.  ``apply_gauge`` builds such representations and
 
 Every Frobenius norm the checks compare, of a generator, of a composite
 action or of a gap between two of them, is a norm of a sum of Kronecker
-products.  It is computed by :func:`uqd.linalg.kron_sum_norm` from the
-operators themselves, so deciding builds no dim^2 x dim^2 matrix.
-``evaluate`` validates, compares generators and partitions each
-representation once, and its theorem-3 verdict without a forced pairing is
-the theorem-1 verdict.
+products, computed from the operators themselves as in
+:func:`uqd.linalg.kron_sum_norm`, so deciding builds no dim^2 x dim^2
+matrix.  The norms of one comparison are column subsets of one stack of
+factors, so a single QR per stack gives them all: the generator comparison
+factors both generators' left and right factors once each, and
+:func:`uqd.sjed.block_gaps` factors both sides' jumps once.  Householder QR
+is columnwise backward stable, so each subset's norm is still rounded at
+``eps`` times its own terms' size.  ``evaluate`` compares generators and
+partitions each representation once, and its theorem-3 verdict without a
+forced pairing is the theorem-1 verdict.
 
 All checks are pure functions of their inputs.
 """
@@ -51,8 +56,9 @@ from .linalg import (
     _proportionality,
     frobenius,
     identity_shift,
-    kron_sum_norm,
+    kron_sum_core,
     numerical_rank,
+    stack_factor,
     vec,
 )
 from .representation import Representation, _generator_terms, require_valid
@@ -163,15 +169,22 @@ def same_liouvillian(
     rep_a: Representation, rep_b: Representation, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Whether the two averaged-state generators agree: the Frobenius norm of
-    their difference is below the cutoff for the larger generator's norm."""
+    their difference is below the cutoff for the larger generator's norm.
+
+    One stack holds both generators' Kronecker terms; each generator is the
+    core of its own columns (:func:`uqd.linalg.kron_sum_core`), and their
+    difference is the difference of the two cores."""
     _require_same_dim(rep_a, rep_b)
     require_valid(rep_a, tol)
     require_valid(rep_b, tol)
     lefts_a, rights_a = _generator_terms(rep_a)
     lefts_b, rights_b = _generator_terms(rep_b)
-    gap = kron_sum_norm(lefts_a + lefts_b, rights_a + [-r for r in rights_b])
-    scale = max(kron_sum_norm(lefts_a, rights_a), kron_sum_norm(lefts_b, rights_b))
-    return gap <= tol.cutoff(scale)
+    r_lefts, r_rights = stack_factor(lefts_a + lefts_b), stack_factor(rights_a + rights_b)
+    split = len(lefts_a)
+    core_a = kron_sum_core(r_lefts, r_rights, slice(None, split))
+    core_b = kron_sum_core(r_lefts, r_rights, slice(split, None))
+    scale = max(frobenius(core_a), frobenius(core_b))
+    return frobenius(core_a - core_b) <= tol.cutoff(scale)
 
 
 def _hamiltonian_shift(
@@ -456,9 +469,10 @@ def evaluate(
 ) -> EquivalenceReport:
     """Run every check and bundle the verdicts.
 
-    Each representation is validated (by ``same_liouvillian``) and
-    partitioned once, and the partitions and the block gap matrix are built
-    only when theorem 1 or a forced pairing needs them, at most once.
+    Each representation is validated by ``same_liouvillian`` and validated
+    again by its partition, so twice when the partitions are built.  Each
+    is partitioned at most once: the partitions and the block gap matrix are
+    built only when theorem 1 or a forced pairing needs them.
     Theorem 1 runs once: without ``block_perm`` the theorem-3 verdict is the
     theorem-1 verdict.
     """

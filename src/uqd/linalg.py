@@ -168,14 +168,36 @@ def kron_sum_norm(lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> 
     rounding error at ``eps`` times the terms' size, so a gap far below the
     terms (a relative cutoff of 1e-10) is still resolved; expanding the norm
     into Gram traces would square that error.
+
+    This is the all-columns case of :func:`kron_sum_core`.  ``Q_u`` and
+    ``Q_v`` have orthonormal columns, so the terms of any column subset ``S``
+    have the norm of ``R_u[:, S] R_v[:, S]^T``: one QR per stack serves
+    every subset sum, and a difference of two subset sums is the difference
+    of their cores.  Householder QR is columnwise backward stable (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 19.3): the
+    computed ``R`` is exact for a stack perturbed column by column by
+    ``eps`` times that column's norm.  So a subset's core carries rounding
+    of ``eps`` times its own terms' size, not the whole stack's, and the
+    argument above holds for each subset.
     """
     if len(lefts) != len(rights) or not lefts:
         raise ValidationError("Kronecker sum needs equally many left and right factors, at least one")
-    u = np.stack([np.asarray(a, dtype=complex).reshape(-1) for a in lefts], axis=1)
-    v = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in rights], axis=1)
-    r_u = np.linalg.qr(u, mode="r")
-    r_v = np.linalg.qr(v, mode="r")
-    return frobenius(r_u @ r_v.T)
+    return frobenius(kron_sum_core(stack_factor(lefts), stack_factor(rights)))
+
+
+def stack_factor(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Triangular factor ``R`` of a QR of the vectorised factors stacked as
+    columns; column ``i`` of ``R`` belongs to ``factors[i]``."""
+    stack = np.stack([np.asarray(f, dtype=complex).reshape(-1) for f in factors], axis=1)
+    return np.linalg.qr(stack, mode="r")
+
+
+def kron_sum_core(r_lefts: np.ndarray, r_rights: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """``R_u[:, S] R_v[:, S]^T`` for the :func:`stack_factor` of the left and
+    right factors: ``sum_{i in S} kron(lefts[i], rights[i])`` in the stacks'
+    orthonormal bases, with the same Frobenius norm (see
+    :func:`kron_sum_norm`)."""
+    return r_lefts[:, columns] @ r_rights[:, columns].T
 
 
 def identity_shift(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Optional[complex]:

@@ -30,6 +30,11 @@ below the cutoff.  :func:`action_gap` computes that gap from the jump
 operators themselves, so no dim^2 x dim^2 matrix is built to compare blocks.
 Every block pairing reads the gap matrix ``gaps[alpha, beta]`` between two
 representations' blocks, and its mask of matches, from :func:`block_gaps`.
+Each block's action is a column subset of one stack of both sides' jumps,
+so :func:`block_gaps` takes one QR of that stack and reads every norm and
+gap from the subsets' cores (:func:`uqd.linalg.kron_sum_core`).  Householder
+QR is columnwise backward stable, so a block's gap is rounded at ``eps``
+times the size of the blocks compared, not of the whole stack.
 
 All functions are pure.
 """
@@ -47,7 +52,9 @@ from .linalg import (
     Tolerance,
     dagger,
     frobenius,
+    kron_sum_core,
     kron_sum_norm,
+    stack_factor,
     superoperator_matrix,
 )
 from .representation import Representation, require_valid
@@ -236,13 +243,26 @@ def block_gaps(
     ``gaps[alpha, beta]`` is the `action_gap` between block ``alpha`` of
     ``rep_b`` and block ``beta`` of ``rep_a``; the two blocks match when it
     is at most ``tol.cutoff(max(norm_b[alpha], norm_a[beta]))``, with each
-    block's action norm."""
-    blocks_a = [block_jumps(rep_a, blk) for blk in parts_a.blocks]
-    blocks_b = [block_jumps(rep_b, blk) for blk in parts_b.blocks]
-    norms_a = [action_gap(jumps) for jumps in blocks_a]
-    norms_b = [action_gap(jumps) for jumps in blocks_b]
-    gaps = np.array([[action_gap(jb, ja) for ja in blocks_a] for jb in blocks_b])
-    cutoffs = np.array([[tol.cutoff(max(nb, na)) for na in norms_a] for nb in norms_b])
+    block's action norm.
+
+    Every action is a sum of ``kron(conj(J), J)`` over a block's jumps, so
+    one QR ``R`` of all jumps of both sides, vectorised, gives every block's
+    core ``conj(R[:, S]) R[:, S]^T`` (:func:`uqd.linalg.kron_sum_core`; the
+    left stack is ``conj`` of the right one).  Each norm is a core's and
+    each gap the difference of two cores'."""
+    r = stack_factor([*rep_b.jumps, *rep_a.jumps])
+    r_lefts, offset = r.conj(), rep_b.n_jumps
+    cores_a = [
+        kron_sum_core(r_lefts, r, [offset + k for k in blk.indices]) for blk in parts_a.blocks
+    ]
+    norms_a = [frobenius(core) for core in cores_a]
+    gaps = np.empty((parts_b.block_count, parts_a.block_count))
+    cutoffs = np.empty_like(gaps)
+    for alpha, blk in enumerate(parts_b.blocks):
+        core = kron_sum_core(r_lefts, r, list(blk.indices))
+        norm = frobenius(core)
+        gaps[alpha] = [frobenius(core - other) for other in cores_a]
+        cutoffs[alpha] = [tol.cutoff(max(norm, na)) for na in norms_a]
     return gaps, gaps <= cutoffs
 
 

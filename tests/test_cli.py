@@ -21,6 +21,20 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_probe(probe, argv):
+    """Run ``python -c probe *argv`` in a fresh interpreter on this ``uqd``."""
+    src = os.path.dirname(os.path.dirname(uqd.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": env_path},
+        timeout=120,
+    )
+
+
 def write_rep(tmp_path, rep, name):
     path = tmp_path / name
     path.write_text(serialize(rep))
@@ -491,21 +505,64 @@ class TestImportCost:
     def test_leaves_scipy_unloaded(self, tmp_path, argv):
         rep = write_rep(tmp_path, models.qutrit_a(theta=0.0), "a.json")
         argv = [arg.format(rep=rep, out=tmp_path / "runs") for arg in argv]
-        src = os.path.dirname(os.path.dirname(uqd.__file__))
-        env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
             "import sys, uqd, uqd.cli; "
             "code = uqd.cli.main(sys.argv[1:] + ['--quiet']) if sys.argv[1:] else 0; "
             "print(code, sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": env_path},
-            timeout=120,
-        )
+        out = run_probe(probe, argv)
         assert out.stderr.strip() == "0 []"
         if "--all-perms" in argv:
             assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser, built on first use."""
+
+    def test_alternating_options_match_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        # two equal decay channels: two theorem-2 matchings; the forced swap
+        # of the two blocks fails theorem 3
+        rep = write_rep(tmp_path, models.qutrit_a(theta=0.0), "a.json")
+        pair = ["--rep-a", rep, "--rep-b", rep]
+        loaded = ["check", *pair, "--all-perms", "--level", "t2", "--perm-c", "2,1"]
+        calls = [loaded, ["check", *pair], loaded, ["check", *pair]]
+        shared = [run(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(uqd.cli, "build_parser", uqd.cli.build_parser.__wrapped__)
+        assert shared == [run(capsys, *argv) for argv in calls]
+        (_, loaded_out), (_, plain_out) = shared[:2]
+        assert len(json.loads(loaded_out)["theorem2"]["matchings"]) == 2
+        assert json.loads(loaded_out)["theorem3"]["block_perm"] == [2, 1]
+        plain = json.loads(plain_out)
+        assert plain["level"] == "t1" and len(plain["theorem2"]["matchings"]) == 1
+        assert plain["theorem3"] == plain["theorem1"]
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys, rep_files):
+        rep_a, rep_min = rep_files
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--rep-a", rep_a, "--level", "t4"])
+        assert exc.value.code == 2
+        code, out = run(capsys, "check", "--rep-a", rep_a, "--rep-b", rep_min)
+        assert code == 0 and json.loads(out)["level"] == "t1"
+
+    def test_built_once_over_several_calls(self, capsys, rep_files):
+        rep_a, rep_min = rep_files
+        uqd.cli.build_parser.cache_clear()
+        for argv in (["sjed", rep_a], ["check", "--rep-a", rep_a, "--rep-b", rep_min], ["sjed", rep_min]):
+            assert run(capsys, *argv)[0] == 0
+        assert uqd.cli.build_parser.cache_info().misses == 1
+
+
+class TestQuiet:
+    def test_holds_on_every_call_of_one_process(self, tmp_path):
+        # the logging level of one call must not stick to the next
+        rep = write_rep(tmp_path, models.qutrit_a(), "a.json")
+        probe = (
+            "import sys, uqd.cli\n"
+            "for quiet in ([], ['--quiet'], [], ['--quiet']):\n"
+            "    print('call', bool(quiet), file=sys.stderr)\n"
+            "    uqd.cli.main(sys.argv[1:] + quiet)\n"
+        )
+        argv = ["simulate", rep, "--tmax", "1", "--ntraj", "5", "--out", str(tmp_path / "runs")]
+        out = run_probe(probe, argv)
+        logged = ["call False", "uqd: simulating 5 trajectories", "call True"]
+        assert out.stderr.splitlines() == logged * 2

@@ -541,6 +541,23 @@ class TestDecisionPathCost:
         assert report.theorem1.holds and report.theorem3.holds
         assert report.theorem3.block_perm == report.theorem1.block_perm == block_perm
 
+    def test_three_qr_factorisations_per_matched_pair(self, rng, monkeypatch):
+        # one per stack: the generators' left and right factors, and the
+        # jumps of both sides, whatever the number of blocks
+        rep = random_minimal_representation(rng, 5, n_reset=2, n_nonreset=1)
+        other = apply_gauge(rep, random_block_isometry(rng, rep), -0.7)
+        calls = []
+        original = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        report = evaluate(rep, other)
+        assert partition(rep).block_count == 3 and report.theorem1.holds
+        assert len(calls) == 3
+
     def test_dim_64_gauge_pair_holds(self, rng):
         rep, other = self.gauge_pair(rng, 64)
         verdict = check_theorem1(rep, other)

@@ -9,22 +9,26 @@ from uqd.linalg import (
     DEFAULT_TOL,
     Tolerance,
     density,
+    frobenius,
     haar_isometry,
     identity_shift,
+    kron_sum_core,
     kron_sum_norm,
     matrix_exponential,
     normalize,
     numerical_rank,
     proportionality_coefficient,
     random_pure_state,
+    stack_factor,
     superoperator_matrix,
     trace_distance,
     unvec,
     vec,
 )
+from uqd.representation import Representation, _generator_terms
 from conftest import ket
 import dense_reference
-from helpers import random_minimal_representation, random_unitary
+from helpers import qme_gauge_variant, random_minimal_representation, random_unitary
 
 
 def dyad(i, j, dim=3):
@@ -167,6 +171,22 @@ class TestKronSumNorm:
 
         return [draw() for _ in range(m)], [draw() for _ in range(m)]
 
+    @staticmethod
+    def assert_cores_match_dense(lefts, rights, split):
+        """Both column subsets of one factored stack, and their difference,
+        against the dense norms of those terms."""
+        r_lefts, r_rights = stack_factor(lefts), stack_factor(rights)
+        head = kron_sum_core(r_lefts, r_rights, slice(None, split))
+        tail = kron_sum_core(r_lefts, r_rights, slice(split, None))
+        negated = rights[:split] + [-r for r in rights[split:]]
+        for core, dense in (
+            (head, dense_reference.kron_sum_norm(lefts[:split], rights[:split])),
+            (tail, dense_reference.kron_sum_norm(lefts[split:], rights[split:])),
+            (head + tail, dense_reference.kron_sum_norm(lefts, rights)),
+            (head - tail, dense_reference.kron_sum_norm(lefts, negated)),
+        ):
+            assert abs(frobenius(core) - dense) <= 1e-12 * dense
+
     def test_equals_dense_norm(self, rng):
         # m below and above dim^2, where the factors' QR becomes rank-deficient
         for dim in range(2, 7):
@@ -175,6 +195,23 @@ class TestKronSumNorm:
                 lefts, rights = self.terms(rng, rep, m)
                 dense = dense_reference.kron_sum_norm(lefts, rights)
                 assert abs(kron_sum_norm(lefts, rights) - dense) <= 1e-12 * dense
+                if m > 1:
+                    self.assert_cores_match_dense(lefts, rights, int(rng.integers(1, m)))
+
+    def test_generator_cores_equal_dense_generators(self, rng):
+        # the generator comparison's stacks: one generator, rewritten by an
+        # averaged-state gauge, against the other with one level moved by
+        # 1e-3, so the gap (the difference of the two cores) cancels most of
+        # the terms
+        for dim in (2, 3, 5):
+            rep = random_minimal_representation(rng, dim, n_reset=2, n_nonreset=1)
+            gauged = qme_gauge_variant(rng, rep)
+            other = Representation(
+                gauged.hamiltonian + np.diag([1e-3] + [0.0] * (dim - 1)), gauged.jumps
+            )
+            lefts_a, rights_a = _generator_terms(rep)
+            lefts_b, rights_b = _generator_terms(other)
+            self.assert_cores_match_dense(lefts_a + lefts_b, rights_a + rights_b, len(lefts_a))
 
     def test_cancelling_terms_resolve_small_gaps(self, rng):
         # a gap 1e-11 below the terms' size is resolved to 1e-3 of itself;

@@ -21,7 +21,10 @@ from uqd.representation import Representation, jump_destination, liouvillian_mat
 from uqd.sjed import (
     NonResetBlock,
     ResetBlock,
+    action_gap,
     are_jed,
+    block_gaps,
+    block_jumps,
     composite_action,
     fix_phase,
     minimal_block_representation,
@@ -32,6 +35,7 @@ from conftest import ket
 from dense_reference import block_action_matrix
 from helpers import (
     close_targets,
+    cross_block_mixture,
     mixed_rank,
     random_block_isometry,
     random_minimal_representation,
@@ -252,6 +256,59 @@ class TestCompositeAction:
         parts = partition(qutrit_a)
         total = sum(composite_action(qutrit_a, blk) for blk in parts.blocks)
         assert np.max(np.abs(total - superoperator_matrix(qutrit_a.jumps))) < 1e-12
+
+
+class TestBlockGaps:
+    """Gaps and matches from one factored stack of both sides' jumps."""
+
+    @staticmethod
+    def gaps(rep_b, rep_a):
+        """`block_gaps`, held to one `action_gap` per block and per pair, to
+        1e-12 of the pair's larger action norm."""
+        parts_b, parts_a = partition(rep_b), partition(rep_a)
+        gaps, match = block_gaps(rep_b, parts_b, rep_a, parts_a)
+        for alpha, blk_b in enumerate(parts_b.blocks):
+            for beta, blk_a in enumerate(parts_a.blocks):
+                jumps_b, jumps_a = block_jumps(rep_b, blk_b), block_jumps(rep_a, blk_a)
+                scale = max(action_gap(jumps_b), action_gap(jumps_a))
+                gap = action_gap(jumps_b, jumps_a)
+                assert abs(gaps[alpha, beta] - gap) <= 1e-12 * scale
+                assert match[alpha, beta] == (gap <= 1e-10 * scale)
+        return gaps, match
+
+    def test_agree_with_pairwise_action_gaps(self, rng):
+        for dim in range(2, 6):
+            rep = random_minimal_representation(rng, dim, n_reset=2, n_nonreset=2)
+            gauged = apply_gauge(rep, random_block_isometry(rng, rep))
+            _, match = self.gaps(gauged, rep)
+            assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
+            _, match = self.gaps(cross_block_mixture(rng, rep), rep)
+            assert not match.all()
+            unrelated = random_minimal_representation(rng, dim, n_reset=2, n_nonreset=2)
+            assert not self.gaps(unrelated, rep)[1].any()
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e5, 1e8])
+    def test_small_block_matches_beside_large_ones(self, rng, ratio):
+        # a 3-jump reset block, unitarily mixed, beside two blocks whose
+        # actions are ``ratio`` times larger: its gap is rounded at eps of
+        # its own size, not of the stack's
+        for _ in range(8):
+            dim = int(rng.integers(3, 6))
+            chi = random_pure_state(dim, rng)
+            small = [
+                (0.3 + rng.random()) * np.outer(chi, row.conj())
+                for row in haar_isometry(dim, 3, rng).T
+            ]
+            large = random_minimal_representation(rng, dim, n_reset=1, n_nonreset=1)
+            big = [np.sqrt(ratio) * jump for jump in large.jumps]
+            mix = haar_isometry(3, 3, rng)
+            mixed = [sum(mix[i, k] * small[k] for k in range(3)) for i in range(3)]
+            rep = Representation(large.hamiltonian, [*small, *big])
+            other = Representation(large.hamiltonian, [*big, *mixed])
+            gaps, match = self.gaps(other, rep)
+            assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
+            small_norm = action_gap(small)
+            assert match[-1, 0] and gaps[-1, 0] <= 1e-13 * small_norm
 
 
 class TestMinimalBlockRepresentation:
