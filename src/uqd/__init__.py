@@ -49,7 +49,6 @@ from .linalg import (
 from .models import qutrit_a, qutrit_a_minimal, qutrit_b
 from .representation import (
     Representation,
-    ValidationReport,
     drift,
     effective_hamiltonian,
     from_document,
@@ -60,7 +59,6 @@ from .representation import (
     parse,
     serialize,
     to_document,
-    validate,
 )
 from .sjed import (
     NonResetBlock,

@@ -20,7 +20,7 @@ import numpy as np
 from . import ensemble as ens
 from . import equivalence, models, representation, sjed, trajectory
 from .errors import InputError, NumericalError, UqdError, ValidationError
-from .linalg import Tolerance
+from .linalg import Tolerance, as_operator, normalize
 from .representation import (
     Representation,
     matrix_from_json,
@@ -155,11 +155,15 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(atol=args.atol, rtol=args.rtol)
 
 
-def _load_representation(path: str) -> Representation:
+def _read_text(path: str) -> str:
     file = Path(path)
     if not file.is_file():
         raise InputError(f"no such file: {path}")
-    return representation.parse(file.read_text(encoding="utf-8"))
+    return file.read_text(encoding="utf-8")
+
+
+def _load_representation(path: str) -> Representation:
+    return representation.parse(_read_text(path))
 
 
 def _load_state(spec: str, dim: int) -> np.ndarray:
@@ -169,8 +173,9 @@ def _load_state(spec: str, dim: int) -> np.ndarray:
         file = Path(spec)
         if not file.is_file():
             raise InputError(f"no such state file: {spec}")
-        doc = json.loads(file.read_text(encoding="utf-8"))
-        return vector_from_json(doc, "psi0")
+        state = vector_from_json(json.loads(file.read_text(encoding="utf-8")), "psi0")
+        normalize(state)  # a zero or non-finite state fails here, before any simulation
+        return state
     if not 0 <= index < dim:
         raise InputError(f"basis index {index} outside 0..{dim - 1}")
     state = np.zeros(dim, dtype=complex)
@@ -306,10 +311,7 @@ def _cmd_gauge(args) -> int:
         if not args.rep or not args.isometry:
             raise InputError("gauge apply needs --rep and --isometry")
         rep_min = _load_representation(args.rep)
-        iso_file = Path(args.isometry)
-        if not iso_file.is_file():
-            raise InputError(f"no such file: {args.isometry}")
-        iso = _isometry_from_document(json.loads(iso_file.read_text(encoding="utf-8")))
+        iso = _isometry_from_document(json.loads(_read_text(args.isometry)))
         result = equivalence.apply_gauge(rep_min, iso, shift=args.shift, tol=tol)
         _emit(representation.to_document(result), args, out=args.out)
         return EXIT_OK
@@ -317,9 +319,8 @@ def _cmd_gauge(args) -> int:
         raise InputError("gauge extract needs --rep-min and --rep")
     rep_min = _load_representation(args.rep_min)
     rep = _load_representation(args.rep)
-    iso = equivalence.extract_isometry(rep_min, rep, tol)
-    verdict = equivalence.check_theorem1(rep_min, rep, tol)
-    _emit(_isometry_to_document(iso, verdict.shift), args, out=args.out)
+    iso, shift = equivalence.extract_isometry(rep_min, rep, tol)
+    _emit(_isometry_to_document(iso, shift), args, out=args.out)
     return EXIT_OK
 
 
@@ -360,10 +361,7 @@ def _cmd_simulate(args) -> int:
 def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
     if spec is None:
         return {f"p_{i}": np.diag(np.eye(dim, dtype=complex)[i]) for i in range(dim)}
-    file = Path(spec)
-    if not file.is_file():
-        raise InputError(f"no such file: {spec}")
-    doc = json.loads(file.read_text(encoding="utf-8"))
+    doc = json.loads(_read_text(spec))
     if not isinstance(doc, list):
         raise InputError("observables file must be a JSON list of {label, matrix}")
     out = {}
@@ -371,10 +369,14 @@ def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
         if not isinstance(entry, dict) or "matrix" not in entry:
             raise InputError(f"observables[{i}] must be an object with a 'matrix' field")
         label = entry.get("label", f"obs_{i}")
-        matrix = matrix_from_json(entry["matrix"], f"observables[{i}].matrix")
+        where = f"observables[{i}].matrix"
+        matrix = matrix_from_json(entry["matrix"], where)
         if matrix.shape != (dim, dim):
-            raise InputError(f"observables[{i}].matrix: shape {matrix.shape} does not match dim {dim}")
-        out[label] = matrix
+            raise InputError(f"{where}: shape {matrix.shape} does not match dim {dim}")
+        try:
+            out[label] = as_operator(matrix)
+        except ValidationError as exc:
+            raise InputError(f"{where}: {exc}") from None
     return out
 
 
@@ -382,6 +384,7 @@ def _cmd_compare(args) -> int:
     tol = _tolerance(args)
     rep_a = _load_representation(args.rep_a)
     rep_b = _load_representation(args.rep_b)
+    equivalence.require_same_dim(rep_a, rep_b)
     psi0 = _load_state(args.psi0, rep_a.dim)
     observables = _load_observables(args.observables, rep_a.dim)
     times = [args.tmax / 2, args.tmax]

@@ -28,10 +28,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
+from .equivalence import require_bijection, require_same_dim
 from .linalg import (
     DEFAULT_TOL,
     SeedLike,
     Tolerance,
+    as_operator,
     as_rng,
     density,
     matrix_exponential,
@@ -96,17 +98,16 @@ def rate_field_scan(
     pairing the blocks are matched greedily by action distance; a block-count
     mismatch makes the block deviation infinite.
     """
-    if rep_a.dim != rep_b.dim:
-        raise ValidationError("representations act on different dimensions")
+    require_same_dim(rep_a, rep_b)
     if n_states < 1:
         raise ValidationError(f"n_states must be at least 1, got {n_states}")
     parts_a = partition(rep_a, tol)
     parts_b = partition(rep_b, tol)
     notes: List[str] = []
     if block_perm is not None:
-        perm: Optional[tuple[int, ...]] = tuple(int(p) for p in block_perm)
-        if len(perm) != parts_b.block_count or sorted(perm) != list(range(parts_a.block_count)):
-            raise ValidationError("block permutation does not pair the two block sets")
+        perm: Optional[tuple[int, ...]] = require_bijection(
+            block_perm, parts_b.block_count, parts_a.block_count, "block"
+        )
     elif parts_a.block_count == parts_b.block_count:
         gaps, _ = block_gaps(rep_b, parts_b, rep_a, parts_a, tol)
         taken: List[int] = []
@@ -312,9 +313,7 @@ def _label_count_tests(
     returned instead."""
     if n_a != n_b:
         return f"{word}-count vectors have different lengths ({n_a} vs {n_b}); records are incomparable"
-    mapping = tuple(range(n_a)) if perm is None else tuple(int(p) for p in perm)
-    if sorted(mapping) != list(range(n_a)):
-        raise ValidationError(f"{word} permutation is not a bijection")
+    mapping = tuple(range(n_a)) if perm is None else require_bijection(perm, n_b, n_a, word)
     counts_a = np.array([traj.counts(n_a) for traj in records_a])
     counts_b = np.array([traj.counts(n_a) for traj in records_b])
     for k in range(n_a):
@@ -372,9 +371,11 @@ def compare_ensembles(
     if abs(ens_a[0].t_final - ens_b[0].t_final) > 1e-12:
         raise ValidationError("ensembles have mismatched horizons")
     check_comparison(alpha, times, ens_a[0].t_final)
+    require_same_dim(rep_a, rep_b)
     for label, op in observables.items():
         if np.shape(op) != (rep_a.dim,) * 2:
             raise ValidationError(f"observable {label!r} has shape {np.shape(op)}, not {(rep_a.dim,) * 2}")
+        as_operator(op)  # rejects non-finite entries
 
     resolution = {
         label: tol.cutoff(float(np.linalg.norm(op, 2))) for label, op in observables.items()

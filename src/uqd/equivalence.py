@@ -152,17 +152,24 @@ class EquivalenceReport:
         }
 
 
-def _require_same_dim(rep_a: Representation, rep_b: Representation) -> None:
+def require_same_dim(rep_a: Representation, rep_b: Representation) -> None:
+    """Reject a pair of representations on different Hilbert spaces."""
     if rep_a.dim != rep_b.dim:
         raise ValidationError(
             f"Hilbert-space dimensions differ: {rep_a.dim} vs {rep_b.dim}"
         )
 
 
-def _require_valid_pair(rep_a: Representation, rep_b: Representation, tol: Tolerance) -> None:
-    require_valid(rep_a, tol)
-    require_valid(rep_b, tol)
-    _require_same_dim(rep_a, rep_b)
+def require_bijection(perm: Sequence[int], n_from: int, n_to: int, word: str) -> tuple[int, ...]:
+    """``perm`` as integers, where it maps ``n_from`` labels one-to-one onto
+    ``n_to`` labels (so only where the counts agree); ``word`` names them."""
+    perm = tuple(int(p) for p in perm)
+    if len(perm) != n_from or sorted(perm) != list(range(n_to)):
+        raise ValidationError(
+            f"{word} permutation is not a bijection between the {word} sets "
+            f"({n_from} and {n_to} {word}s)"
+        )
+    return perm
 
 
 def same_liouvillian(
@@ -174,7 +181,7 @@ def same_liouvillian(
     One stack holds both generators' Kronecker terms; each generator is the
     core of its own columns (:func:`uqd.linalg.kron_sum_core`), and their
     difference is the difference of the two cores."""
-    _require_same_dim(rep_a, rep_b)
+    require_same_dim(rep_a, rep_b)
     require_valid(rep_a, tol)
     require_valid(rep_b, tol)
     lefts_a, rights_a = _generator_terms(rep_a)
@@ -221,10 +228,11 @@ def _match_actions(match: np.ndarray) -> tuple[Optional[tuple[int, ...]], List[s
 
 
 def _pair_blocks(
-    rep_a: Representation, rep_b: Representation, tol: Tolerance
+    rep_a: Representation, rep_b: Representation, tol: Tolerance, parts_a: Optional[SjedPartition]
 ) -> tuple[tuple[SjedPartition, SjedPartition], Optional[np.ndarray]]:
-    """Both partitions, and the match mask of `block_gaps` if their block counts agree."""
-    parts = partition(rep_a, tol), partition(rep_b, tol)
+    """Both partitions, the first built unless ``parts_a`` holds it, and the
+    match mask of `block_gaps` if their block counts agree."""
+    parts = partition(rep_a, tol) if parts_a is None else parts_a, partition(rep_b, tol)
     if parts[0].block_count != parts[1].block_count:
         return parts, None
     return parts, block_gaps(rep_b, parts[1], rep_a, parts[0], tol)[1]
@@ -238,8 +246,8 @@ def _theorem1(
     parts: Optional[tuple[SjedPartition, SjedPartition]],
     match: Optional[np.ndarray],
 ) -> Theorem1Verdict:
-    """Theorem 1 on a validated pair, from the generator comparison and,
-    when the generators agree, both partitions and their block matches."""
+    """Theorem 1 from the generator comparison and, when the generators
+    agree, both partitions and their block matches."""
     if not same_qme:
         return Theorem1Verdict(holds=False, diagnostics=("different QME",))
     shift, diagnostics = _hamiltonian_shift(rep_a, rep_b, tol)
@@ -264,10 +272,17 @@ def check_theorem1(
     rep_a: Representation, rep_b: Representation, tol: Tolerance = DEFAULT_TOL
 ) -> Theorem1Verdict:
     """Decide trajectory-ensemble equality; all failures become diagnostics."""
-    _require_valid_pair(rep_a, rep_b, tol)
+    return _theorem1_pass(rep_a, rep_b, tol, parts_a=None)[0]
+
+
+def _theorem1_pass(
+    rep_a: Representation, rep_b: Representation, tol: Tolerance, parts_a: Optional[SjedPartition]
+) -> tuple[Theorem1Verdict, Optional[tuple[SjedPartition, SjedPartition]]]:
+    """:func:`check_theorem1`, and the two partitions it built where the
+    generators agree (``None`` elsewhere), reusing ``parts_a`` when given."""
     same_qme = same_liouvillian(rep_a, rep_b, tol)
-    parts, match = _pair_blocks(rep_a, rep_b, tol) if same_qme else (None, None)
-    return _theorem1(rep_a, rep_b, tol, same_qme, parts, match)
+    parts, match = _pair_blocks(rep_a, rep_b, tol, parts_a) if same_qme else (None, None)
+    return _theorem1(rep_a, rep_b, tol, same_qme, parts, match), parts
 
 
 def _classes_align(candidates: Sequence[Sequence[int]]) -> bool:
@@ -420,8 +435,8 @@ def check_theorem3(
     otherwise it is the theorem-1 verdict."""
     if block_perm is None:
         return check_theorem1(rep_a, rep_b, tol)
-    _require_valid_pair(rep_a, rep_b, tol)
-    return _forced_pairing(rep_a, rep_b, tol, *_pair_blocks(rep_a, rep_b, tol), block_perm)
+    require_same_dim(rep_a, rep_b)
+    return _forced_pairing(rep_a, rep_b, tol, *_pair_blocks(rep_a, rep_b, tol, parts_a=None), block_perm)
 
 
 def _forced_pairing(
@@ -432,21 +447,11 @@ def _forced_pairing(
     match: Optional[np.ndarray],
     block_perm: Sequence[int],
 ) -> Theorem3Verdict:
-    """Theorem 3 on a validated pair under the given block pairing, from the
-    block matches of `block_gaps`."""
+    """Theorem 3 under the given block pairing, from the block matches of
+    `block_gaps`."""
     parts_a, parts_b = parts
-    perm = tuple(int(p) for p in block_perm)
-    if len(perm) != parts_b.block_count:
-        raise ValidationError(
-            f"block permutation has length {len(perm)}, expected {parts_b.block_count}"
-        )
-    if parts_a.block_count != parts_b.block_count or sorted(perm) != list(
-        range(parts_a.block_count)
-    ):
-        raise ValidationError("block permutation is not a bijection between the block sets")
-    diagnostics: List[str] = []
-    shift, shift_diags = _hamiltonian_shift(rep_a, rep_b, tol)
-    diagnostics.extend(shift_diags)
+    perm = require_bijection(block_perm, parts_b.block_count, parts_a.block_count, "block")
+    shift, diagnostics = _hamiltonian_shift(rep_a, rep_b, tol)
     for alpha, beta in enumerate(perm):
         if not match[alpha, beta]:
             diagnostics.append(
@@ -469,8 +474,8 @@ def evaluate(
 ) -> EquivalenceReport:
     """Run every check and bundle the verdicts.
 
-    Each representation is validated by ``same_liouvillian`` and validated
-    again by its partition, so twice when the partitions are built.  Each
+    Each representation's jumps are checked nonzero by ``same_liouvillian``
+    and again by its partition, so twice when the partitions are built.  Each
     is partitioned at most once: the partitions and the block gap matrix are
     built only when theorem 1 or a forced pairing needs them.
     Theorem 1 runs once: without ``block_perm`` the theorem-3 verdict is the
@@ -479,7 +484,7 @@ def evaluate(
     same_qme = same_liouvillian(rep_a, rep_b, tol)
     parts, match = None, None
     if same_qme or block_perm is not None:
-        parts, match = _pair_blocks(rep_a, rep_b, tol)
+        parts, match = _pair_blocks(rep_a, rep_b, tol, parts_a=None)
     theorem1 = _theorem1(rep_a, rep_b, tol, same_qme, parts, match)
     return EquivalenceReport(
         same_qme=same_qme,
@@ -523,9 +528,9 @@ class BlockIsometry:
             out.append("row blocks do not partition the output jump indices")
         if sorted(i for blk in self.col_blocks for i in blk) != list(range(d_min)):
             out.append("column blocks do not partition the minimal jump indices")
-        if len(self.block_map) != len(self.row_blocks) or sorted(self.block_map) != list(
-            range(len(self.col_blocks))
-        ):
+        try:
+            require_bijection(self.block_map, len(self.row_blocks), len(self.col_blocks), "block")
+        except ValidationError:
             out.append("block map is not a bijection between row and column blocks")
         if out:
             return out
@@ -543,15 +548,10 @@ class BlockIsometry:
         return out
 
 
-def _block_is_minimal(block, tol: Tolerance) -> bool:
-    if isinstance(block, NonResetBlock):
-        return len(block.indices) == 1
-    return len(block.indices) == numerical_rank(block.gamma_op, tol)
-
-
-def _require_minimal(rep: Representation, parts: SjedPartition, tol: Tolerance) -> None:
+def _require_minimal(parts: SjedPartition, tol: Tolerance) -> None:
     for alpha, block in enumerate(parts.blocks):
-        if not _block_is_minimal(block, tol):
+        size = 1 if isinstance(block, NonResetBlock) else numerical_rank(block.gamma_op, tol)
+        if len(block.indices) != size:
             raise ValidationError(
                 f"block {alpha + 1} of the reference representation is not minimally represented"
             )
@@ -563,10 +563,9 @@ def apply_gauge(
     shift: float = 0.0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Representation:
-    """New representation ``(H + shift*1, V J')`` from a minimal one."""
-    require_valid(rep_min, tol)
+    """New representation ``(H + shift*1, V J')`` from a minimal one, checked by theorem 1."""
     parts_min = partition(rep_min, tol)
-    _require_minimal(rep_min, parts_min, tol)
+    _require_minimal(parts_min, tol)
     if iso.matrix.shape[1] != rep_min.n_jumps:
         raise ValidationError(
             f"isometry has {iso.matrix.shape[1]} columns for {rep_min.n_jumps} minimal jumps"
@@ -583,8 +582,7 @@ def apply_gauge(
         jumps=jumps,
         label=f"{rep_min.label}-gauged" if rep_min.label else "gauged",
     )
-    require_valid(out, tol)
-    verdict = check_theorem1(rep_min, out, tol)
+    verdict, _ = _theorem1_pass(rep_min, out, tol, parts_min)
     if not verdict.holds:
         raise NumericalError(
             "gauge output failed the trajectory-equivalence check: "
@@ -595,21 +593,21 @@ def apply_gauge(
 
 def extract_isometry(
     rep_min: Representation, rep: Representation, tol: Tolerance = DEFAULT_TOL
-) -> BlockIsometry:
-    """Recover the block isometry writing ``rep``'s jumps over ``rep_min``'s.
+) -> tuple[BlockIsometry, float]:
+    """Recover the block isometry writing ``rep``'s jumps over ``rep_min``'s,
+    and the shift ``r`` with ``H = H_min + r*1``, from one theorem-1 pass.
 
     Requires trajectory equivalence; the minimal block operators are linearly
     independent, so each row of ``V`` is the unique least-squares solution and
     must fit with negligible residual.
     """
-    verdict = check_theorem1(rep_min, rep, tol)
+    verdict, partitions = _theorem1_pass(rep_min, rep, tol, parts_a=None)
     if not verdict.holds:
         raise ValidationError(
             "representations not trajectory-equivalent: " + "; ".join(verdict.diagnostics)
         )
-    parts_min = partition(rep_min, tol)
-    parts = partition(rep, tol)
-    _require_minimal(rep_min, parts_min, tol)
+    parts_min, parts = partitions
+    _require_minimal(parts_min, tol)
     matrix = np.zeros((rep.n_jumps, rep_min.n_jumps), dtype=complex)
     for alpha, block in enumerate(parts.blocks):
         cols = parts_min.blocks[verdict.block_perm[alpha]].indices
@@ -633,4 +631,4 @@ def extract_isometry(
     problems = iso.violations(tol)
     if problems:
         raise NumericalError("extracted matrix is not a block isometry: " + "; ".join(problems))
-    return iso
+    return iso, verdict.shift

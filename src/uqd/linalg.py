@@ -81,11 +81,22 @@ def unvec(vector: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
 
 
 def normalize(psi: np.ndarray) -> np.ndarray:
-    """Scale a state vector to unit norm."""
+    """Scale a state vector to unit norm, rejecting non-finite entries.
+
+    Only a vector whose norm overflows, or underflows (squares to a subnormal
+    number), is first divided by its largest real or imaginary part, so every
+    other vector keeps its bits."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValidationError("cannot normalize the zero vector")
+    if not np.all(np.isfinite(psi)):
+        raise ValidationError("state vector entries must be finite")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not np.sqrt(np.finfo(float).tiny) <= norm < np.inf:
+        parts = np.ascontiguousarray(psi).view(float)
+        top = np.max(np.abs(parts), initial=0.0)
+        if top == 0.0:
+            raise ValidationError("cannot normalize the zero vector")
+        return normalize((parts / top).view(complex))
     return psi / norm
 
 

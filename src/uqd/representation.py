@@ -18,6 +18,9 @@ Wire format (UTF-8 JSON)::
 Complex scalars are two-element ``[re, im]`` arrays.  Jump indices are
 1-based in all documents and reports, 0-based in the Python API.
 
+Structural validity is an invariant of :class:`Representation`: finite
+entries, a square Hermitian Hamiltonian and jumps of its shape.  Only the
+rule that no jump is zero needs a tolerance; :func:`require_valid` checks it.
 Representations are treated as immutable after construction; all derived
 computations are pure.
 """
@@ -54,11 +57,20 @@ class Representation:
         jumps = tuple(as_operator(j) for j in self.jumps)
         if not jumps:
             raise ValidationError("a representation needs at least one jump operator")
-        dim = jumps[0].shape[0]
         if self.hamiltonian is None:
-            ham = np.zeros((dim, dim), dtype=complex)
+            ham = np.zeros((jumps[0].shape[0],) * 2, dtype=complex)
         else:
             ham = as_operator(self.hamiltonian)
+        dim = ham.shape[0]
+        if ham.shape != (dim, dim):
+            raise ValidationError(f"Hamiltonian is not square: shape {ham.shape}")
+        if frobenius(ham - dagger(ham)) > HERMITICITY_TOL * max(1.0, frobenius(ham)):
+            raise ValidationError("Hamiltonian not Hermitian")
+        for k, jump in enumerate(jumps):
+            if jump.shape != (dim, dim):
+                raise ValidationError(
+                    f"jump operator {k + 1} has shape {jump.shape}, expected {(dim, dim)}"
+                )
         self.hamiltonian = ham
         self.jumps = jumps
 
@@ -71,38 +83,12 @@ class Representation:
         return len(self.jumps)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Collect structural violations; an empty report means valid."""
-    violations: list[str] = []
-    dim = rep.dim
-    ham = rep.hamiltonian
-    if ham.shape != (dim, dim):
-        violations.append(f"Hamiltonian is not square: shape {ham.shape}")
-    elif frobenius(ham - dagger(ham)) > HERMITICITY_TOL * max(1.0, frobenius(ham)):
-        violations.append("Hamiltonian not Hermitian")
-    for k, jump in enumerate(rep.jumps):
-        if jump.shape != (dim, dim):
-            violations.append(
-                f"jump operator {k + 1} has shape {jump.shape}, expected {(dim, dim)}"
-            )
-        elif frobenius(jump) <= tol.atol:
-            violations.append(f"zero jump operator at index {k + 1}")
-    return ValidationReport(tuple(violations))
-
-
 def require_valid(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> None:
-    report = validate(rep, tol)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
+    """Reject jumps of Frobenius norm at most ``tol.atol``, naming each; the
+    rest of validity holds by construction."""
+    zeros = [k + 1 for k, jump in enumerate(rep.jumps) if frobenius(jump) <= tol.atol]
+    if zeros:
+        raise ValidationError("; ".join(f"zero jump operator at index {k}" for k in zeros))
 
 
 def effective_hamiltonian(rep: Representation) -> np.ndarray:

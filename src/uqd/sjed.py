@@ -145,10 +145,6 @@ def _direction(jump: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:
 def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two nonzero square operators of one shape have equal
     destinations everywhere: their two-jump :func:`partition` has one block."""
-    if frobenius(a) <= tol.atol or frobenius(b) <= tol.atol:
-        raise ValidationError("equal-destination test requires nonzero operators")
-    if np.shape(a) != np.shape(b):
-        raise ValidationError("equal-destination test requires equal shapes")
     return partition(Representation(None, [a, b]), tol).block_count == 1
 
 

@@ -294,6 +294,11 @@ def _fire(jumps: np.ndarray, phi: np.ndarray, phi_sq: np.ndarray, draws: np.ndar
     return channel, amps[rows, channel] / np.sqrt(amps_sq[rows, channel])[:, None]
 
 
+def _require_state_length(psi: np.ndarray, rep: Representation) -> None:
+    if psi.size != rep.dim:
+        raise ValidationError(f"initial state has length {psi.size}, expected {rep.dim}")
+
+
 def check_horizon(t_max: float) -> None:
     if not 0 < t_max < np.inf:
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
@@ -310,8 +315,7 @@ def _simulate_rows(
     require_valid(rep, tol)
     check_horizon(t_max)
     psi0 = normalize(psi0)
-    if psi0.size != rep.dim:
-        raise ValidationError(f"initial state has length {psi0.size}, expected {rep.dim}")
+    _require_state_length(psi0, rep)
     psi0.flags.writeable = False
     h_eff = effective_hamiltonian(rep)
     _check_contractive(h_eff, tol)
@@ -427,6 +431,8 @@ def states_at(
     limit); between events it is propagated from the latest event and
     renormalized.
     """
+    for traj in ensemble:
+        _require_state_length(traj.initial_state, rep)
     event_times = [[event.time for event in traj.events] for traj in ensemble]
     out = np.empty((len(times), len(ensemble), rep.dim), dtype=complex)
     tau = np.empty((len(times), len(ensemble)))

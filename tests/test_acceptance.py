@@ -162,7 +162,7 @@ def test_criterion_6_two_reset_target_cases():
 def test_criterion_7_gauge_round_trips():
     minimal = models.qutrit_a_minimal()
     split = models.qutrit_a()
-    iso = extract_isometry(minimal, split)
+    iso, _ = extract_isometry(minimal, split)
     theta, vartheta, phi = np.pi / 6, np.pi / 3, 0.0
     reference = np.array(
         [

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,6 +35,16 @@ def run_probe(probe, argv):
         env={**os.environ, "PYTHONPATH": env_path},
         timeout=120,
     )
+
+
+def replace_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` at every binding it has in the loaded ``uqd.*``
+    modules, as a tracer wrapping it would."""
+    for key, module in list(sys.modules.items()):
+        if key == "uqd" or key.startswith("uqd."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def write_rep(tmp_path, rep, name):
@@ -348,6 +360,7 @@ class TestMalformedInput:
 
     COMPARE = ("compare-ensembles", "--rep-b", "{a}", "--level", "t1", "--ntraj", "20",
                "--tmax", "0.5", "--psi0", "1")
+    SIMULATE = ("simulate", "{a}", "--tmax", "0.5", "--ntraj", "3", "--out", "{out}")
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -366,10 +379,19 @@ class TestMalformedInput:
             (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{iso_str}"), 2),
             (("fig1", "--n-polar", "-1"), 3),
             (("fig1", "--n-polar", "0"), 3),
+            # a non-finite initial state once stalled the simulator forever
+            (SIMULATE + ("--psi0", "{psi_nan}"), 3),
+            (SIMULATE + ("--psi0", "{psi_inf}"), 3),
+            (COMPARE + ("--psi0", "{psi_nan}"), 3),
+            (COMPARE + ("--psi0", "{psi_inf}"), 3),
+            (COMPARE + ("--observables", "{obs_nan}"), 2),
+            (COMPARE[:2] + ("{qubit}",) + COMPARE[3:], 3),
         ],
         ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
-             "row-blocks-str", "n-polar--1", "n-polar-0"],
+             "row-blocks-str", "n-polar--1", "n-polar-0", "simulate-psi0-nan",
+             "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",
+             "compare-dims"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
@@ -379,9 +401,17 @@ class TestMalformedInput:
             monkeypatch.setattr(uqd.trajectory, "simulate_ensemble", forbidden)
         rep_a, rep_a_min = rep_files
         out_dir = tmp_path / "records"
-        files = {"out": out_dir, "obs": tmp_path / "obs.json"}
-        # a 2 x 2 observable for a qutrit; row blocks that are not index lists
-        files["obs"].write_text(json.dumps([{"label": "p", "matrix": matrix_to_json(np.eye(2))}]))
+        # a qubit beside the qutrits; a 2 x 2 observable for a qutrit; a NaN
+        # observable; row blocks that are not index lists; initial states
+        # with a NaN or an infinite entry (a later --psi0 overrides COMPARE's)
+        qubit = Representation(None, [np.diag([1.0, 0.0])])
+        files = {"out": out_dir, "qubit": write_rep(tmp_path, qubit, "qubit.json")}
+        for name, matrix in (("obs", np.eye(2)), ("obs_nan", np.diag([1.0, np.nan, 0.0]))):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps([{"label": "p", "matrix": matrix_to_json(matrix)}]))
+        for name, bad in (("psi_nan", np.nan), ("psi_inf", np.inf)):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps([[bad, 0.0], [0.0, 0.0], [1.0, 0.0]]))
         for name, row_blocks in (("iso_int", 5), ("iso_str", [["a"]])):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps({
@@ -396,6 +426,30 @@ class TestMalformedInput:
         assert out == ""
         assert [r.levelname for r in caplog.records if r.name == "uqd"] == ["ERROR"]
         assert not out_dir.exists()
+
+
+class TestPermutationMessage:
+    BLOCKS = "block permutation is not a bijection between the block sets (2 and 2 blocks)"
+    CHANNELS = "channel permutation is not a bijection between the channel sets (5 and 5 channels)"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check", "--rep-b", "{a_min}", "--perm-c", "1,1"), BLOCKS),
+            (("rate-scan", "--rep-b", "{a_min}", "--perm-c", "1,1"), BLOCKS),
+            (("compare-ensembles", "--rep-b", "{a}", "--level", "t2", "--perm", "1,1,2,3,4",
+              "--ntraj", "20", "--tmax", "0.5"), CHANNELS),
+            (("compare-ensembles", "--rep-b", "{a_min}", "--level", "t3", "--perm-c", "1,1",
+              "--ntraj", "20", "--tmax", "0.5"), BLOCKS),
+        ],
+        ids=["check", "rate-scan", "compare-t2", "compare-t3"],
+    )
+    def test_one_message_from_every_entry_point(self, capsys, caplog, rep_files, argv, message):
+        rep_a, rep_a_min = rep_files
+        args = [arg.format(a=rep_a, a_min=rep_a_min) for arg in argv] + ["--rep-a", rep_a]
+        code, out = run(capsys, *args)
+        assert code == 3 and out == ""
+        assert [r.getMessage() for r in caplog.records if r.name == "uqd"] == [message]
 
 
 class TestOversizedNumbers:
@@ -443,19 +497,12 @@ class TestFig1:
 
 class TestNoDenseBuilders:
     def test_no_command_builds_a_superoperator(self, capsys, monkeypatch, rep_files, tmp_path):
-        # each dim^2 x dim^2 builder raises at every binding it has in uqd.*,
-        # the bindings a tracer wrapping them would replace
-        modules = [m for key, m in sys.modules.items() if key == "uqd" or key.startswith("uqd.")]
+        # each dim^2 x dim^2 builder raises at every binding it has in uqd.*
         for name in ("superoperator_matrix", "liouvillian_matrix", "composite_action"):
-            original = getattr(uqd, name)
-
             def forbidden(*args, _name=name, **kwargs):
                 raise AssertionError(f"{_name} called")
 
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, forbidden)
+            replace_everywhere(monkeypatch, getattr(uqd, name), forbidden)
 
         rep_a, rep_min = rep_files
         rep_b = str(tmp_path / "b.json")
@@ -483,6 +530,68 @@ class TestNoDenseBuilders:
         for argv, expected in commands:
             code, _ = run(capsys, *argv)
             assert code == expected, argv
+
+
+class TestPreconditionCost:
+    """Each command validates, partitions and decides theorem 1 no more often
+    than its work needs, counted at every binding in ``uqd.*`` (as a tracer
+    wrapping these functions counts them) on ``qutrit_a_minimal`` against
+    ``qutrit_a``: one theorem-1 pass per gauge command, whose partitions and
+    shift are reused.  Counts are of ``require_valid``, ``partition``,
+    theorem-1 passes and ``np.linalg.qr``, in that order."""
+
+    SPIED = (("representation", "require_valid"), ("sjed", "partition"),
+             ("equivalence", "_theorem1"))
+
+    @pytest.mark.parametrize(
+        "argv, counts",
+        [
+            (["check", "--rep-a", "{a_min}", "--rep-b", "{a}"], (4, 2, 1, 3)),
+            (["gauge", "apply", "--rep", "{a_min}", "--isometry", "{iso}"], (4, 2, 1, 3)),
+            (["gauge", "extract", "--rep-min", "{a_min}", "--rep", "{a}"], (4, 2, 1, 3)),
+            (["rate-scan", "--rep-a", "{a_min}", "--rep-b", "{a}", "--n", "20"], (2, 2, 0, 1)),
+            (["compare-ensembles", "--rep-a", "{a_min}", "--rep-b", "{a}", "--level", "t3",
+              "--ntraj", "20", "--tmax", "0.5", "--psi0", "1"], (4, 2, 0, 0)),
+        ],
+        ids=["check", "gauge-apply", "gauge-extract", "rate-scan", "compare-t3"],
+    )
+    def test_calls_per_command(self, capsys, monkeypatch, rep_files, tmp_path, argv, counts):
+        rep_a, rep_a_min = rep_files
+        iso = str(tmp_path / "iso.json")
+        assert run(capsys, "gauge", "extract", "--rep-min", rep_a_min, "--rep", rep_a, "--out", iso)[0] == 0
+
+        calls = {name: 0 for _, name in self.SPIED}
+        calls["qr"] = 0
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for layer, name in self.SPIED:
+            original = getattr(sys.modules[f"uqd.{layer}"], name)
+            replace_everywhere(monkeypatch, original, counted(name, original))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+
+        code, _ = run(capsys, *[arg.format(a=rep_a, a_min=rep_a_min, iso=iso) for arg in argv])
+        assert code in (0, 1)
+        assert tuple(calls.values()) == counts
+
+
+class TestTracedNames:
+    def test_every_traced_function_resolves(self):
+        # perfbench/tracer.py wraps these by name; a missing one would break
+        # every traced benchmark run
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for layer, names in tracer.TRACED.items():
+            module = importlib.import_module(f"uqd.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"uqd.{layer}.{name}"
 
 
 class TestImportCost:

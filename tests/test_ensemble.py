@@ -232,6 +232,23 @@ class TestCompareEnsembles:
         with pytest.raises(ValidationError):
             compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
 
+    def test_representations_of_other_dimensions_rejected(self, qutrit_a):
+        ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        with pytest.raises(ValidationError, match="Hilbert-space dimensions differ: 3 vs 2"):
+            compare_ensembles(ens, ens, qutrit_a, single_decay(), BASIS_OBS, [1.0])
+
+    def test_ensemble_of_another_dimension_rejected(self, qutrit_a):
+        ens = simulate_ensemble(single_decay(), ket(2, 1), 1.0, 5, seed=1)
+        with pytest.raises(ValidationError, match="initial state has length 2, expected 3"):
+            compare_ensembles(ens, ens, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
+        with pytest.raises(ValidationError, match="initial state has length 2, expected 3"):
+            mean_state_check(ens, qutrit_a, [1.0])
+
+    def test_non_finite_observable_rejected(self, qutrit_a):
+        ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        with pytest.raises(ValidationError, match="finite"):
+            compare_ensembles(ens, ens, qutrit_a, qutrit_a, {"p": np.diag([1.0, np.nan, 0])}, [1.0])
+
     def test_observable_of_another_dimension_rejected(self, qutrit_a):
         ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
         with pytest.raises(ValidationError, match="shape"):

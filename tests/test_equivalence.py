@@ -368,7 +368,8 @@ class TestGauge:
 
 class TestExtractIsometry:
     def test_closed_form_recovered_up_to_column_phases(self, qutrit_a, qutrit_a_min):
-        iso = extract_isometry(qutrit_a_min, qutrit_a)
+        iso, shift = extract_isometry(qutrit_a_min, qutrit_a)
+        assert shift == 0.0
         reference = closed_form_isometry()
         for col in range(3):
             overlap = np.vdot(reference[:, col], iso.matrix[:, col])
@@ -376,7 +377,7 @@ class TestExtractIsometry:
             assert np.max(np.abs(iso.matrix[:, col] - phase * reference[:, col])) < 1e-10
 
     def test_self_extraction_is_identity(self, qutrit_a_min):
-        iso = extract_isometry(qutrit_a_min, qutrit_a_min)
+        iso, _ = extract_isometry(qutrit_a_min, qutrit_a_min)
         assert np.max(np.abs(iso.matrix - np.eye(3))) < 1e-12
 
     def test_roundtrip_recovers_random_isometry(self, rng):
@@ -385,8 +386,9 @@ class TestExtractIsometry:
             iso = random_block_isometry(rng, rep)
             shift = float(rng.standard_normal())
             image = apply_gauge(rep, iso, shift)
-            recovered = extract_isometry(rep, image)
+            recovered, recovered_shift = extract_isometry(rep, image)
             assert np.max(np.abs(recovered.matrix - iso.matrix)) < 1e-10
+            assert recovered_shift == pytest.approx(shift, abs=1e-12)
             rebuilt = apply_gauge(rep, recovered, shift)
             for built, reference in zip(rebuilt.jumps, image.jumps):
                 assert np.max(np.abs(built - reference)) < 1e-10

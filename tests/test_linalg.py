@@ -310,3 +310,28 @@ class TestSmallHelpers:
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValidationError):
             normalize(np.zeros(3))
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="state vector entries must be finite"):
+            normalize(np.array([bad, 0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ([1e308, 1e308, 0], [2**-0.5, 2**-0.5, 0]),
+            ([-1e308j, 1e308, 0], [-(2**-0.5) * 1j, 2**-0.5, 0]),
+            ([1e-320, 0, 0], [1, 0, 0]),
+            ([1e-170, 1e-170j, 0], [2**-0.5, 2**-0.5 * 1j, 0]),
+        ],
+        ids=["overflow", "overflow-complex", "subnormal", "underflow"],
+    )
+    def test_extreme_norms_rescaled(self, raw, expected):
+        assert np.allclose(normalize(np.array(raw)), np.array(expected), rtol=0, atol=1e-15)
+
+    def test_ordinary_vectors_keep_their_bits(self, rng):
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            psi = scale * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            assert np.array_equal(normalize(psi), psi / np.linalg.norm(psi))

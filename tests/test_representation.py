@@ -21,9 +21,9 @@ from uqd.representation import (
     matrix_from_json,
     matrix_to_json,
     parse,
+    require_valid,
     serialize,
     to_document,
-    validate,
     vector_from_json,
     vector_to_json,
 )
@@ -48,22 +48,32 @@ def apply_generator_directly(rep, rho):
 
 
 class TestValidate:
+    """Structure is checked as a representation is built; only the zero-jump
+    rule, which needs a tolerance, is left to `require_valid`."""
+
     def test_reference_model_is_valid(self, qutrit_a):
-        assert validate(qutrit_a).ok
+        require_valid(qutrit_a)
 
     def test_zero_jump_reported_with_index(self, qutrit_a):
         jumps = list(qutrit_a.jumps)
-        jumps[1] = np.zeros((3, 3), dtype=complex)
-        report = validate(Representation(hamiltonian=None, jumps=jumps))
-        assert report.violations == ("zero jump operator at index 2",)
+        jumps[1] = jumps[3] = np.zeros((3, 3), dtype=complex)
+        rep = Representation(hamiltonian=None, jumps=jumps)
+        message = "zero jump operator at index 2; zero jump operator at index 4"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            require_valid(rep)
 
     def test_non_hermitian_hamiltonian_reported(self):
-        rep = Representation(hamiltonian=np.outer(ket(3, 0), ket(3, 1)), jumps=[np.eye(3)])
-        assert "Hamiltonian not Hermitian" in validate(rep).violations
+        with pytest.raises(ValidationError, match="^Hamiltonian not Hermitian$"):
+            Representation(hamiltonian=np.outer(ket(3, 0), ket(3, 1)), jumps=[np.eye(3)])
+
+    def test_non_square_hamiltonian_reported(self):
+        with pytest.raises(ValidationError, match=re.escape("Hamiltonian is not square: shape (3, 2)")):
+            Representation(hamiltonian=np.ones((3, 2)), jumps=[np.eye(3)])
 
     def test_dimension_mismatch_reported(self):
-        rep = Representation(hamiltonian=np.eye(3), jumps=[np.eye(3), np.eye(2)])
-        assert any("shape" in v for v in validate(rep).violations)
+        message = "jump operator 2 has shape (2, 2), expected (3, 3)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Representation(hamiltonian=np.eye(3), jumps=[np.eye(3), np.eye(2)])
 
     def test_omitted_hamiltonian_defaults_to_zero(self):
         rep = Representation(hamiltonian=None, jumps=[np.eye(2)])
@@ -109,8 +119,8 @@ class TestLiouvillian:
         assert np.max(np.abs(unvec(gen @ vec(rho)))) < 1e-10
 
     def test_invalid_representation_rejected(self):
-        rep = Representation(hamiltonian=np.outer(ket(2, 0), ket(2, 1)), jumps=[np.eye(2)])
-        with pytest.raises(ValidationError):
+        rep = Representation(hamiltonian=None, jumps=[np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ValidationError, match="zero jump operator at index 2"):
             liouvillian_matrix(rep)
 
     def test_qme_gauge_freedom(self, rng):

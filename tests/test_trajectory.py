@@ -228,6 +228,12 @@ class TestStateAt:
         with pytest.raises(ValidationError):
             state_at(traj, qutrit_a, 1.5)
 
+    def test_representation_of_another_dimension_rejected(self, qutrit_a):
+        traj = simulate(qutrit_a, ket(3, 1), 1.0, seed=4)
+        qubit = Representation(hamiltonian=None, jumps=[np.diag([1.0, 0.0])])
+        with pytest.raises(ValidationError, match="initial state has length 3, expected 2"):
+            state_at(traj, qubit, 0.5)
+
 
 class TestCoarseGrain:
     def test_channels_map_to_blocks(self, qutrit_a):
