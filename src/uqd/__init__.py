@@ -73,7 +73,6 @@ from .sjed import (
 from .trajectory import (
     JumpEvent,
     LabelledTrajectory,
-    PartiallyLabelledTrajectory,
     coarse_grain,
     simulate,
     simulate_ensemble,

@@ -173,7 +173,9 @@ def _load_state(spec: str, dim: int) -> np.ndarray:
         file = Path(spec)
         if not file.is_file():
             raise InputError(f"no such state file: {spec}")
-        state = vector_from_json(json.loads(file.read_text(encoding="utf-8")), "psi0")
+        state = vector_from_json(representation.loads(file.read_text(encoding="utf-8")), "psi0")
+        if state.size != dim:
+            raise InputError(f"psi0: length {state.size} does not match dim {dim}")
         normalize(state)  # a zero or non-finite state fails here, before any simulation
         return state
     if not 0 <= index < dim:
@@ -311,7 +313,7 @@ def _cmd_gauge(args) -> int:
         if not args.rep or not args.isometry:
             raise InputError("gauge apply needs --rep and --isometry")
         rep_min = _load_representation(args.rep)
-        iso = _isometry_from_document(json.loads(_read_text(args.isometry)))
+        iso = _isometry_from_document(representation.loads(_read_text(args.isometry)))
         result = equivalence.apply_gauge(rep_min, iso, shift=args.shift, tol=tol)
         _emit(representation.to_document(result), args, out=args.out)
         return EXIT_OK
@@ -361,7 +363,7 @@ def _cmd_simulate(args) -> int:
 def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
     if spec is None:
         return {f"p_{i}": np.diag(np.eye(dim, dtype=complex)[i]) for i in range(dim)}
-    doc = json.loads(_read_text(spec))
+    doc = representation.loads(_read_text(spec))
     if not isinstance(doc, list):
         raise InputError("observables file must be a JSON list of {label, matrix}")
     out = {}
@@ -521,9 +523,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except InputError as exc:
         log.error("%s", exc)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        log.error("invalid JSON: %s", exc)
         return EXIT_USAGE
     except (ValidationError, NumericalError) as exc:
         log.error("%s", exc)

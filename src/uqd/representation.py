@@ -18,6 +18,15 @@ Wire format (UTF-8 JSON)::
 Complex scalars are two-element ``[re, im]`` arrays.  Jump indices are
 1-based in all documents and reports, 0-based in the Python API.
 
+Documents are decoded by :func:`loads`: ``orjson`` first, and the standard
+``json`` module only where ``orjson`` refuses the text (``NaN`` and
+``Infinity`` literals, numbers beyond a double, integers past Python's digit
+limit, lone surrogates), so refused text keeps ``json``'s result or error.
+Either way every number reaches an operator as its nearest double, so both
+give the same bits.  The one difference: ``orjson`` returns an integer beyond
+64 bits as a float, which is then no integer ``dim`` or index.  Output is
+always written by ``json``.
+
 Structural validity is an invariant of :class:`Representation`: finite
 entries, a square Hermitian Hamiltonian and jumps of its shape.  Only the
 rule that no jump is zero needs a tolerance; :func:`require_valid` checks it.
@@ -241,6 +250,15 @@ def to_document(rep: Representation) -> dict:
     }
 
 
+def _operator_field(obj, where: str, dim: int) -> np.ndarray:
+    op = matrix_from_json(obj, where)
+    if op.shape != (dim, dim):
+        raise ParseError(f"{where}: shape {op.shape} does not match dim {dim}")
+    if not np.isfinite(op).all():
+        raise ParseError(f"{where}: entries must be finite")
+    return op
+
+
 def from_document(doc) -> Representation:
     if not isinstance(doc, dict):
         raise ParseError("representation document must be a JSON object")
@@ -253,17 +271,10 @@ def from_document(doc) -> Representation:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ParseError("label: expected a string")
-    ham = matrix_from_json(doc["hamiltonian"], "hamiltonian")
-    if ham.shape != (dim, dim):
-        raise ParseError(f"hamiltonian: shape {ham.shape} does not match dim {dim}")
+    ham = _operator_field(doc["hamiltonian"], "hamiltonian", dim)
     if not isinstance(doc["jumps"], list) or not doc["jumps"]:
         raise ParseError("jumps: expected a non-empty list of matrices")
-    jumps = []
-    for k, entry in enumerate(doc["jumps"]):
-        jump = matrix_from_json(entry, f"jumps[{k}]")
-        if jump.shape != (dim, dim):
-            raise ParseError(f"jumps[{k}]: shape {jump.shape} does not match dim {dim}")
-        jumps.append(jump)
+    jumps = [_operator_field(entry, f"jumps[{k}]", dim) for k, entry in enumerate(doc["jumps"])]
     return Representation(hamiltonian=ham, jumps=jumps, label=label)
 
 
@@ -271,11 +282,21 @@ def serialize(rep: Representation, indent: Optional[int] = None) -> str:
     return json.dumps(to_document(rep), indent=indent)
 
 
-def parse(text: str) -> Representation:
+def loads(text: str):
+    """Decoded JSON ``text``, by ``orjson`` unless it refuses the text and by
+    ``json`` then; a decoding failure is a :class:`ParseError`."""
+    import orjson  # on first use, so ``import uqd`` does not pay for it
+
     try:
-        doc = json.loads(text)
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return from_document(doc)
+
+
+def parse(text: str) -> Representation:
+    return from_document(loads(text))

@@ -105,10 +105,6 @@ class LabelledTrajectory:
         return out
 
 
-# A coarse-grained record has the same fields, with events labelled by block.
-PartiallyLabelledTrajectory = LabelledTrajectory
-
-
 def _real_form(mat: np.ndarray) -> np.ndarray:
     """Real ``(2d, 2d)`` matrices acting on states stored as interleaved
     ``(re, im)`` pairs, so that ``psi.view(float)`` is the real state."""
@@ -458,7 +454,7 @@ def state_at(traj, rep: Representation, t: float) -> np.ndarray:
     return states_at([traj], rep, [t])[0, 0]
 
 
-def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> PartiallyLabelledTrajectory:
+def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> LabelledTrajectory:
     """Relabel each event by the block containing its channel."""
     n_channels = sum(len(block.indices) for block in part.blocks)
     lookup = part.block_of_channel(n_channels)
@@ -467,7 +463,7 @@ def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> PartiallyLabe
         if event.channel >= n_channels:
             raise ValidationError(f"channel {event.channel + 1} not covered by partition")
         events.append(JumpEvent(time=event.time, channel=int(lookup[event.channel])))
-    return PartiallyLabelledTrajectory(
+    return LabelledTrajectory(
         initial_state=traj.initial_state,
         events=tuple(events),
         post_jump_states=traj.post_jump_states,

@@ -386,12 +386,20 @@ class TestMalformedInput:
             (COMPARE + ("--psi0", "{psi_inf}"), 3),
             (COMPARE + ("--observables", "{obs_nan}"), 2),
             (COMPARE[:2] + ("{qubit}",) + COMPARE[3:], 3),
+            # an integer literal past Python's digit limit in each auxiliary file
+            (SIMULATE + ("--psi0", "{digits}"), 2),
+            (COMPARE + ("--observables", "{digits}"), 2),
+            (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{digits}"), 2),
+            (("sjed", "{jump_nan}"), 2),
+            (SIMULATE + ("--psi0", "{psi_short}"), 2),
+            (COMPARE + ("--psi0", "{psi_short}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
              "row-blocks-str", "n-polar--1", "n-polar-0", "simulate-psi0-nan",
              "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",
-             "compare-dims"],
+             "compare-dims", "psi0-digits", "observables-digits", "isometry-digits",
+             "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
@@ -403,9 +411,17 @@ class TestMalformedInput:
         out_dir = tmp_path / "records"
         # a qubit beside the qutrits; a 2 x 2 observable for a qutrit; a NaN
         # observable; row blocks that are not index lists; initial states
-        # with a NaN or an infinite entry (a later --psi0 overrides COMPARE's)
+        # with a NaN or an infinite entry or of the wrong length (a later
+        # --psi0 overrides COMPARE's); a 5000-digit integer; a qubit document
+        # whose second jump holds NaN
         qubit = Representation(None, [np.diag([1.0, 0.0])])
         files = {"out": out_dir, "qubit": write_rep(tmp_path, qubit, "qubit.json")}
+        jump_nan = {"dim": 2, "hamiltonian": matrix_to_json(np.zeros((2, 2))),
+                    "jumps": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([np.nan, 0.0]))]}
+        for name, text in (("digits", "[%s]" % ("1" * 5000)), ("jump_nan", json.dumps(jump_nan)),
+                           ("psi_short", "[[1, 0], [0, 0]]")):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(text)
         for name, matrix in (("obs", np.eye(2)), ("obs_nan", np.diag([1.0, np.nan, 0.0]))):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps([{"label": "p", "matrix": matrix_to_json(matrix)}]))
@@ -424,7 +440,10 @@ class TestMalformedInput:
         code, out = run(capsys, *args)
         assert code == expected
         assert out == ""
-        assert [r.levelname for r in caplog.records if r.name == "uqd"] == ["ERROR"]
+        errors = [r for r in caplog.records if r.name == "uqd"]
+        assert [r.levelname for r in errors] == ["ERROR"]
+        if argv[0] == "sjed":
+            assert errors[0].getMessage().startswith("jumps[1]: ")
         assert not out_dir.exists()
 
 
@@ -623,6 +642,11 @@ class TestImportCost:
         assert out.stderr.strip() == "0 []"
         if "--all-perms" in argv:
             assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2
+
+    def test_import_leaves_orjson_unloaded(self):
+        # the document decoder imports it on first use
+        out = run_probe("import sys, uqd, uqd.cli; print('orjson' in sys.modules, file=sys.stderr)", [])
+        assert out.stderr.strip() == "False"
 
 
 class TestSharedParser:

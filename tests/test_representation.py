@@ -1,7 +1,9 @@
+import json
 import re
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -369,3 +371,103 @@ class TestOnePassDecode:
             where = "m[0][1]" if fn is matrix_from_json else "m[1]"
             with pytest.raises(ParseError, match=re.escape(f"{where}: number too large for a float")):
                 fn(obj, "m")
+
+
+# Number literals as a document holds them: finite doubles by ``repr`` (with
+# +-0, subnormals and halfway cases), integers up to +-2^80, and decimal
+# strings of up to 55 digits; all small enough that no norm overflows.
+LITERALS = st.one_of(
+    st.floats(-1e150, 1e150).map(repr),
+    st.sampled_from([
+        "-0.0", "5e-324", "-2.5e-310", "2.4703282292062328e-324", "9007199254740993.0",
+        "1.00000000000000011102230246251565404236316680908203125", "-9007199254740993",
+    ]),
+    st.integers(-(2**80), 2**80).map(str),
+    st.builds(
+        "{}.{}e{}".format,
+        st.integers(-(10**28) + 1, 10**28 - 1),
+        st.integers(0, 10**27 - 1),
+        st.integers(-99, 99),
+    ),
+)
+
+
+def negated(literal: str) -> str:
+    return literal[1:] if literal.startswith("-") else "-" + literal
+
+
+@st.composite
+def document_texts(draw):
+    """A representation document written literal by literal, with a
+    Hermitian Hamiltonian: mirrored entries carry negated imaginary parts."""
+    dim = draw(st.integers(1, 3))
+    pair = lambda re_, im: f"[{re_}, {im}]"
+    ham = [[pair(draw(LITERALS), 0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            re_, im = draw(LITERALS), draw(LITERALS)
+            ham[i][j], ham[j][i] = pair(re_, im), pair(re_, negated(im))
+    jumps = [
+        [[pair(draw(LITERALS), draw(LITERALS)) for _ in range(dim)] for _ in range(dim)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    matrix = lambda rows: "[%s]" % ", ".join("[%s]" % ", ".join(row) for row in rows)
+    return '{"dim": %d, "hamiltonian": %s, "jumps": [%s]}' % (
+        dim, matrix(ham), ", ".join(map(matrix, jumps))
+    )
+
+
+def parsed(text):
+    """Label and operator bytes, or the ParseError message, of ``parse(text)``."""
+    try:
+        rep = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return rep.label, rep.hamiltonian.tobytes(), [jump.tobytes() for jump in rep.jumps]
+
+
+def parsed_by_json(text):
+    with mock.patch.object(orjson, "loads", json.loads):
+        return parsed(text)
+
+
+def with_jump(literal: str, label: str = "") -> str:
+    return '{"label": "%s", "dim": 1, "hamiltonian": [[[0, 0]]], "jumps": [[[[%s, 0]]]]}' % (
+        label, literal
+    )
+
+
+class TestDecoder:
+    """Documents decode with orjson, and with json only where orjson refuses
+    them; either way they give the same operators, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=document_texts())
+    def test_orjson_and_json_give_the_same_bits(self, text):
+        shipped = parsed(text)
+        assert not isinstance(shipped, str), shipped
+        assert shipped == parsed_by_json(text)
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            (with_jump("NaN"), "jumps[0]: entries must be finite"),
+            (with_jump("-Infinity"), "jumps[0]: entries must be finite"),
+            (with_jump("1e400"), "jumps[0]: entries must be finite"),
+            (with_jump("1" + "0" * 400), "jumps[0][0][0]: number too large for a float"),
+            (with_jump("1" * 5000), "invalid JSON: Exceeds the limit (4300 digits)"),
+            (with_jump("1", label="\\ud800"), "\ud800"),
+            ("{not json", "invalid JSON at line 1 column 2"),
+        ],
+        ids=["nan", "infinity", "float-overflow", "integer-overflow", "digit-limit", "surrogate",
+             "malformed"],
+    )
+    def test_text_orjson_refuses_takes_the_json_path(self, text, outcome):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+        shipped = parsed(text)
+        assert shipped == parsed_by_json(text)
+        if isinstance(shipped, str):
+            assert shipped.startswith(outcome)
+        else:
+            assert shipped[0] == outcome
