@@ -27,6 +27,7 @@ from .representation import (
     matrix_to_json,
     vector_from_json,
     vector_to_json,
+    vectors_to_json,
 )
 
 log = logging.getLogger("uqd")
@@ -326,7 +327,13 @@ def _cmd_gauge(args) -> int:
     return EXIT_OK
 
 
+def _require_seed(seed: int, flag: str) -> None:
+    if seed < 0:
+        raise InputError(f"{flag} must be a non-negative integer, got {seed}")
+
+
 def _cmd_simulate(args) -> int:
+    _require_seed(args.seed, "--seed")
     tol = _tolerance(args)
     rep = _load_representation(args.rep)
     psi0 = _load_state(args.psi0, rep.dim)
@@ -343,7 +350,7 @@ def _cmd_simulate(args) -> int:
                 "t_final": traj.t_final,
                 "initial_state": vector_to_json(traj.initial_state),
                 "events": [{"time": e.time, "channel": e.channel + 1} for e in traj.events],
-                "post_jump_states": [vector_to_json(s) for s in traj.post_jump_states],
+                "post_jump_states": vectors_to_json(traj.post_jump_states, rep.dim),
             }
             fh.write(json.dumps(record) + "\n")
     manifest = {
@@ -383,6 +390,8 @@ def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
 
 
 def _cmd_compare(args) -> int:
+    _require_seed(args.seed_a, "--seed-a")
+    _require_seed(args.seed_b, "--seed-b")
     tol = _tolerance(args)
     rep_a = _load_representation(args.rep_a)
     rep_b = _load_representation(args.rep_b)
@@ -421,6 +430,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rate_scan(args) -> int:
+    _require_seed(args.seed, "--seed")
     tol = _tolerance(args)
     rep_a = _load_representation(args.rep_a)
     rep_b = _load_representation(args.rep_b)

@@ -52,7 +52,7 @@ def as_operator(entries) -> np.ndarray:
         raise ValidationError(f"expected a matrix, got array of ndim {mat.ndim}")
     if mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValidationError("matrices must have at least one row and column")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.isfinite(mat).all():
         raise ValidationError("matrix entries must be finite")
     return mat
 

@@ -73,7 +73,7 @@ class Representation:
         dim = ham.shape[0]
         if ham.shape != (dim, dim):
             raise ValidationError(f"Hamiltonian is not square: shape {ham.shape}")
-        if frobenius(ham - dagger(ham)) > HERMITICITY_TOL * max(1.0, frobenius(ham)):
+        if not _is_hermitian(ham):
             raise ValidationError("Hamiltonian not Hermitian")
         for k, jump in enumerate(jumps):
             if jump.shape != (dim, dim):
@@ -90,6 +90,18 @@ class Representation:
     @property
     def n_jumps(self) -> int:
         return len(self.jumps)
+
+
+def _is_hermitian(ham: np.ndarray) -> bool:
+    """``|H - H^+|_F <= HERMITICITY_TOL * max(1, |H|_F)`` for a finite ``H``.
+    Only where a norm overflows is the test made on ``H`` divided by its
+    largest real or imaginary part, as `normalize` does, so every other
+    Hamiltonian keeps its arithmetic."""
+    with np.errstate(over="ignore"):
+        gap, size = frobenius(ham - dagger(ham)), frobenius(ham)
+    if gap == np.inf or size == np.inf:
+        return _is_hermitian(ham / np.max(np.abs(np.ascontiguousarray(ham).view(float))))
+    return gap <= HERMITICITY_TOL * max(1.0, size)
 
 
 def require_valid(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -178,6 +190,12 @@ def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
     return np.asarray(v, dtype=complex).reshape(-1, 1).view(float).tolist()
+
+
+def vectors_to_json(vectors: Sequence[np.ndarray], dim: int) -> list[list[list[float]]]:
+    """``[vector_to_json(v) for v in vectors]`` in one conversion."""
+    stacked = np.array(vectors, dtype=complex).reshape(len(vectors), dim)
+    return stacked.view(float).reshape(len(vectors), dim, 2).tolist()
 
 
 def _pair_from_json(obj, where: str) -> complex:

@@ -43,12 +43,15 @@ Implementation notes:
   the state and operators, in a fixed order.  A row's bits therefore do not
   depend on how many rows share the call, and ensembles equal their
   trajectories simulated one at a time.
-* Randomness comes from a counter-based Philox generator, one per
-  trajectory.  Per segment the stream is consumed in a fixed order (one
-  uniform for the jump time, then one uniform per fired jump for the
-  channel), so trajectories can be replayed exactly from their recorded
-  seed.  Ensembles derive each trajectory's seed from
-  ``(master seed, trajectory index)``.
+* Randomness.  Trajectory seed ``s`` draws the uniforms of numpy's
+  ``Generator(Philox(SeedSequence(s))).random()``, bit for bit, in a fixed
+  order: one for the first jump time, then for each fired jump one for its
+  channel and one for the next jump time.  `uqd.streams` computes these
+  streams for all rows in one vectorised pass (keys from the seed hash,
+  Philox blocks by counter), so a trajectory replays exactly from its
+  recorded seed with numpy's own generator.  Ensemble trajectory ``i`` has
+  seed ``SeedSequence(master, spawn_key=(i,)).generate_state(1,
+  np.uint64)[0]`` (`trajectory_seed`), hashed for every index at once.
 
 Everything a call builds belongs to that call: there are no module-level
 caches and no process pool.
@@ -66,6 +69,7 @@ from .errors import NumericalError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerance, dagger, normalize
 from .representation import Representation, effective_hamiltonian, require_valid
 from .sjed import SjedPartition
+from .streams import Streams, spawned_seeds
 
 STEP_SCALE = 0.01
 TIME_LEVELS = 34  # the solve resolves step * 2**-34 ~ 1e-10 relative time
@@ -313,6 +317,7 @@ def _simulate_rows(
     psi0 = normalize(psi0)
     _require_state_length(psi0, rep)
     psi0.flags.writeable = False
+    streams = Streams(seeds)
     h_eff = effective_hamiltonian(rep)
     _check_contractive(h_eff, tol)
     table = _StepTable(h_eff, t_max)
@@ -325,7 +330,6 @@ def _simulate_rows(
         return np.count_nonzero(t[:, None] + widths >= t_max, axis=1) - 1
 
     n = len(seeds)
-    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(int(s)))) for s in seeds]
     events: List[List[JumpEvent]] = [[] for _ in range(n)]
     posts: List[List[np.ndarray]] = [[] for _ in range(n)]
 
@@ -337,7 +341,7 @@ def _simulate_rows(
     row = np.arange(n)
     t = np.zeros(n)
     x = np.tile(psi0.view(float), (n, 1))
-    u = np.array([rngs[r].random() for r in row])
+    u = streams.take(row)[:, 0]
 
     def drop_finished(*arrays):
         keep = t < t_max
@@ -358,15 +362,15 @@ def _simulate_rows(
         t += tau  # a crossing after t_max ends its row with no jump
         hit = np.flatnonzero(t <= t_max)
         if hit.size:
-            draws = np.array([rngs[r].random() for r in row[hit]])
-            channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws, t[hit])
+            draws = streams.take(row[hit], 2)  # the channel's, then the next u
+            channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws[:, 0], t[hit])
             x[hit] = post
             for r, when, k, state in zip(
                 row[hit].tolist(), t[hit].tolist(), channel.tolist(), post.view(complex)
             ):
                 events[r].append(JumpEvent(time=when, channel=k))
                 posts[r].append(state)
-            u[hit] = [rngs[r].random() for r in row[hit]]
+            u[hit] = draws[:, 1]
         row, t, x, u = drop_finished(row, t, x, u)
     return [
         LabelledTrajectory(
@@ -387,14 +391,17 @@ def simulate(
     seed: int,
     tol: Tolerance = DEFAULT_TOL,
 ) -> LabelledTrajectory:
-    """One labelled trajectory, bitwise reproducible from ``seed``."""
-    return _simulate_rows(rep, psi0, t_max, [seed], tol)[0]
+    """One labelled trajectory, bitwise reproducible from the non-negative
+    integer ``seed``: it draws the uniforms of
+    ``np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))``."""
+    return _simulate_rows(rep, psi0, t_max, [int(seed)], tol)[0]
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
-    """Independent 64-bit stream key for trajectory ``index``."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Independent 64-bit seed of trajectory ``index`` of an ensemble:
+    ``SeedSequence(master_seed, spawn_key=(index,)).generate_state(1,
+    np.uint64)[0]``, the value numpy gives, for non-negative integers."""
+    return int(spawned_seeds(int(master_seed), [int(index)])[0])
 
 
 def simulate_ensemble(
@@ -408,11 +415,14 @@ def simulate_ensemble(
     """Independent trajectories with per-index derived seeds.
 
     Trajectory ``i`` is bitwise equal to
-    ``simulate(rep, psi0, t_max, trajectory_seed(seed, i), tol)``.
+    ``simulate(rep, psi0, t_max, trajectory_seed(seed, i), tol)``: the
+    ``n_traj`` seeds are hashed in one pass, as numpy's ``SeedSequence``
+    spawned from the non-negative master ``seed`` would give them, and so
+    are their Philox keys.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
-    seeds = [trajectory_seed(seed, i) for i in range(n_traj)]
+    seeds = spawned_seeds(int(seed), np.arange(n_traj)).tolist()
     return _simulate_rows(rep, psi0, t_max, seeds, tol)
 
 

@@ -393,13 +393,19 @@ class TestMalformedInput:
             (("sjed", "{jump_nan}"), 2),
             (SIMULATE + ("--psi0", "{psi_short}"), 2),
             (COMPARE + ("--psi0", "{psi_short}"), 2),
+            # negative seeds, before anything is simulated or logged
+            (SIMULATE + ("--seed", "-1"), 2),
+            (COMPARE + ("--seed-a", "-1"), 2),
+            (COMPARE + ("--seed-b", "-2"), 2),
+            (("rate-scan", "--rep-b", "{a}", "--seed", "-1"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
              "row-blocks-str", "n-polar--1", "n-polar-0", "simulate-psi0-nan",
              "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",
              "compare-dims", "psi0-digits", "observables-digits", "isometry-digits",
-             "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short"],
+             "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short", "simulate-seed--1",
+             "compare-seed-a--1", "compare-seed-b--2", "rate-scan-seed--1"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):

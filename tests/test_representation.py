@@ -28,6 +28,7 @@ from uqd.representation import (
     to_document,
     vector_from_json,
     vector_to_json,
+    vectors_to_json,
 )
 from conftest import ket
 from helpers import qme_gauge_variant
@@ -76,6 +77,28 @@ class TestValidate:
         message = "jump operator 2 has shape (2, 2), expected (3, 3)"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Representation(hamiltonian=np.eye(3), jumps=[np.eye(3), np.eye(2)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "ham, hermitian",
+        [
+            ([[0, 1e200], [0, 0]], False),
+            ([[0, 1e308], [-1e308, 0]], False),
+            ([[0, 1e300j], [1e300j, 0]], False),
+            ([[0, 1e200], [1e200, 0]], True),
+            ([[1e308, 1e308j], [-1e308j, -1e308]], True),
+        ],
+        ids=["upper", "antisymmetric", "anti-hermitian", "symmetric", "hermitian-max"],
+    )
+    def test_hermiticity_survives_overflow(self, ham, hermitian):
+        # each Frobenius norm here overflows, so the test runs on H over its
+        # largest part, without an overflow warning
+        ham = np.array(ham, dtype=complex)
+        if hermitian:
+            Representation(hamiltonian=ham, jumps=[np.eye(2)])
+        else:
+            with pytest.raises(ValidationError, match="^Hamiltonian not Hermitian$"):
+                Representation(hamiltonian=ham, jumps=[np.eye(2)])
 
     def test_omitted_hamiltonian_defaults_to_zero(self):
         rep = Representation(hamiltonian=None, jumps=[np.eye(2)])
@@ -240,6 +263,11 @@ class TestDrift:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_vectors_to_json_is_vector_to_json_per_vector(self, count):
+        vectors = [random_pure_state(3, seed) for seed in range(count)]
+        assert vectors_to_json(vectors, 3) == [vector_to_json(v) for v in vectors]
+
     def test_roundtrip_entrywise(self, qutrit_a):
         back = parse(serialize(qutrit_a))
         assert back.label == qutrit_a.label

@@ -7,7 +7,7 @@ from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import Tolerance, matrix_exponential, normalize
 from uqd.representation import Representation, effective_hamiltonian, jump_rates
 from uqd.sjed import partition
-from uqd import trajectory
+from uqd import streams, trajectory
 from uqd.trajectory import (
     STEP_SCALE,
     JumpEvent,
@@ -108,6 +108,18 @@ class TestDeterminism:
                     assert all(
                         np.array_equal(p, q) for p, q in zip(a.post_jump_states, b.post_jump_states)
                     )
+
+    def test_refilled_rows_equal_rows_alone(self, qutrit_a):
+        # about 24 jumps per row at t = 12: each row draws several windows
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 12.0, 16, seed=8)
+        assert max(1 + 2 * len(traj.events) for traj in ensemble) > 2 * streams.WINDOW
+        for i, traj in enumerate(ensemble):
+            alone = simulate(qutrit_a, ket(3, 1), 12.0, seed=trajectory_seed(8, i))
+            assert traj.seed == alone.seed
+            assert traj.events == alone.events
+            assert all(
+                np.array_equal(p, q) for p, q in zip(traj.post_jump_states, alone.post_jump_states)
+            )
 
     def test_trajectory_seed_is_stable(self):
         assert trajectory_seed(7, 3) == trajectory_seed(7, 3)
@@ -285,6 +297,19 @@ class TestGuards:
         with pytest.raises(ValidationError):
             simulate(qutrit_a, ket(2, 1), 1.0, seed=1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rep: simulate(rep, ket(3, 1), 1.0, seed=-1),
+            lambda rep: simulate_ensemble(rep, ket(3, 1), 1.0, 3, seed=-1),
+            lambda rep: trajectory_seed(-1, 0),
+        ],
+        ids=["simulate", "simulate_ensemble", "trajectory_seed"],
+    )
+    def test_negative_seed_named(self, qutrit_a, call):
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer, got -1$"):
+            call(qutrit_a)
+
     def test_norm_growth_detected(self):
         grower = np.diag([0.5j, -0.5j])
         with pytest.raises(NumericalError, match="invalid effective Hamiltonian"):
@@ -355,6 +380,27 @@ class TestScalarReference:
             assert simulate(rep, ket(2, 1), tau - 1e-13, seed=seed).events == ()
             (event,) = simulate(rep, ket(2, 1), tau + 1e-13, seed=seed).events
             assert abs(event.time - tau) <= 1e-14
+
+
+class TestStreamCalls:
+    """The streams of a call are generated in passes over every row that
+    needs one, so the passes grow with the longest row's draw count (one
+    uniform, then two per jump), not with the rows or the rounds."""
+
+    @pytest.mark.parametrize("t_max, n", [(2.0, 1), (2.0, 400), (12.0, 1), (12.0, 300)])
+    def test_generation_calls_bounded(self, qutrit_a, monkeypatch, t_max, n):
+        calls = []
+        original = streams.philox_blocks
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(streams, "philox_blocks", counting)
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), t_max, n, seed=4)
+        draws = max(1 + 2 * len(traj.events) for traj in ensemble)
+        assert 1 <= len(calls) <= 1 + draws // (streams.WINDOW - streams.BLOCK)
+        assert calls[0] == (n, streams.WINDOW_BLOCKS)
 
 
 class TestStiffness:
