@@ -21,7 +21,6 @@ from .equivalence import (
     JumpMatching,
     Theorem1Verdict,
     Theorem2Verdict,
-    Theorem3Verdict,
     apply_gauge,
     check_theorem1,
     check_theorem2,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .linalg import (
 from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix
 from .sjed import block_gaps, partition
-from .trajectory import LabelledTrajectory, check_horizon, coarse_grain, states_at
+from .trajectory import LabelledTrajectory, check_horizon, states_at
 
 KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
 _KS_FALLBACK = r"ks_2samp: Exact calculation unsuccessful"
@@ -234,12 +234,12 @@ class EnsembleComparison:
 
 
 def _chi2_two_sample(x: Sequence[int], y: Sequence[int]) -> Tuple[float, float]:
-    """Two-sample chi-square on integer counts with adjacent-bin pooling."""
-    x = np.asarray(x, dtype=int)
-    y = np.asarray(y, dtype=int)
-    values = np.union1d(x, y)
-    count_x = np.array([np.count_nonzero(x == v) for v in values], dtype=float)
-    count_y = np.array([np.count_nonzero(y == v) for v in values], dtype=float)
+    """Two-sample chi-square on non-negative integer counts, adjacent bins pooled."""
+    x, y = np.asarray(x, dtype=int), np.asarray(y, dtype=int)
+    size = 1 + max(x.max(initial=0), y.max(initial=0))
+    count_x, count_y = np.bincount(x, minlength=size), np.bincount(y, minlength=size)
+    seen = (count_x + count_y) > 0  # the values that occur
+    count_x, count_y = count_x[seen].astype(float), count_y[seen].astype(float)
     bins_x: List[float] = []
     bins_y: List[float] = []
     acc_x = acc_y = 0.0
@@ -302,20 +302,36 @@ def _snap(samples: np.ndarray, resolution: float) -> np.ndarray:
     return np.round(samples / resolution)
 
 
+def _channel_counts(ensemble: Sequence[LabelledTrajectory], n_channels: int) -> np.ndarray:
+    """Each trajectory's jump count per channel, as an ``(N, n_channels)``
+    integer matrix; the first recorded channel beyond ``n_channels`` is named."""
+    rows = np.repeat(np.arange(len(ensemble)), [len(traj.events) for traj in ensemble])
+    channels = np.array([event.channel for traj in ensemble for event in traj.events], dtype=int)
+    beyond = channels[channels >= n_channels]
+    if beyond.size:
+        raise ValidationError(f"channel {beyond[0] + 1} not covered by partition")
+    counts = np.bincount(rows * n_channels + channels, minlength=len(ensemble) * n_channels)
+    return counts.reshape(len(ensemble), n_channels)
+
+
+def _block_counts(counts: np.ndarray, rep: Representation, tol: Tolerance) -> np.ndarray:
+    """Channel ``counts`` summed over each block of ``rep``'s partition."""
+    parts = partition(rep, tol)
+    return counts @ np.eye(parts.block_count, dtype=int)[parts.block_of_channel(rep.n_jumps)]
+
+
 def _label_count_tests(
-    count_tests: Dict[str, Tuple[float, float]], word: str, n_a: int, n_b: int,
-    perm: Optional[Sequence[int]], records_a: Iterable[LabelledTrajectory],
-    records_b: Iterable[LabelledTrajectory],
+    count_tests: Dict[str, Tuple[float, float]], word: str, counts_a: np.ndarray,
+    counts_b: np.ndarray, perm: Optional[Sequence[int]],
 ) -> Optional[str]:
-    """Add to ``count_tests`` one chi-square test per label, ``"{word} k"``:
-    label ``perm[k]`` of ``records_a`` against label ``k`` of ``records_b``.
-    Records with different label counts are incomparable; the mismatch is
-    returned instead."""
+    """Add to ``count_tests`` one chi-square test per label (column),
+    ``"{word} k"``: label ``perm[k]`` of ``counts_a`` against label ``k`` of
+    ``counts_b``.  Records with different label counts are incomparable; the
+    mismatch is returned instead."""
+    n_a, n_b = counts_a.shape[1], counts_b.shape[1]
     if n_a != n_b:
         return f"{word}-count vectors have different lengths ({n_a} vs {n_b}); records are incomparable"
     mapping = tuple(range(n_a)) if perm is None else require_bijection(perm, n_b, n_a, word)
-    counts_a = np.array([traj.counts(n_a) for traj in records_a])
-    counts_b = np.array([traj.counts(n_a) for traj in records_b])
     for k in range(n_a):
         count_tests[f"{word} {k + 1}"] = _chi2_two_sample(counts_a[:, mapping[k]], counts_b[:, k])
     return None
@@ -350,9 +366,12 @@ def compare_ensembles(
 
     ``t1`` tests observable distributions and total jump counts, ``t3`` adds
     per-block counts after applying ``block_perm``, ``t2`` adds per-channel
-    counts after applying ``perm``.  The verdict applies a Bonferroni
-    threshold ``alpha / n_tests``; a structural mismatch (incomparable count
-    vectors) fails the verdict outright.
+    counts after applying ``perm``.  Each ensemble's counts are read from
+    one ``(N, n_jumps)`` channel-count matrix: totals are its row sums and
+    block counts its columns summed over the partition; a recorded channel
+    the representation lacks is named at every level.  The verdict applies a
+    Bonferroni threshold ``alpha / n_tests``; a structural mismatch
+    (incomparable count vectors) fails the verdict outright.
 
     Before each KS test both sample arrays of an observable ``O`` are snapped
     to one grid of step ``tol.cutoff(||O||_2)`` (spectral norm), recorded as
@@ -393,22 +412,16 @@ def compare_ensembles(
             ks[(label, float(t))] = (statistic, p_value)
             ks_method[(label, float(t))] = method
 
-    count_tests: Dict[str, Tuple[float, float]] = {}
+    counts_a = _channel_counts(ens_a, rep_a.n_jumps)
+    counts_b = _channel_counts(ens_b, rep_b.n_jumps)
+    count_tests = {"total": _chi2_two_sample(counts_a.sum(axis=1), counts_b.sum(axis=1))}
     structural: Optional[str] = None
-    totals_a = [len(traj.events) for traj in ens_a]
-    totals_b = [len(traj.events) for traj in ens_b]
-    count_tests["total"] = _chi2_two_sample(totals_a, totals_b)
-
     if level == "t2":
-        structural = _label_count_tests(
-            count_tests, "channel", rep_a.n_jumps, rep_b.n_jumps, perm, ens_a, ens_b
-        )
+        structural = _label_count_tests(count_tests, "channel", counts_a, counts_b, perm)
     elif level == "t3":
-        parts_a, parts_b = partition(rep_a, tol), partition(rep_b, tol)
         structural = _label_count_tests(
-            count_tests, "block", parts_a.block_count, parts_b.block_count, block_perm,
-            (coarse_grain(traj, parts_a) for traj in ens_a),
-            (coarse_grain(traj, parts_b) for traj in ens_b),
+            count_tests, "block", _block_counts(counts_a, rep_a, tol),
+            _block_counts(counts_b, rep_b, tol), block_perm,
         )
 
     n_tests = len(ks) + len(count_tests)

@@ -117,17 +117,12 @@ class Theorem2Verdict:
         }
 
 
-# Coarse-grained equivalence reports the same facts as theorem 1: a block
-# pairing, the Hamiltonian shift and the failures.
-Theorem3Verdict = Theorem1Verdict
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     same_qme: bool
     theorem1: Theorem1Verdict
     theorem2: Theorem2Verdict
-    theorem3: Theorem3Verdict
+    theorem3: Theorem1Verdict
 
     @property
     def diagnostics(self) -> tuple[str, ...]:
@@ -430,9 +425,9 @@ def check_theorem3(
     rep_b: Representation,
     tol: Tolerance = DEFAULT_TOL,
     block_perm: Optional[Sequence[int]] = None,
-) -> Theorem3Verdict:
-    """Coarse-grained equivalence; with ``block_perm`` the pairing is forced,
-    otherwise it is the theorem-1 verdict."""
+) -> Theorem1Verdict:
+    """Coarse-grained equivalence, reported as a `Theorem1Verdict`; with
+    ``block_perm`` the pairing is forced, otherwise it is the theorem-1 verdict."""
     if block_perm is None:
         return check_theorem1(rep_a, rep_b, tol)
     require_same_dim(rep_a, rep_b)
@@ -446,7 +441,7 @@ def _forced_pairing(
     parts: tuple[SjedPartition, SjedPartition],
     match: Optional[np.ndarray],
     block_perm: Sequence[int],
-) -> Theorem3Verdict:
+) -> Theorem1Verdict:
     """Theorem 3 under the given block pairing, from the block matches of
     `block_gaps`."""
     parts_a, parts_b = parts
@@ -457,7 +452,7 @@ def _forced_pairing(
             diagnostics.append(
                 f"block {alpha + 1} does not match block {beta + 1} under the forced pairing"
             )
-    return Theorem3Verdict(
+    return Theorem1Verdict(
         holds=not diagnostics,
         shift=shift,
         block_perm=perm,

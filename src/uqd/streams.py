@@ -65,12 +65,15 @@ _BUMPS = np.array(
 
 def _words(values, what: str, columns: int = 1):
     """numpy's little-endian ``uint32`` words of each non-negative integer in
-    ``values`` (``[0]`` for 0) as the rows of a matrix of at least
-    ``columns`` columns, zero-padded, and each row's own word count."""
+    ``values`` (``[0]`` for 0; anything else is refused) as the rows of a
+    matrix of at least ``columns`` columns, zero-padded, and each row's own
+    word count."""
     values = np.asarray(values, dtype=object).reshape(-1)
-    if len(values) and min(values) < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {min(values)}")
-    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
+    for value in values:
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValidationError(f"{what} must be a non-negative integer, got {value}")
+    values = np.array([int(value) for value in values], dtype=object)  # numpy ints would wrap
+    width = max(1, -(-max(values, default=0).bit_length() // 32))
     words = np.zeros((len(values), max(columns, width)), dtype=np.uint32)
     counts = np.ones(len(values), dtype=np.int64)
     for j in range(width):
@@ -135,7 +138,7 @@ def _generate(words: np.ndarray, counts: np.ndarray, n_out: int) -> np.ndarray:
 def spawned_seeds(master_seed: int, indices) -> np.ndarray:
     """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(1,
     np.uint64)[0]`` for each ``i`` of ``indices``."""
-    head, _ = _words([int(master_seed)], "seed", POOL_SIZE)
+    head, _ = _words([master_seed], "seed", POOL_SIZE)
     index, counts = _words(indices, "trajectory index")
     words = np.concatenate([np.repeat(head, len(index), axis=0), index], axis=1)
     return _generate(words, counts + head.shape[1], 1)[:, 0]

@@ -36,13 +36,14 @@ Implementation notes:
   the row ends there.  A segment therefore costs at most
   ``1 + log2(t_max / step)`` passes plus its share of one solve, whatever
   ``|H_eff| * t_max`` is.
-* Replay.  `states_at` shares the table, so simulation and replay have one
-  no-jump propagator: the levels above ``step`` cover all but a remainder
-  below ``2 step``, and the solve's Taylor series covers that remainder.
+* Replay.  `states_at` shares the table and its product `_StepTable.apply`,
+  so simulation and replay have one no-jump propagator: the levels above
+  ``step`` cover all but a remainder below ``2 step``, and the solve's
+  Taylor series covers that remainder.
 * Rows never mix: every product and sum runs per row, over a real form of
   the state and operators, in a fixed order.  A row's bits therefore do not
-  depend on how many rows share the call, and ensembles equal their
-  trajectories simulated one at a time.
+  depend on which rows share the call, and ensembles equal their
+  trajectories simulated, or replayed, one at a time.
 * Randomness.  Trajectory seed ``s`` draws the uniforms of numpy's
   ``Generator(Philox(SeedSequence(s))).random()``, bit for bit, in a fixed
   order: one for the first jump time, then for each fired jump one for its
@@ -60,7 +61,7 @@ caches and no process pool.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -100,13 +101,6 @@ class LabelledTrajectory:
     post_jump_states: tuple[np.ndarray, ...]
     t_final: float
     seed: int
-
-    def counts(self, n_channels: int) -> np.ndarray:
-        """Per-channel jump counts."""
-        out = np.zeros(n_channels, dtype=int)
-        for event in self.events:
-            out[event.channel] += 1
-        return out
 
 
 def _real_form(mat: np.ndarray) -> np.ndarray:
@@ -250,8 +244,8 @@ class _StepTable:
 
     def advance(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Row ``n`` of the result is the no-jump state ``x[n]`` after
-        ``tau[n]`` in ``[0, t_max]``: each level ``k < top`` takes, in one
-        product, the rows with at least ``w_k`` left (an exact subtraction),
+        ``tau[n]`` in ``[0, t_max]``: each level ``k < top`` takes, through
+        `apply`, the rows with at least ``w_k`` left (an exact subtraction),
         and the Taylor series covers the rest: below ``2 step``, it errs by
         at most ``0.02**9 / 9! ~ 1e-21``."""
         x = x.copy()
@@ -259,7 +253,7 @@ class _StepTable:
         for k in range(self.top):
             rows = np.flatnonzero(rest >= self.widths[k])
             if rows.size:
-                x[rows] = x[rows] @ self.mats[k].T
+                x[rows] = self.apply(k, x[rows])
                 rest[rows] -= self.widths[k]
         return self._taylor(x.T, rest)
 
@@ -394,14 +388,14 @@ def simulate(
     """One labelled trajectory, bitwise reproducible from the non-negative
     integer ``seed``: it draws the uniforms of
     ``np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))``."""
-    return _simulate_rows(rep, psi0, t_max, [int(seed)], tol)[0]
+    return _simulate_rows(rep, psi0, t_max, [seed], tol)[0]
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
     """Independent 64-bit seed of trajectory ``index`` of an ensemble:
     ``SeedSequence(master_seed, spawn_key=(index,)).generate_state(1,
     np.uint64)[0]``, the value numpy gives, for non-negative integers."""
-    return int(spawned_seeds(int(master_seed), [int(index)])[0])
+    return int(spawned_seeds(master_seed, [index])[0])
 
 
 def simulate_ensemble(
@@ -422,7 +416,7 @@ def simulate_ensemble(
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
-    seeds = spawned_seeds(int(seed), np.arange(n_traj)).tolist()
+    seeds = spawned_seeds(seed, np.arange(n_traj)).tolist()
     return _simulate_rows(rep, psi0, t_max, seeds, tol)
 
 
@@ -473,10 +467,4 @@ def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> LabelledTraje
         if event.channel >= n_channels:
             raise ValidationError(f"channel {event.channel + 1} not covered by partition")
         events.append(JumpEvent(time=event.time, channel=int(lookup[event.channel])))
-    return LabelledTrajectory(
-        initial_state=traj.initial_state,
-        events=tuple(events),
-        post_jump_states=traj.post_jump_states,
-        t_final=traj.t_final,
-        seed=traj.seed,
-    )
+    return replace(traj, events=tuple(events))

@@ -605,6 +605,27 @@ class TestPreconditionCost:
         assert tuple(calls.values()) == counts
 
 
+class TestCountPath:
+    def test_compare_t3_does_not_coarse_grain(self, capsys, monkeypatch, rep_files):
+        # block counts are column sums of the channel-count matrix, not a
+        # relabelled copy of every record
+        from uqd import trajectory
+
+        rep_a, rep_a_min = rep_files
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        original = trajectory.coarse_grain
+        replace_everywhere(monkeypatch, original, counted)
+        code, _ = run(capsys, "compare-ensembles", "--rep-a", rep_a_min, "--rep-b", rep_a, "--level",
+                      "t3", "--ntraj", "20", "--tmax", "0.5", "--psi0", "1")
+        assert code in (0, 1)
+        assert not calls
+
+
 class TestTracedNames:
     def test_every_traced_function_resolves(self):
         # perfbench/tracer.py wraps these by name; a missing one would break

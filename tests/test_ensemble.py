@@ -9,14 +9,17 @@ from uqd.ensemble import (
     mean_state_check,
     rate_field_scan,
     rate_curves,
+    _block_counts,
+    _channel_counts,
     _chi2_two_sample,
     _snap,
 )
 from uqd.equivalence import check_theorem1, same_liouvillian
 from uqd.errors import ValidationError
-from uqd.linalg import Tolerance
+from uqd.linalg import DEFAULT_TOL, Tolerance
 from uqd.representation import Representation
-from uqd.trajectory import simulate_ensemble
+from uqd.sjed import partition
+from uqd.trajectory import coarse_grain, simulate_ensemble
 from conftest import ket
 from helpers import random_block_isometry, random_minimal_representation
 
@@ -140,6 +143,37 @@ class TestChiSquare:
         y = rng.poisson(3.0, 500)
         _, p = _chi2_two_sample(x, y)
         assert p > 0.01
+
+
+class TestCountMatrix:
+    def test_counts_match_coarse_grained_records(self, qutrit_a):
+        # coarse_grain relabels each record; the count matrix must give the
+        # same per-channel and per-block integers
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 3.0, 60, seed=34)
+        parts = partition(qutrit_a)
+        channels = _channel_counts(ensemble, qutrit_a.n_jumps)
+        blocks = _block_counts(channels, qutrit_a, DEFAULT_TOL)
+        assert channels.shape == (60, 5) and blocks.shape == (60, 2)
+        assert blocks[:, 1].any()
+        for traj, fine, coarse in zip(ensemble, channels, blocks):
+            assert fine.tolist() == np.bincount(
+                [event.channel for event in traj.events], minlength=5).tolist()
+            assert coarse.tolist() == np.bincount(
+                [event.channel for event in coarse_grain(traj, parts).events], minlength=2).tolist()
+
+    @pytest.mark.parametrize(
+        "level, extra",
+        [("t1", {}), ("t2", {"perm": (0, 1, 2)}), ("t3", {"block_perm": (0, 1)})],
+        ids=["t1", "t2", "t3"],
+    )
+    def test_out_of_range_channel_named_at_every_level(self, qutrit_a, qutrit_a_min, level, extra):
+        # a five-channel ensemble under a three-jump representation
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 30, seed=7)
+        first = next(e.channel for traj in ensemble for e in traj.events if e.channel >= 3)
+        with pytest.raises(ValidationError, match=f"^channel {first + 1} not covered by partition$"):
+            compare_ensembles(
+                ensemble, ensemble, qutrit_a_min, qutrit_a_min, BASIS_OBS, [1.0], level=level, **extra
+            )
 
 
 @pytest.fixture(scope="module")

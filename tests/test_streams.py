@@ -67,6 +67,21 @@ class TestSeedHash:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             call()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: philox_keys([3, 1.5]), "seed must be a non-negative integer, got 1.5"),
+            (lambda: spawned_seeds(np.float64(4.0), [0]), "seed must be a non-negative integer, got 4.0"),
+            (lambda: spawned_seeds(0, np.array([0.0, 1.0])),
+             "trajectory index must be a non-negative integer, got 0.0"),
+            (lambda: philox_keys(["7"]), "seed must be a non-negative integer, got 7"),
+        ],
+        ids=["seed", "master", "index", "string"],
+    )
+    def test_non_integers_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
 
 class TestPhilox:
     @settings(max_examples=50, deadline=None)

@@ -246,6 +246,18 @@ class TestStateAt:
         with pytest.raises(ValidationError, match="initial state has length 3, expected 2"):
             state_at(traj, qubit, 0.5)
 
+    def test_replayed_rows_independent_of_batch(self):
+        # at dim 8 a BLAS product over the shared rows gave most rows
+        # different low bits depending on which rows shared the call
+        rep = random_minimal_representation(
+            np.random.default_rng(5), 8, n_reset=2, n_nonreset=1, max_rank=2
+        )
+        times = [0.7, 1.9, 3.3, 4.0]
+        ensemble = simulate_ensemble(rep, ket(8, 0), 4.0, 400, seed=5)
+        batch = states_at(ensemble, rep, times)
+        for n, traj in enumerate(ensemble):
+            assert np.array_equal(batch[:, n], states_at([traj], rep, times)[:, 0]), n
+
 
 class TestCoarseGrain:
     def test_channels_map_to_blocks(self, qutrit_a):
@@ -255,13 +267,6 @@ class TestCoarseGrain:
         lookup = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
         assert [e.channel for e in coarse.events] == [lookup[e.channel] for e in traj.events]
         assert any(e.channel == 1 for e in coarse.events)
-
-    def test_counts_aggregate(self, qutrit_a):
-        parts = partition(qutrit_a)
-        traj = simulate(qutrit_a, ket(3, 1), 3.0, seed=34)
-        fine = traj.counts(5)
-        coarse = coarse_grain(traj, parts).counts(2)
-        assert coarse[0] == fine[:3].sum() and coarse[1] == fine[3:].sum()
 
     def test_empty_event_list(self):
         rep = single_decay()
@@ -309,6 +314,33 @@ class TestGuards:
     def test_negative_seed_named(self, qutrit_a, call):
         with pytest.raises(ValidationError, match="^seed must be a non-negative integer, got -1$"):
             call(qutrit_a)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda rep: simulate(rep, ket(3, 1), 1.0, seed=2.9), "seed must be a non-negative integer, got 2.9"),
+            (lambda rep: simulate(rep, ket(3, 1), 1.0, seed=np.float64(2.0)),
+             "seed must be a non-negative integer, got 2.0"),
+            (lambda rep: simulate_ensemble(rep, ket(3, 1), 1.0, 3, seed=5.5),
+             "seed must be a non-negative integer, got 5.5"),
+            (lambda rep: trajectory_seed(5.5, 1), "seed must be a non-negative integer, got 5.5"),
+            (lambda rep: trajectory_seed(5, 1.7), "trajectory index must be a non-negative integer, got 1.7"),
+        ],
+        ids=["simulate", "simulate-numpy-float", "simulate_ensemble", "trajectory_seed-master",
+             "trajectory_seed-index"],
+    )
+    def test_non_integer_seed_named(self, qutrit_a, call, message):
+        # a truncated seed would silently give another seed's trajectory
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call(qutrit_a)
+
+    def test_numpy_integer_seeds_accepted(self, qutrit_a):
+        traj = simulate(qutrit_a, ket(3, 1), 2.0, seed=np.int64(2))
+        assert type(traj.seed) is int and traj.seed == 2
+        assert traj.events == simulate(qutrit_a, ket(3, 1), 2.0, seed=2).events
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 3, seed=np.uint32(5))
+        assert [traj.seed for traj in ensemble] == [trajectory_seed(5, i) for i in range(3)]
+        assert trajectory_seed(np.int64(5), np.int32(1)) == trajectory_seed(5, 1)
 
     def test_norm_growth_detected(self):
         grower = np.diag([0.5j, -0.5j])
