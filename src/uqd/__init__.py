@@ -70,7 +70,6 @@ from .sjed import (
     partition,
 )
 from .trajectory import (
-    JumpEvent,
     LabelledTrajectory,
     coarse_grain,
     simulate,

@@ -349,7 +349,8 @@ def _cmd_simulate(args) -> int:
                 "seed": traj.seed,
                 "t_final": traj.t_final,
                 "initial_state": vector_to_json(traj.initial_state),
-                "events": [{"time": e.time, "channel": e.channel + 1} for e in traj.events],
+                "events": [{"time": time, "channel": channel + 1} for time, channel
+                           in zip(traj.times.tolist(), traj.channels.tolist())],
                 "post_jump_states": vectors_to_json(traj.post_jump_states, rep.dim),
             }
             fh.write(json.dumps(record) + "\n")

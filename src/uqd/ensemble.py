@@ -45,7 +45,7 @@ from .linalg import (
 from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix
 from .sjed import block_gaps, partition
-from .trajectory import LabelledTrajectory, check_horizon, states_at
+from .trajectory import LabelledTrajectory, check_channels, check_horizon, states_at
 
 KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
 _KS_FALLBACK = r"ks_2samp: Exact calculation unsuccessful"
@@ -304,12 +304,10 @@ def _snap(samples: np.ndarray, resolution: float) -> np.ndarray:
 
 def _channel_counts(ensemble: Sequence[LabelledTrajectory], n_channels: int) -> np.ndarray:
     """Each trajectory's jump count per channel, as an ``(N, n_channels)``
-    integer matrix; the first recorded channel beyond ``n_channels`` is named."""
-    rows = np.repeat(np.arange(len(ensemble)), [len(traj.events) for traj in ensemble])
-    channels = np.array([event.channel for traj in ensemble for event in traj.events], dtype=int)
-    beyond = channels[channels >= n_channels]
-    if beyond.size:
-        raise ValidationError(f"channel {beyond[0] + 1} not covered by partition")
+    integer matrix; the first recorded channel outside them is named."""
+    rows = np.repeat(np.arange(len(ensemble)), [traj.channels.size for traj in ensemble])
+    channels = np.concatenate([np.empty(0, dtype=int)] + [traj.channels for traj in ensemble])
+    check_channels(channels, n_channels)
     counts = np.bincount(rows * n_channels + channels, minlength=len(ensemble) * n_channels)
     return counts.reshape(len(ensemble), n_channels)
 

@@ -39,11 +39,13 @@ Implementation notes:
 * Replay.  `states_at` shares the table and its product `_StepTable.apply`,
   so simulation and replay have one no-jump propagator: the levels above
   ``step`` cover all but a remainder below ``2 step``, and the solve's
-  Taylor series covers that remainder.
+  Taylor series covers that remainder.  One count over the concatenated
+  event times finds every row's latest event at a sample time.
 * Rows never mix: every product and sum runs per row, over a real form of
   the state and operators, in a fixed order.  A row's bits therefore do not
   depend on which rows share the call, and ensembles equal their
-  trajectories simulated, or replayed, one at a time.
+  trajectories simulated, or replayed, one at a time.  The rounds' fired
+  rows are split into records by one stable sort by row at the end.
 * Randomness.  Trajectory seed ``s`` draws the uniforms of numpy's
   ``Generator(Philox(SeedSequence(s))).random()``, bit for bit, in a fixed
   order: one for the first jump time, then for each fired jump one for its
@@ -60,7 +62,6 @@ caches and no process pool.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import List, Sequence
 
@@ -83,24 +84,28 @@ NORM_RESIDUAL_TOL = 1e-9
 RATE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    channel: int
-
-
 @dataclass(eq=False)
 class LabelledTrajectory:
-    """Conditional-state path summary plus the full measurement record.
+    """Conditional-state path summary plus the full measurement record, as
+    arrays over its ``n`` events in time order: jump ``times`` ``(n,)``,
+    ``channels`` ``(n,)`` and ``post_jump_states`` ``(n, dim)``.
 
-    Each event's ``channel`` is a jump index, or a block index once
-    `coarse_grain` has relabelled the record."""
+    A channel is a jump index, or a block index once `coarse_grain` has
+    relabelled the record."""
 
     initial_state: np.ndarray
-    events: tuple[JumpEvent, ...]
-    post_jump_states: tuple[np.ndarray, ...]
+    times: np.ndarray
+    channels: np.ndarray
+    post_jump_states: np.ndarray
     t_final: float
     seed: int
+
+
+def check_channels(channels: np.ndarray, n_channels: int) -> None:
+    """Name the first recorded channel outside ``0 .. n_channels - 1``."""
+    outside = channels[(channels < 0) | (channels >= n_channels)]
+    if outside.size:
+        raise ValidationError(f"channel {outside[0] + 1} not covered by partition")
 
 
 def _real_form(mat: np.ndarray) -> np.ndarray:
@@ -324,8 +329,8 @@ def _simulate_rows(
         return np.count_nonzero(t[:, None] + widths >= t_max, axis=1) - 1
 
     n = len(seeds)
-    events: List[List[JumpEvent]] = [[] for _ in range(n)]
-    posts: List[List[np.ndarray]] = [[] for _ in range(n)]
+    # (row, time, channel, post-jump state) of each round's fired rows
+    fired = [(np.empty(0, int), np.empty(0), np.empty(0, int), np.empty((0, rep.dim), complex))]
 
     # Live rows: ``x`` is the state at time ``t``, with squared norm above
     # ``u``.  Each round starts every row on a segment at level ``start``,
@@ -359,23 +364,16 @@ def _simulate_rows(
             draws = streams.take(row[hit], 2)  # the channel's, then the next u
             channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws[:, 0], t[hit])
             x[hit] = post
-            for r, when, k, state in zip(
-                row[hit].tolist(), t[hit].tolist(), channel.tolist(), post.view(complex)
-            ):
-                events[r].append(JumpEvent(time=when, channel=k))
-                posts[r].append(state)
+            fired.append((row[hit], t[hit], channel, post.view(complex)))
             u[hit] = draws[:, 1]
         row, t, x, u = drop_finished(row, t, x, u)
-    return [
-        LabelledTrajectory(
-            initial_state=psi0,
-            events=tuple(events[i]),
-            post_jump_states=tuple(posts[i]),
-            t_final=float(t_max),
-            seed=int(seeds[i]),
-        )
-        for i in range(n)
-    ]
+    # rounds run in time order, so a stable sort by row keeps events in order
+    rows, *record = (np.concatenate(parts) for parts in zip(*fired))
+    order = np.argsort(rows, kind="stable")
+    ends = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    split = (np.split(field[order], ends) for field in record)
+    return [LabelledTrajectory(psi0, times, channels, posts, float(t_max), int(seed))
+            for times, channels, posts, seed in zip(*split, seeds)]
 
 
 def simulate(
@@ -428,26 +426,33 @@ def states_at(
     table for the ensemble's longest horizon.
 
     At an event time a row holds the recorded post-jump state (the right
-    limit); between events it is propagated from the latest event and
-    renormalized.
+    limit); between events it is propagated from the latest event at or
+    before the time and renormalized.  A time outside a trajectory's
+    ``[0, t_final]`` names the first such trajectory's horizon.
     """
     for traj in ensemble:
         _require_state_length(traj.initial_state, rep)
-    event_times = [[event.time for event in traj.events] for traj in ensemble]
-    out = np.empty((len(times), len(ensemble), rep.dim), dtype=complex)
-    tau = np.empty((len(times), len(ensemble)))
+    n, dim = len(ensemble), rep.dim
+    horizons = np.array([traj.t_final for traj in ensemble], dtype=float)
+    initial = np.array([traj.initial_state for traj in ensemble], dtype=complex).reshape(n, dim)
+    sizes = np.array([traj.times.size for traj in ensemble], dtype=int)
+    owner, firsts = np.repeat(np.arange(n), sizes), np.cumsum(sizes) - sizes
+    stamps = np.concatenate([np.empty(0)] + [traj.times for traj in ensemble])
+    posts = np.concatenate(
+        [np.empty((0, dim), complex)] + [traj.post_jump_states for traj in ensemble])
+    out = np.empty((len(times), n, dim), dtype=complex)
+    tau = np.empty((len(times), n))
     for k, t in enumerate(times):
-        for n, (traj, stamps) in enumerate(zip(ensemble, event_times)):
-            if not 0 <= t <= traj.t_final:
-                raise ValidationError(f"time {t} outside [0, {traj.t_final}]")
-            idx = bisect_right(stamps, t) - 1
-            if idx < 0:
-                tau[k, n], out[k, n] = t, traj.initial_state
-            else:
-                tau[k, n], out[k, n] = t - stamps[idx], traj.post_jump_states[idx]
+        outside = ~((0 <= t) & (t <= horizons))
+        if outside.any():
+            raise ValidationError(f"time {t} outside [0, {ensemble[np.argmax(outside)].t_final}]")
+        count = np.bincount(owner[stamps <= t], minlength=n)
+        last, jumped = firsts + count - 1, count > 0
+        tau[k], out[k] = t, initial
+        tau[k, jumped], out[k, jumped] = t - stamps[last[jumped]], posts[last[jumped]]
     moving = tau != 0.0
     if moving.any():
-        table = _StepTable(effective_hamiltonian(rep), max(traj.t_final for traj in ensemble))
+        table = _StepTable(effective_hamiltonian(rep), horizons.max())
         drifted = table.advance(out[moving].view(float), tau[moving])
         out.view(float)[moving] = drifted / np.linalg.norm(drifted, axis=1, keepdims=True)
     return out
@@ -459,12 +464,8 @@ def state_at(traj, rep: Representation, t: float) -> np.ndarray:
 
 
 def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> LabelledTrajectory:
-    """Relabel each event by the block containing its channel."""
+    """The record with each channel replaced by its block; a channel outside
+    the partition, negative or too large, is named."""
     n_channels = sum(len(block.indices) for block in part.blocks)
-    lookup = part.block_of_channel(n_channels)
-    events = []
-    for event in traj.events:
-        if event.channel >= n_channels:
-            raise ValidationError(f"channel {event.channel + 1} not covered by partition")
-        events.append(JumpEvent(time=event.time, channel=int(lookup[event.channel])))
-    return replace(traj, events=tuple(events))
+    check_channels(traj.channels, n_channels)
+    return replace(traj, channels=part.block_of_channel(n_channels)[traj.channels])

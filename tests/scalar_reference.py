@@ -26,7 +26,6 @@ from uqd.trajectory import (
     NORM_RESIDUAL_TOL,
     RATE_FLOOR,
     STEP_SCALE,
-    JumpEvent,
     LabelledTrajectory,
     _check_contractive,
 )
@@ -98,7 +97,8 @@ def reference_simulate(
     jump_stack = np.stack(rep.jumps)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
-    events = []
+    times = []
+    channels = []
     posts = []
     t = 0.0
     phi = psi0.copy()
@@ -127,15 +127,17 @@ def reference_simulate(
         channel = int(np.searchsorted(np.cumsum(rates) / total, x, side="right"))
         channel = min(channel, len(rates) - 1)
         post = amps[channel] / np.linalg.norm(amps[channel])
-        events.append(JumpEvent(time=t_star, channel=channel))
+        times.append(t_star)
+        channels.append(channel)
         posts.append(post)
         phi = post
         t = t_star
         u = rng.random()
     return LabelledTrajectory(
         initial_state=psi0,
-        events=tuple(events),
-        post_jump_states=tuple(posts),
+        times=np.array(times, dtype=float),
+        channels=np.array(channels, dtype=int),
+        post_jump_states=np.array(posts, dtype=complex).reshape(len(posts), rep.dim),
         t_final=float(t_max),
         seed=int(seed),
     )

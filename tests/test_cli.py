@@ -280,6 +280,22 @@ class TestSimulate:
         for line in lines:
             validate_schema(json.loads(line), "trajectory_record")
 
+    def test_dark_initial_state_writes_empty_records(self, capsys, tmp_path):
+        # single decay from |0> never jumps: every record's arrays are empty
+        decay = Representation(hamiltonian=None, jumps=[np.eye(2, k=1, dtype=complex)])
+        out_dir = tmp_path / "runs"
+        code, _ = run(
+            capsys, "simulate", write_rep(tmp_path, decay, "decay.json"), "--psi0", "0",
+            "--tmax", "1.0", "--ntraj", "3", "--seed", "7", "--out", str(out_dir),
+        )
+        assert code == 0
+        lines = (out_dir / "trajectories.jsonl").read_text().strip().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            record = json.loads(line)
+            validate_schema(record, "trajectory_record")
+            assert record["events"] == [] and record["post_jump_states"] == []
+
     def test_byte_identical_reruns(self, capsys, tmp_path, rep_files):
         rep_a, _ = rep_files
         first = tmp_path / "one"

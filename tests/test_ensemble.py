@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,9 @@ class TestCountMatrix:
         assert channels.shape == (60, 5) and blocks.shape == (60, 2)
         assert blocks[:, 1].any()
         for traj, fine, coarse in zip(ensemble, channels, blocks):
-            assert fine.tolist() == np.bincount(
-                [event.channel for event in traj.events], minlength=5).tolist()
+            assert fine.tolist() == np.bincount(traj.channels, minlength=5).tolist()
             assert coarse.tolist() == np.bincount(
-                [event.channel for event in coarse_grain(traj, parts).events], minlength=2).tolist()
+                coarse_grain(traj, parts).channels, minlength=2).tolist()
 
     @pytest.mark.parametrize(
         "level, extra",
@@ -169,10 +170,18 @@ class TestCountMatrix:
     def test_out_of_range_channel_named_at_every_level(self, qutrit_a, qutrit_a_min, level, extra):
         # a five-channel ensemble under a three-jump representation
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 30, seed=7)
-        first = next(e.channel for traj in ensemble for e in traj.events if e.channel >= 3)
+        first = next(k for traj in ensemble for k in traj.channels if k >= 3)
         with pytest.raises(ValidationError, match=f"^channel {first + 1} not covered by partition$"):
             compare_ensembles(
                 ensemble, ensemble, qutrit_a_min, qutrit_a_min, BASIS_OBS, [1.0], level=level, **extra
+            )
+        # a -1 after the first row was counted as the row before's last channel
+        clipped = [replace(traj, channels=np.minimum(traj.channels, 2)) for traj in ensemble]
+        row = next(n for n, traj in enumerate(clipped) if n > 0 and traj.channels.size)
+        clipped[row] = replace(clipped[row], channels=np.r_[-1, clipped[row].channels[1:]])
+        with pytest.raises(ValidationError, match="^channel 0 not covered by partition$"):
+            compare_ensembles(
+                clipped, clipped, qutrit_a_min, qutrit_a_min, BASIS_OBS, [1.0], level=level, **extra
             )
 
 
