@@ -70,7 +70,7 @@ from .sjed import (
     partition,
 )
 from .trajectory import (
-    LabelledTrajectory,
+    TrajectoryEnsemble,
     coarse_grain,
     simulate,
     simulate_ensemble,

@@ -27,7 +27,6 @@ from .representation import (
     matrix_to_json,
     vector_from_json,
     vector_to_json,
-    vectors_to_json,
 )
 
 log = logging.getLogger("uqd")
@@ -342,16 +341,18 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "trajectories.jsonl"
+    offsets, initial = ensemble.offsets.tolist(), vector_to_json(ensemble.initial_state)
+    times, channels = ensemble.times.tolist(), (ensemble.channels + 1).tolist()
     with records_path.open("w", encoding="utf-8") as fh:
-        for i, traj in enumerate(ensemble):
+        for i, (seed, lo, hi) in enumerate(zip(ensemble.seeds.tolist(), offsets, offsets[1:])):
             record = {
                 "traj": i,
-                "seed": traj.seed,
-                "t_final": traj.t_final,
-                "initial_state": vector_to_json(traj.initial_state),
-                "events": [{"time": time, "channel": channel + 1} for time, channel
-                           in zip(traj.times.tolist(), traj.channels.tolist())],
-                "post_jump_states": vectors_to_json(traj.post_jump_states, rep.dim),
+                "seed": seed,
+                "t_final": ensemble.t_final,
+                "initial_state": initial,
+                "events": [{"time": time, "channel": channel} for time, channel
+                           in zip(times[lo:hi], channels[lo:hi])],
+                "post_jump_states": matrix_to_json(ensemble.post_jump_states[lo:hi]),
             }
             fh.write(json.dumps(record) + "\n")
     manifest = {

@@ -43,9 +43,9 @@ from .linalg import (
     vec,
 )
 from .models import qutrit_a, qutrit_a_minimal
-from .representation import Representation, jump_rates, liouvillian_matrix
+from .representation import Representation, jump_rates, liouvillian_matrix, vector_to_json
 from .sjed import block_gaps, partition
-from .trajectory import LabelledTrajectory, check_channels, check_horizon, states_at
+from .trajectory import TrajectoryEnsemble, check_channels, check_horizon, states_at
 
 KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
 _KS_FALLBACK = r"ks_2samp: Exact calculation unsuccessful"
@@ -61,8 +61,6 @@ class RateFieldReport:
     notes: tuple[str, ...] = ()
 
     def to_document(self) -> dict:
-        from .representation import vector_to_json
-
         block_dev = self.max_block_action_dev
         return {
             "n_states": self.n_states,
@@ -173,20 +171,17 @@ class MeanStateReport:
 
 
 def mean_state_check(
-    ensemble: Sequence[LabelledTrajectory],
+    ensemble: TrajectoryEnsemble,
     rep: Representation,
     times: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
 ) -> MeanStateReport:
-    """Max entrywise gap between the Monte Carlo mean state and the
-    deterministic averaged state, with the ``4 / sqrt(N)`` acceptance scale."""
+    """Max entrywise gap between the Monte Carlo mean state of the
+    ``N``-row ``ensemble`` and the deterministic averaged state from its
+    initial state, with the ``4 / sqrt(N)`` acceptance scale."""
     if not ensemble:
         raise ValidationError("empty ensemble")
-    psi0 = ensemble[0].initial_state
-    for traj in ensemble:
-        if np.linalg.norm(traj.initial_state - psi0) > 1e-12:
-            raise ValidationError("ensemble mixes different initial states")
-    rho0 = density(psi0)
+    rho0 = density(ensemble.initial_state)
     generator = liouvillian_matrix(rep, tol)
     deviations = []
     for t, states in zip(times, states_at(ensemble, rep, times)):
@@ -302,13 +297,12 @@ def _snap(samples: np.ndarray, resolution: float) -> np.ndarray:
     return np.round(samples / resolution)
 
 
-def _channel_counts(ensemble: Sequence[LabelledTrajectory], n_channels: int) -> np.ndarray:
+def _channel_counts(ensemble: TrajectoryEnsemble, n_channels: int) -> np.ndarray:
     """Each trajectory's jump count per channel, as an ``(N, n_channels)``
     integer matrix; the first recorded channel outside them is named."""
-    rows = np.repeat(np.arange(len(ensemble)), [traj.channels.size for traj in ensemble])
-    channels = np.concatenate([np.empty(0, dtype=int)] + [traj.channels for traj in ensemble])
-    check_channels(channels, n_channels)
-    counts = np.bincount(rows * n_channels + channels, minlength=len(ensemble) * n_channels)
+    check_channels(ensemble.channels, n_channels)
+    counts = np.bincount(ensemble.owners() * n_channels + ensemble.channels,
+                         minlength=len(ensemble) * n_channels)
     return counts.reshape(len(ensemble), n_channels)
 
 
@@ -348,8 +342,8 @@ def check_comparison(alpha: float, times: Sequence[float], t_final: float) -> No
 
 
 def compare_ensembles(
-    ens_a: Sequence[LabelledTrajectory],
-    ens_b: Sequence[LabelledTrajectory],
+    ens_a: TrajectoryEnsemble,
+    ens_b: TrajectoryEnsemble,
     rep_a: Representation,
     rep_b: Representation,
     observables: Dict[str, np.ndarray],
@@ -360,7 +354,8 @@ def compare_ensembles(
     alpha: float = 0.01,
     tol: Tolerance = DEFAULT_TOL,
 ) -> EnsembleComparison:
-    """Two-sample comparison of trajectory ensembles at a theorem level.
+    """Two-sample comparison at a theorem level of two non-empty trajectory
+    ensembles whose horizons agree to 1e-12.
 
     ``t1`` tests observable distributions and total jump counts, ``t3`` adds
     per-block counts after applying ``block_perm``, ``t2`` adds per-channel
@@ -385,9 +380,9 @@ def compare_ensembles(
         raise ValidationError(f"unknown comparison level {level!r}")
     if not ens_a or not ens_b:
         raise ValidationError("both ensembles must be non-empty")
-    if abs(ens_a[0].t_final - ens_b[0].t_final) > 1e-12:
+    if abs(ens_a.t_final - ens_b.t_final) > 1e-12:
         raise ValidationError("ensembles have mismatched horizons")
-    check_comparison(alpha, times, ens_a[0].t_final)
+    check_comparison(alpha, times, ens_a.t_final)
     require_same_dim(rep_a, rep_b)
     for label, op in observables.items():
         if np.shape(op) != (rep_a.dim,) * 2:

@@ -192,12 +192,6 @@ def vector_to_json(v: np.ndarray) -> list[list[float]]:
     return np.asarray(v, dtype=complex).reshape(-1, 1).view(float).tolist()
 
 
-def vectors_to_json(vectors: Sequence[np.ndarray], dim: int) -> list[list[list[float]]]:
-    """``[vector_to_json(v) for v in vectors]`` in one conversion."""
-    stacked = np.array(vectors, dtype=complex).reshape(len(vectors), dim)
-    return stacked.view(float).reshape(len(vectors), dim, 2).tolist()
-
-
 def _pair_from_json(obj, where: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))

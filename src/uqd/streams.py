@@ -63,16 +63,21 @@ _BUMPS = np.array(
 )[:, :, None]
 
 
-def _words(values, what: str, columns: int = 1):
-    """numpy's little-endian ``uint32`` words of each non-negative integer in
-    ``values`` (``[0]`` for 0; anything else is refused) as the rows of a
-    matrix of at least ``columns`` columns, zero-padded, and each row's own
-    word count."""
+def naturals(values, what: str) -> np.ndarray:
+    """``values`` as a flat object array of Python ints, exact at any size;
+    anything but a non-negative integer is refused as ``what``."""
     values = np.asarray(values, dtype=object).reshape(-1)
     for value in values:
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise ValidationError(f"{what} must be a non-negative integer, got {value}")
-    values = np.array([int(value) for value in values], dtype=object)  # numpy ints would wrap
+    return np.array([int(value) for value in values], dtype=object)  # numpy ints would wrap
+
+
+def _words(values, what: str, columns: int = 1):
+    """numpy's little-endian ``uint32`` words of each of `naturals`
+    ``values`` (``[0]`` for 0) as the rows of a matrix of at least
+    ``columns`` columns, zero-padded, and each row's own word count."""
+    values = naturals(values, what)
     width = max(1, -(-max(values, default=0).bit_length() // 32))
     words = np.zeros((len(values), max(columns, width)), dtype=np.uint32)
     counts = np.ones(len(values), dtype=np.int64)

@@ -39,13 +39,13 @@ Implementation notes:
 * Replay.  `states_at` shares the table and its product `_StepTable.apply`,
   so simulation and replay have one no-jump propagator: the levels above
   ``step`` cover all but a remainder below ``2 step``, and the solve's
-  Taylor series covers that remainder.  One count over the concatenated
-  event times finds every row's latest event at a sample time.
+  Taylor series covers that remainder.  One count over the ensemble's event
+  times finds every row's latest event at a sample time.
 * Rows never mix: every product and sum runs per row, over a real form of
   the state and operators, in a fixed order.  A row's bits therefore do not
   depend on which rows share the call, and ensembles equal their
-  trajectories simulated, or replayed, one at a time.  The rounds' fired
-  rows are split into records by one stable sort by row at the end.
+  trajectories simulated, or replayed, one at a time.  One stable sort by
+  row lays the rounds' fired events out row by row in one `TrajectoryEnsemble`.
 * Randomness.  Trajectory seed ``s`` draws the uniforms of numpy's
   ``Generator(Philox(SeedSequence(s))).random()``, bit for bit, in a fixed
   order: one for the first jump time, then for each fired jump one for its
@@ -62,8 +62,9 @@ caches and no process pool.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from .errors import NumericalError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerance, dagger, normalize
 from .representation import Representation, effective_hamiltonian, require_valid
 from .sjed import SjedPartition
-from .streams import Streams, spawned_seeds
+from .streams import Streams, naturals, spawned_seeds
 
 STEP_SCALE = 0.01
 TIME_LEVELS = 34  # the solve resolves step * 2**-34 ~ 1e-10 relative time
@@ -85,20 +86,35 @@ RATE_FLOOR = 1e-14
 
 
 @dataclass(eq=False)
-class LabelledTrajectory:
-    """Conditional-state path summary plus the full measurement record, as
-    arrays over its ``n`` events in time order: jump ``times`` ``(n,)``,
-    ``channels`` ``(n,)`` and ``post_jump_states`` ``(n, dim)``.
-
-    A channel is a jump index, or a block index once `coarse_grain` has
-    relabelled the record."""
+class TrajectoryEnsemble:
+    """Labelled trajectories from one ``initial_state`` up to ``t_final``, as
+    arrays over every event: jump ``times``, ``channels`` (jump indices, or
+    blocks after `coarse_grain`) and ``post_jump_states`` ``(events, dim)``.
+    Row ``i``, of exact seed ``seeds[i]``, holds events ``offsets[i]`` up to
+    ``offsets[i + 1]`` in time order.  ``ens[i]``, like each item of an
+    iteration, is one row as a one-row ensemble."""
 
     initial_state: np.ndarray
+    t_final: float
+    seeds: np.ndarray
+    offsets: np.ndarray
     times: np.ndarray
     channels: np.ndarray
     post_jump_states: np.ndarray
-    t_final: float
-    seed: int
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, i: int) -> TrajectoryEnsemble:
+        i = range(len(self))[operator.index(i)]  # IndexError ends iteration
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return replace(self, seeds=self.seeds[i : i + 1], offsets=self.offsets[i : i + 2] - lo,
+                       times=self.times[lo:hi], channels=self.channels[lo:hi],
+                       post_jump_states=self.post_jump_states[lo:hi])
+
+    def owners(self) -> np.ndarray:
+        """The row of each event."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
 
 def check_channels(channels: np.ndarray, n_channels: int) -> None:
@@ -307,9 +323,9 @@ def _simulate_rows(
     rep: Representation,
     psi0: np.ndarray,
     t_max: float,
-    seeds: Sequence[int],
+    seeds: np.ndarray,
     tol: Tolerance,
-) -> List[LabelledTrajectory]:
+) -> TrajectoryEnsemble:
     """One labelled trajectory per seed, all advanced together."""
     require_valid(rep, tol)
     check_horizon(t_max)
@@ -370,10 +386,8 @@ def _simulate_rows(
     # rounds run in time order, so a stable sort by row keeps events in order
     rows, *record = (np.concatenate(parts) for parts in zip(*fired))
     order = np.argsort(rows, kind="stable")
-    ends = np.cumsum(np.bincount(rows, minlength=n))[:-1]
-    split = (np.split(field[order], ends) for field in record)
-    return [LabelledTrajectory(psi0, times, channels, posts, float(t_max), int(seed))
-            for times, channels, posts, seed in zip(*split, seeds)]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return TrajectoryEnsemble(psi0, float(t_max), seeds, offsets, *(field[order] for field in record))
 
 
 def simulate(
@@ -382,11 +396,11 @@ def simulate(
     t_max: float,
     seed: int,
     tol: Tolerance = DEFAULT_TOL,
-) -> LabelledTrajectory:
-    """One labelled trajectory, bitwise reproducible from the non-negative
-    integer ``seed``: it draws the uniforms of
-    ``np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))``."""
-    return _simulate_rows(rep, psi0, t_max, [seed], tol)[0]
+) -> TrajectoryEnsemble:
+    """One labelled trajectory as a one-row ensemble, bitwise reproducible
+    from the non-negative integer ``seed``, kept exactly: it draws the uniforms
+    of ``np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))``."""
+    return _simulate_rows(rep, psi0, t_max, naturals([seed], "seed"), tol)
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -403,69 +417,59 @@ def simulate_ensemble(
     n_traj: int,
     seed: int,
     tol: Tolerance = DEFAULT_TOL,
-) -> List[LabelledTrajectory]:
-    """Independent trajectories with per-index derived seeds.
+) -> TrajectoryEnsemble:
+    """``n_traj`` independent trajectories with per-index derived seeds.
 
-    Trajectory ``i`` is bitwise equal to
+    Row ``i`` is bitwise equal to
     ``simulate(rep, psi0, t_max, trajectory_seed(seed, i), tol)``: the
-    ``n_traj`` seeds are hashed in one pass, as numpy's ``SeedSequence``
-    spawned from the non-negative master ``seed`` would give them, and so
-    are their Philox keys.
+    ``n_traj`` ``uint64`` seeds are hashed in one pass, as numpy's
+    ``SeedSequence`` spawned from the non-negative master ``seed`` would give
+    them, and so are their Philox keys.
     """
-    if n_traj < 1:
-        raise ValidationError("n_traj must be at least 1")
-    seeds = spawned_seeds(seed, np.arange(n_traj)).tolist()
-    return _simulate_rows(rep, psi0, t_max, seeds, tol)
+    if not hasattr(n_traj, "__index__") or operator.index(n_traj) < 1:
+        raise ValidationError(f"n_traj must be a positive integer, got {n_traj}")
+    return _simulate_rows(rep, psi0, t_max, spawned_seeds(seed, np.arange(n_traj)), tol)
 
 
-def states_at(
-    ensemble: Sequence[LabelledTrajectory], rep: Representation, times: Sequence[float]
-) -> np.ndarray:
+def states_at(ensemble: TrajectoryEnsemble, rep: Representation, times: Sequence[float]) -> np.ndarray:
     """Conditional states of every trajectory at each of ``times``, with
     shape ``(len(times), len(ensemble), dim)``, replayed through one step
-    table for the ensemble's longest horizon.
+    table for the ensemble's horizon.
 
     At an event time a row holds the recorded post-jump state (the right
     limit); between events it is propagated from the latest event at or
-    before the time and renormalized.  A time outside a trajectory's
-    ``[0, t_final]`` names the first such trajectory's horizon.
+    before the time and renormalized.  A time outside ``[0, t_final]`` is
+    named.
     """
-    for traj in ensemble:
-        _require_state_length(traj.initial_state, rep)
-    n, dim = len(ensemble), rep.dim
-    horizons = np.array([traj.t_final for traj in ensemble], dtype=float)
-    initial = np.array([traj.initial_state for traj in ensemble], dtype=complex).reshape(n, dim)
-    sizes = np.array([traj.times.size for traj in ensemble], dtype=int)
-    owner, firsts = np.repeat(np.arange(n), sizes), np.cumsum(sizes) - sizes
-    stamps = np.concatenate([np.empty(0)] + [traj.times for traj in ensemble])
-    posts = np.concatenate(
-        [np.empty((0, dim), complex)] + [traj.post_jump_states for traj in ensemble])
-    out = np.empty((len(times), n, dim), dtype=complex)
+    _require_state_length(ensemble.initial_state, rep)
+    n, t_final, stamps = len(ensemble), ensemble.t_final, ensemble.times
+    owner, firsts = ensemble.owners(), ensemble.offsets[:-1]
+    out = np.empty((len(times), n, rep.dim), dtype=complex)
     tau = np.empty((len(times), n))
     for k, t in enumerate(times):
-        outside = ~((0 <= t) & (t <= horizons))
-        if outside.any():
-            raise ValidationError(f"time {t} outside [0, {ensemble[np.argmax(outside)].t_final}]")
+        if not 0 <= t <= t_final:
+            raise ValidationError(f"time {t} outside [0, {t_final}]")
         count = np.bincount(owner[stamps <= t], minlength=n)
         last, jumped = firsts + count - 1, count > 0
-        tau[k], out[k] = t, initial
-        tau[k, jumped], out[k, jumped] = t - stamps[last[jumped]], posts[last[jumped]]
+        tau[k], out[k] = t, ensemble.initial_state
+        tau[k, jumped], out[k, jumped] = t - stamps[last[jumped]], ensemble.post_jump_states[last[jumped]]
     moving = tau != 0.0
     if moving.any():
-        table = _StepTable(effective_hamiltonian(rep), horizons.max())
+        table = _StepTable(effective_hamiltonian(rep), t_final)
         drifted = table.advance(out[moving].view(float), tau[moving])
         out.view(float)[moving] = drifted / np.linalg.norm(drifted, axis=1, keepdims=True)
     return out
 
 
-def state_at(traj, rep: Representation, t: float) -> np.ndarray:
-    """Conditional state of one trajectory at time ``t``; see `states_at`."""
-    return states_at([traj], rep, [t])[0, 0]
+def state_at(traj: TrajectoryEnsemble, rep: Representation, t: float) -> np.ndarray:
+    """Conditional state at time ``t`` of one-row ensemble ``traj``; see `states_at`."""
+    (state,) = states_at(traj, rep, [t])[0]  # ValueError for any other row count
+    return state
 
 
-def coarse_grain(traj: LabelledTrajectory, part: SjedPartition) -> LabelledTrajectory:
-    """The record with each channel replaced by its block; a channel outside
-    the partition, negative or too large, is named."""
+def coarse_grain(ensemble: TrajectoryEnsemble, part: SjedPartition) -> TrajectoryEnsemble:
+    """The ensemble with every channel replaced by its block; a channel
+    outside the partition, negative or too large, is named."""
     n_channels = sum(len(block.indices) for block in part.blocks)
-    check_channels(traj.channels, n_channels)
-    return replace(traj, channels=part.block_of_channel(n_channels)[traj.channels])
+    check_channels(ensemble.channels, n_channels)
+    return replace(ensemble, channels=part.block_of_channel(n_channels)[ensemble.channels])

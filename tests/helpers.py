@@ -1,13 +1,23 @@
-"""Random model generators shared by the equivalence and acceptance tests."""
+"""Random model generators shared by the equivalence and acceptance tests,
+and an empty trajectory ensemble."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from uqd import BlockIsometry, Representation, partition
 from uqd.linalg import frobenius, haar_isometry, normalize, numerical_rank
+
+
+def without_rows(ensemble):
+    """``ensemble`` with no rows: its horizon and initial state, no seeds and
+    no events."""
+    return replace(ensemble, seeds=ensemble.seeds[:0], offsets=ensemble.offsets[:1],
+                   times=ensemble.times[:0], channels=ensemble.channels[:0],
+                   post_jump_states=ensemble.post_jump_states[:0])
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

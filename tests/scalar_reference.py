@@ -26,7 +26,7 @@ from uqd.trajectory import (
     NORM_RESIDUAL_TOL,
     RATE_FLOOR,
     STEP_SCALE,
-    LabelledTrajectory,
+    TrajectoryEnsemble,
     _check_contractive,
 )
 
@@ -80,8 +80,9 @@ def reference_simulate(
     t_max: float,
     seed: int,
     tol: Tolerance = DEFAULT_TOL,
-) -> LabelledTrajectory:
-    """One labelled trajectory, stepping to ``t_max`` with a final partial step."""
+) -> TrajectoryEnsemble:
+    """The one-row ensemble of a labelled trajectory, stepping to ``t_max``
+    with a final partial step."""
     require_valid(rep, tol)
     if t_max <= 0:
         raise ValidationError("t_max must be positive")
@@ -133,11 +134,12 @@ def reference_simulate(
         phi = post
         t = t_star
         u = rng.random()
-    return LabelledTrajectory(
+    return TrajectoryEnsemble(
         initial_state=psi0,
+        t_final=float(t_max),
+        seeds=np.array([int(seed)], dtype=object),
+        offsets=np.array([0, len(times)]),
         times=np.array(times, dtype=float),
         channels=np.array(channels, dtype=int),
         post_jump_states=np.array(posts, dtype=complex).reshape(len(posts), rep.dim),
-        t_final=float(t_max),
-        seed=int(seed),
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import uqd
-from uqd import models, schemas
+from uqd import models, schemas, trajectory
 from uqd.cli import main
 from uqd.representation import Representation, from_document, matrix_to_json, serialize
 from helpers import close_targets, tilted
@@ -295,6 +295,31 @@ class TestSimulate:
             record = json.loads(line)
             validate_schema(record, "trajectory_record")
             assert record["events"] == [] and record["post_jump_states"] == []
+
+    def test_record_i_holds_row_i(self, capsys, tmp_path, rep_files):
+        # records are sliced from one ensemble by its row offsets; an
+        # off-by-one there would hand each record a neighbour's events
+        rep_a, _ = rep_files
+        out_dir = tmp_path / "runs"
+        code, _ = run(
+            capsys, "simulate", rep_a, "--psi0", "1", "--tmax", "2.0",
+            "--ntraj", "8", "--seed", "7", "--out", str(out_dir),
+        )
+        assert code == 0
+        lines = (out_dir / "trajectories.jsonl").read_text().splitlines()
+        assert len(lines) == 8
+        sizes = set()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            seed = trajectory.trajectory_seed(7, i)
+            row = trajectory.simulate(models.qutrit_a(), np.eye(3)[1], 2.0, seed)
+            assert record["traj"] == i and record["seed"] == seed
+            assert [event["time"] for event in record["events"]] == row.times.tolist()
+            assert [event["channel"] for event in record["events"]] == (row.channels + 1).tolist()
+            posts = np.array(record["post_jump_states"], dtype=float).reshape(-1, 3, 2)
+            assert np.array_equal(posts[..., 0] + 1j * posts[..., 1], row.post_jump_states)
+            sizes.add(row.times.size)
+        assert len(sizes) > 1 and max(sizes) > 0
 
     def test_byte_identical_reruns(self, capsys, tmp_path, rep_files):
         rep_a, _ = rep_files

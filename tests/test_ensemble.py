@@ -23,7 +23,7 @@ from uqd.representation import Representation
 from uqd.sjed import partition
 from uqd.trajectory import coarse_grain, simulate_ensemble
 from conftest import ket
-from helpers import random_block_isometry, random_minimal_representation
+from helpers import random_block_isometry, random_minimal_representation, without_rows
 
 
 def single_decay(gamma=1.0):
@@ -126,8 +126,9 @@ class TestMeanStateCheck:
         assert bad.max_deviation > bad.bound
 
     def test_empty_ensemble_rejected(self, qutrit_a):
-        with pytest.raises(ValidationError):
-            mean_state_check([], qutrit_a, [1.0])
+        empty = without_rows(simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 2, seed=1))
+        with pytest.raises(ValidationError, match="^empty ensemble$"):
+            mean_state_check(empty, qutrit_a, [1.0])
 
 
 class TestChiSquare:
@@ -176,9 +177,10 @@ class TestCountMatrix:
                 ensemble, ensemble, qutrit_a_min, qutrit_a_min, BASIS_OBS, [1.0], level=level, **extra
             )
         # a -1 after the first row was counted as the row before's last channel
-        clipped = [replace(traj, channels=np.minimum(traj.channels, 2)) for traj in ensemble]
-        row = next(n for n, traj in enumerate(clipped) if n > 0 and traj.channels.size)
-        clipped[row] = replace(clipped[row], channels=np.r_[-1, clipped[row].channels[1:]])
+        channels = np.minimum(ensemble.channels, 2)
+        row = next(n for n in range(1, len(ensemble)) if ensemble[n].channels.size)
+        channels[ensemble.offsets[row]] = -1
+        clipped = replace(ensemble, channels=channels)
         with pytest.raises(ValidationError, match="^channel 0 not covered by partition$"):
             compare_ensembles(
                 clipped, clipped, qutrit_a_min, qutrit_a_min, BASIS_OBS, [1.0], level=level, **extra
@@ -272,8 +274,14 @@ class TestCompareEnsembles:
     def test_mismatched_horizons_rejected(self, qutrit_a):
         ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
         ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 5, seed=2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^ensembles have mismatched horizons$"):
             compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
+
+    def test_empty_ensemble_rejected(self, qutrit_a):
+        ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        for ens_a, ens_b in [(without_rows(ens), ens), (ens, without_rows(ens))]:
+            with pytest.raises(ValidationError, match="^both ensembles must be non-empty$"):
+                compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
 
     def test_representations_of_other_dimensions_rejected(self, qutrit_a):
         ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)

@@ -28,7 +28,6 @@ from uqd.representation import (
     to_document,
     vector_from_json,
     vector_to_json,
-    vectors_to_json,
 )
 from conftest import ket
 from helpers import qme_gauge_variant
@@ -264,9 +263,10 @@ class TestDrift:
 
 class TestSerialization:
     @pytest.mark.parametrize("count", [0, 1, 4])
-    def test_vectors_to_json_is_vector_to_json_per_vector(self, count):
-        vectors = [random_pure_state(3, seed) for seed in range(count)]
-        assert vectors_to_json(vectors, 3) == [vector_to_json(v) for v in vectors]
+    def test_stacked_vectors_write_as_each_vector(self, count):
+        # a record's post-jump states are written as one (count, dim) matrix
+        vectors = np.array([random_pure_state(3, seed) for seed in range(count)]).reshape(count, 3)
+        assert matrix_to_json(vectors) == [vector_to_json(v) for v in vectors]
 
     def test_roundtrip_entrywise(self, qutrit_a):
         back = parse(serialize(qutrit_a))

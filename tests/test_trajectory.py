@@ -24,7 +24,7 @@ from uqd.trajectory import (
     _StepTable,
 )
 from conftest import ket
-from helpers import random_minimal_representation
+from helpers import random_minimal_representation, without_rows
 from scalar_reference import reference_simulate
 
 
@@ -62,10 +62,9 @@ class TestSingleDecay:
     def test_exactly_one_jump_with_exponential_law(self):
         rep = single_decay(gamma=1.0)
         trajs = simulate_ensemble(rep, ket(2, 1), 12.0, 2000, seed=101)
-        times = [t.times[0] for t in trajs if t.times.size]
-        assert all(t.times.size <= 1 for t in trajs)
-        assert len(times) > 1990
-        result = scipy.stats.kstest(times, "expon", args=(0.0, 1.0))
+        assert np.diff(trajs.offsets).max() == 1
+        assert trajs.times.size > 1990
+        result = scipy.stats.kstest(trajs.times, "expon", args=(0.0, 1.0))
         assert result.pvalue > 0.01
 
     def test_no_jump_state_is_stationary(self):
@@ -112,21 +111,47 @@ class TestDeterminism:
             assert any(traj.times.size for traj in singles)
             for other in (prefix, singles):
                 for a, b in zip(ensemble, other):
-                    assert a.seed == b.seed
+                    assert a.seeds.tolist() == b.seeds.tolist()
                     assert_same_record(a, b)
 
     def test_refilled_rows_equal_rows_alone(self, qutrit_a):
         # about 24 jumps per row at t = 12: each row draws several windows
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 12.0, 16, seed=8)
-        assert max(1 + 2 * traj.times.size for traj in ensemble) > 2 * streams.WINDOW
+        assert 1 + 2 * np.diff(ensemble.offsets).max() > 2 * streams.WINDOW
         for i, traj in enumerate(ensemble):
             alone = simulate(qutrit_a, ket(3, 1), 12.0, seed=trajectory_seed(8, i))
-            assert traj.seed == alone.seed
+            assert traj.seeds.tolist() == alone.seeds.tolist()
             assert_same_record(traj, alone)
 
     def test_trajectory_seed_is_stable(self):
         assert trajectory_seed(7, 3) == trajectory_seed(7, 3)
         assert trajectory_seed(7, 3) != trajectory_seed(7, 4)
+
+
+class TestEnsembleRows:
+    def test_offsets_index_rows(self, qutrit_a):
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 12, seed=3)
+        offsets = ensemble.offsets
+        assert len(ensemble) == 12 and offsets[0] == 0 and np.all(np.diff(offsets) >= 0)
+        assert offsets[-1] == ensemble.times.size == ensemble.channels.size
+        assert ensemble.post_jump_states.shape == (offsets[-1], 3)
+        for i in range(len(ensemble)):
+            row = ensemble[i]
+            lo, hi = offsets[i], offsets[i + 1]
+            assert row.offsets.tolist() == [0, hi - lo]
+            assert row.seeds.tolist() == ensemble.seeds[i : i + 1].tolist()
+            assert np.array_equal(row.times, ensemble.times[lo:hi])
+            assert np.array_equal(row.channels, ensemble.channels[lo:hi])
+            assert np.array_equal(row.post_jump_states, ensemble.post_jump_states[lo:hi])
+        assert_same_record(ensemble[-1], ensemble[11])
+        assert [row.seeds.item() for row in ensemble] == ensemble.seeds.tolist()
+
+    @pytest.mark.parametrize("key, error", [(12, IndexError), (-13, IndexError),
+                                            (1.0, TypeError), (slice(0, 2), TypeError)])
+    def test_missing_rows_rejected(self, qutrit_a, key, error):
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 12, seed=3)
+        with pytest.raises(error):
+            ensemble[key]
 
 
 class TestSamplingLawReplay:
@@ -166,7 +191,7 @@ class TestSamplingLawReplay:
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 200, seed=36)
         n_events = 0
         for traj in ensemble:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(traj.seed)))
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(traj.seeds.item())))
             prev_time, prev_state = 0.0, traj.initial_state
             for when, post in zip(traj.times, traj.post_jump_states):
                 u = rng.random()
@@ -239,7 +264,7 @@ class TestStateAt:
         # latest event, an event exactly at the time included
         h_eff = effective_hamiltonian(qutrit_a)
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 30, seed=12)
-        times = [0.0] + [traj.times[0] for traj in ensemble[:6] if traj.times.size] + [2.0]
+        times = [0.0] + [ensemble[n].times[0] for n in range(6) if ensemble[n].times.size] + [2.0]
         assert len(times) > 5
         for t, states in zip(times, states_at(ensemble, qutrit_a, times)):
             for traj, state in zip(ensemble, states):
@@ -257,14 +282,17 @@ class TestStateAt:
         with pytest.raises(ValidationError, match=r"^time 1\.5 outside \[0, 1\.0\]$"):
             state_at(traj, qutrit_a, 1.5)
 
-    def test_mixed_horizons_name_the_one_exceeded(self, qutrit_a):
-        longer = simulate(qutrit_a, ket(3, 1), 2.0, seed=4)
-        shorter = simulate(qutrit_a, ket(3, 1), 1.0, seed=5)
-        with pytest.raises(ValidationError, match=r"^time 1\.5 outside \[0, 1\.0\]$"):
-            states_at([longer, shorter], qutrit_a, [0.5, 1.5])
-
     def test_empty_ensemble(self, qutrit_a):
-        assert states_at([], qutrit_a, [0.5]).shape == (1, 0, 3)
+        empty = without_rows(simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 2, seed=4))
+        assert len(empty) == 0 and empty.offsets.tolist() == [0] and empty.times.size == 0
+        assert states_at(empty, qutrit_a, [0.5]).shape == (1, 0, 3)
+
+    def test_one_row_only(self, qutrit_a):
+        # state_at answers for one trajectory, so it must not pick a row
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 2, seed=4)
+        for rows in (ensemble, without_rows(ensemble)):
+            with pytest.raises(ValueError):
+                state_at(rows, qutrit_a, 0.5)
 
     def test_representation_of_another_dimension_rejected(self, qutrit_a):
         traj = simulate(qutrit_a, ket(3, 1), 1.0, seed=4)
@@ -282,7 +310,7 @@ class TestStateAt:
         ensemble = simulate_ensemble(rep, ket(8, 0), 4.0, 400, seed=5)
         batch = states_at(ensemble, rep, times)
         for n, traj in enumerate(ensemble):
-            assert np.array_equal(batch[:, n], states_at([traj], rep, times)[:, 0]), n
+            assert np.array_equal(batch[:, n], states_at(traj, rep, times)[:, 0]), n
 
 
 class TestCoarseGrain:
@@ -368,11 +396,27 @@ class TestGuards:
 
     def test_numpy_integer_seeds_accepted(self, qutrit_a):
         traj = simulate(qutrit_a, ket(3, 1), 2.0, seed=np.int64(2))
-        assert type(traj.seed) is int and traj.seed == 2
+        (seed,) = traj.seeds.tolist()
+        assert type(seed) is int and seed == 2
         assert_same_record(traj, simulate(qutrit_a, ket(3, 1), 2.0, seed=2))
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 3, seed=np.uint32(5))
-        assert [traj.seed for traj in ensemble] == [trajectory_seed(5, i) for i in range(3)]
+        assert ensemble.seeds.tolist() == [trajectory_seed(5, i) for i in range(3)]
         assert trajectory_seed(np.int64(5), np.int32(1)) == trajectory_seed(5, 1)
+
+    def test_seeds_kept_exactly(self, qutrit_a):
+        # np.asarray turns 2**63 beside a small seed into a float, and 2**70
+        # into an object array
+        for seed in (2**63, 2**70):
+            (kept,) = simulate(qutrit_a, ket(3, 1), 1.0, seed=seed).seeds.tolist()
+            assert type(kept) is int and kept == seed
+        seeds = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 40, seed=3).seeds.tolist()
+        assert seeds == [trajectory_seed(3, i) for i in range(40)]
+        assert max(seeds) >= 2**63 and all(type(seed) is int for seed in seeds)
+
+    @pytest.mark.parametrize("n_traj", [2.5, np.float64(2.0), 0, -3])
+    def test_n_traj_must_be_a_positive_integer(self, qutrit_a, n_traj):
+        with pytest.raises(ValidationError, match=f"^n_traj must be a positive integer, got {n_traj}$"):
+            simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n_traj, 1)
 
     def test_norm_growth_detected(self):
         grower = np.diag([0.5j, -0.5j])
@@ -384,8 +428,7 @@ class TestGuards:
         jump = np.sqrt(0.8) * np.eye(2, dtype=complex)
         rep = Representation(hamiltonian=None, jumps=[jump])
         trajs = simulate_ensemble(rep, ket(2, 0), 5.0, 400, seed=6)
-        counts = [t.times.size for t in trajs]
-        assert np.mean(counts) == pytest.approx(0.8 * 5.0, abs=0.35)
+        assert np.mean(np.diff(trajs.offsets)) == pytest.approx(0.8 * 5.0, abs=0.35)
 
 
 class TestScalarReference:
@@ -460,7 +503,7 @@ class TestStreamCalls:
 
         monkeypatch.setattr(streams, "philox_blocks", counting)
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), t_max, n, seed=4)
-        draws = max(1 + 2 * traj.times.size for traj in ensemble)
+        draws = 1 + 2 * np.diff(ensemble.offsets).max()
         assert 1 <= len(calls) <= 1 + draws // (streams.WINDOW - streams.BLOCK)
         assert calls[0] == (n, streams.WINDOW_BLOCKS)
 
@@ -482,7 +525,7 @@ class TestStiffness:
         monkeypatch.setattr(_StepTable, "apply", counting)
         ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 2000, seed=35)
         monkeypatch.undo()
-        assert sum(traj.times.size for traj in ensemble) > 2000
+        assert ensemble.times.size > 2000
         return len(calls)
 
     def test_passes_do_not_grow_with_stiffness(self, monkeypatch):
@@ -533,7 +576,7 @@ class TestStepTable:
 
         monkeypatch.setattr(_StepTable, "__init__", recording)
         ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n, seed=3)
-        assert any(traj.times.size for traj in ensemble)
+        assert ensemble.times.size
         states_at(ensemble, qutrit_a, [0.25, 0.5, 1.0])
         top = int(np.ceil(np.log2(1.0 / step_of(qutrit_a))))
         assert [len(table.mats) for table in tables] == [top + 1, top + 1]
@@ -616,7 +659,7 @@ class TestBoundedState:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert any(traj.times.size for traj in ensemble)
+        assert ensemble.times.size
         assert peak < 10 * 2**20
 
     def test_jump_amplitudes_stay_linear_in_rows(self):
@@ -633,16 +676,17 @@ class TestBoundedState:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(traj.times.size for traj in ensemble) > 500
+        assert ensemble.times.size > 500
         assert peak < 30 * 2**20
 
     def test_held_ensemble_bytes_per_trajectory(self, qutrit_a):
         import tracemalloc
 
-        # qutrit_a from |1> to t = 2 holds about 3.8 jumps per row; the array
-        # record keeps about 770 B per trajectory, and a tuple of one event
-        # object per jump kept about 1,320 B; the bound sits 40 % above the
-        # first and 17 % below the second
+        # qutrit_a from |1> to t = 2 holds about 3.8 jumps per row; one
+        # ensemble of arrays keeps about 265 B per trajectory, one record
+        # object per trajectory kept about 774 B, and a tuple of one event
+        # object per jump about 1,320 B; the bound sits 50 % above the first
+        # and 48 % below the second
         n = 2000
         simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 2, seed=1)
         tracemalloc.start()
@@ -651,8 +695,8 @@ class TestBoundedState:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(traj.times.size for traj in ensemble) > 3 * n
-        assert held / n < 1100
+        assert ensemble.times.size > 3 * n
+        assert held / n < 400
 
     def test_no_module_state_grows_across_calls(self, qutrit_a):
         def sizes():
@@ -682,7 +726,7 @@ class TestDefectiveGeneratorReplay:
         _, vectors = np.linalg.eig(-1j * h_eff)
         assert np.linalg.cond(vectors) > 1e8
         ensemble = simulate_ensemble(rep, ket(2, 1), 3.0, 30, seed=8)
-        assert any(traj.times.size for traj in ensemble)
+        assert ensemble.times.size
         times = [0.4, 1.7, 3.0]
         for t, states in zip(times, states_at(ensemble, rep, times)):
             for traj, state in zip(ensemble, states):
@@ -697,7 +741,7 @@ class TestDefectiveGeneratorReplay:
         rep = driven_qutrit_a(100.0)
         h_eff = effective_hamiltonian(rep)
         ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 40, seed=21)
-        assert sum(traj.times.size for traj in ensemble) > 40
+        assert ensemble.times.size > 40
         times = [0.013, 0.5, 1.37, 2.0]
         for t, states in zip(times, states_at(ensemble, rep, times)):
             for traj, state in zip(ensemble, states):
