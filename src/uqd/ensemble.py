@@ -8,11 +8,18 @@ equivalent really behave identically:
   roundoff exactly when the trajectory-equivalence conditions hold).
 * ``mean_state_check`` compares the ensemble-averaged conditional state with
   the deterministically integrated averaged state.
-* ``compare_ensembles`` runs two-sample tests on observable samples
-  (Kolmogorov-Smirnov) and jump-count distributions (chi-square), with a
-  Bonferroni-corrected verdict.  Observable samples are first snapped to a
-  grid whose step comes from the tolerance, so values that differ only by
-  roundoff (an atom at ``0.0`` against one at ``3.7e-33``) count as one.
+* ``compare_ensembles`` runs two-sample tests on two ensembles of one size,
+  with a Bonferroni-corrected verdict: Kolmogorov-Smirnov on observable
+  samples and Pearson's chi-square on jump-count distributions.  Observable
+  samples are first snapped to a grid whose step comes from the tolerance,
+  so values that differ only by roundoff (an atom at ``0.0`` against one at
+  ``3.7e-33``) count as one.  The null laws are in `uqd.laws`: Hodges' exact
+  two-sample law for KS, with the one-sample Kolmogorov law where its
+  recursion rounds outside ``[0, 1]``, and the chi-square upper tail at
+  integer degrees of freedom.  They reproduce scipy's ``ks_2samp(...,
+  method="exact")`` to the bit and its ``chi2_contingency(...,
+  correction=False)`` to the statistic's bit and the p-value's rounding,
+  without importing scipy.
 
 Statistics are a cross-check of the implementation, never the decision
 procedure; the algebraic checkers are exact at their tolerances.
@@ -20,8 +27,6 @@ procedure; the algebraic checkers are exact at their tolerances.
 
 from __future__ import annotations
 
-import re
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .equivalence import require_bijection, require_same_dim
+from .laws import chi2_sf, kolmogorov_sf, ks_two_sample_sf
 from .linalg import (
     DEFAULT_TOL,
     SeedLike,
@@ -46,10 +52,6 @@ from .models import qutrit_a, qutrit_a_minimal
 from .representation import Representation, jump_rates, liouvillian_matrix, vector_to_json
 from .sjed import block_gaps, partition
 from .trajectory import TrajectoryEnsemble, check_channels, check_horizon, states_at
-
-KS_EXACT_MAX = 10_000  # largest sample for an exact KS p-value, as scipy's "auto"
-_KS_FALLBACK = r"ks_2samp: Exact calculation unsuccessful"
-
 
 @dataclass(eq=False)
 class RateFieldReport:
@@ -228,8 +230,10 @@ class EnsembleComparison:
         }
 
 
-def _chi2_two_sample(x: Sequence[int], y: Sequence[int]) -> Tuple[float, float]:
-    """Two-sample chi-square on non-negative integer counts, adjacent bins pooled."""
+def _pooled_table(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
+    """The ``(2, K)`` table of how often each value occurs in the
+    non-negative integer counts ``x`` and ``y``, adjacent values pooled in
+    order until a bin holds 10; a short last bin joins the one before."""
     x, y = np.asarray(x, dtype=int), np.asarray(y, dtype=int)
     size = 1 + max(x.max(initial=0), y.max(initial=0))
     count_x, count_y = np.bincount(x, minlength=size), np.bincount(y, minlength=size)
@@ -252,13 +256,19 @@ def _chi2_two_sample(x: Sequence[int], y: Sequence[int]) -> Tuple[float, float]:
         else:
             bins_x.append(acc_x)
             bins_y.append(acc_y)
-    if len(bins_x) < 2:
-        return 0.0, 1.0
-    import scipy.stats  # imported on use: it is most of ``import uqd``'s time
+    return np.array([bins_x, bins_y])
 
-    table = np.array([bins_x, bins_y])
-    stat, p, _, _ = scipy.stats.chi2_contingency(table, correction=False)
-    return float(stat), float(p)
+
+def _chi2_two_sample(x: Sequence[int], y: Sequence[int]) -> Tuple[float, float]:
+    """Pearson's chi-square statistic and upper tail of the pooled table of
+    two samples of non-negative integer counts, as
+    scipy's ``chi2_contingency(table, correction=False)`` gives them."""
+    table = _pooled_table(x, y)
+    if table.shape[1] < 2:
+        return 0.0, 1.0
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
+    stat = float(np.sum((table - expected) ** 2 / expected))
+    return stat, chi2_sf(stat, table.shape[1] - 1)
 
 
 def _observable_samples(states: np.ndarray, observable: np.ndarray) -> np.ndarray:
@@ -266,28 +276,28 @@ def _observable_samples(states: np.ndarray, observable: np.ndarray) -> np.ndarra
 
 
 def _ks_2samp(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, str]:
-    """Two-sample KS statistic, p-value and the method that gave the p-value.
+    """Two-sample KS statistic ``h / n``, p-value and the law that gave the
+    p-value, for two samples of one size ``n``.
 
-    The exact p-value is tried up to ``KS_EXACT_MAX`` samples per side, as
-    scipy's ``method="auto"`` does.  When scipy cannot finish it (ties in
-    large samples), it switches to the asymptotic formula with a
-    ``RuntimeWarning``; that warning is caught here and recorded as
-    ``"asymp"``.  Any other warning passes through.
+    ``h`` is the largest gap between the two samples' counts at or below a
+    sample value.  The p-value is Hodges' exact law, ``"exact"``; where its
+    recursion rounds outside ``[0, 1]`` (near 1, in large tied samples) it
+    is the one-sample Kolmogorov law at ``round(n / 2)``, ``"asymp"``.
+    These are the statistic, p-value and method of
+    scipy's ``ks_2samp(x, y, method="exact")``, to the bit.
     """
-    import scipy.stats  # imported on use, as in `_chi2_two_sample`
-
-    method = "exact" if max(len(x), len(y)) <= KS_EXACT_MAX else "asymp"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", message=_KS_FALLBACK, category=RuntimeWarning)
-        result = scipy.stats.ks_2samp(x, y, method=method)
-    for warning in caught:
-        if re.match(_KS_FALLBACK, str(warning.message)):
-            method = "asymp"
-        else:
-            warnings.warn_explicit(
-                warning.message, warning.category, warning.filename, warning.lineno
-            )
-    return float(result.statistic), float(result.pvalue), method
+    x, y = np.sort(x), np.sort(y)
+    n = len(x)
+    pooled = np.concatenate([x, y])
+    gap = np.searchsorted(x, pooled, side="right") - np.searchsorted(y, pooled, side="right")
+    h = int(np.max(np.abs(gap)))
+    if h == 0:
+        return 0.0, 1.0, "exact"
+    p_value = ks_two_sample_sf(n, h)
+    if 0.0 <= p_value <= 1.0:
+        return h / n, p_value, "exact"
+    # scipy's round(n n / (n + n)), half to even; exactly n / 2 below n = 9e7
+    return h / n, kolmogorov_sf(round(n / 2), h / n), "asymp"
 
 
 def _snap(samples: np.ndarray, resolution: float) -> np.ndarray:
@@ -355,7 +365,7 @@ def compare_ensembles(
     tol: Tolerance = DEFAULT_TOL,
 ) -> EnsembleComparison:
     """Two-sample comparison at a theorem level of two non-empty trajectory
-    ensembles whose horizons agree to 1e-12.
+    ensembles of one size ``N`` whose horizons agree to 1e-12.
 
     ``t1`` tests observable distributions and total jump counts, ``t3`` adds
     per-block counts after applying ``block_perm``, ``t2`` adds per-channel
@@ -373,13 +383,20 @@ def compare_ensembles(
     whose float bits depend on the representation (``p0 = 0.0`` against
     ``p0 = 3.7e-33``) would count as distinct values.  With
     ``Tolerance(atol=0, rtol=0)`` the step is zero and the raw samples are
-    compared.  Each KS entry also records ``ks_method``: ``"exact"``, or
-    ``"asymp"`` where scipy could not finish the exact p-value.
+    compared.  Each KS entry also records ``ks_method``: ``"exact"`` where
+    the p-value is Hodges' exact law for two samples of ``N``, or
+    ``"asymp"`` where that law's recursion rounds outside ``[0, 1]`` (only
+    near p = 1, in tied samples) and the p-value is the one-sample
+    Kolmogorov law at ``round(N / 2)``, as in scipy's ``ks_2samp``.  Count
+    tests take Pearson's chi-square on the pooled table, with the upper
+    tail at its integer degrees of freedom.
     """
     if level not in ("t1", "t2", "t3"):
         raise ValidationError(f"unknown comparison level {level!r}")
     if not ens_a or not ens_b:
         raise ValidationError("both ensembles must be non-empty")
+    if len(ens_a) != len(ens_b):
+        raise ValidationError(f"ensembles have different sizes ({len(ens_a)} vs {len(ens_b)})")
     if abs(ens_a.t_final - ens_b.t_final) > 1e-12:
         raise ValidationError("ensembles have mismatched horizons")
     check_comparison(alpha, times, ens_a.t_final)

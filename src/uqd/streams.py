@@ -74,11 +74,20 @@ def naturals(values, what: str) -> np.ndarray:
 
 
 def _words(values, what: str, columns: int = 1):
-    """numpy's little-endian ``uint32`` words of each of `naturals`
-    ``values`` (``[0]`` for 0) as the rows of a matrix of at least
-    ``columns`` columns, zero-padded, and each row's own word count."""
-    values = naturals(values, what)
-    width = max(1, -(-max(values, default=0).bit_length() // 32))
+    """numpy's little-endian ``uint32`` words of each of the non-negative
+    integers ``values`` (``[0]`` for 0) as the rows of a matrix of at least
+    ``columns`` columns, zero-padded, and each row's own word count.
+
+    An integer ndarray is checked and split whole, in ``uint64``; anything
+    else goes through `naturals`, so Python ints of any size stay exact."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        values = values.reshape(-1)
+        if values.dtype.kind == "i" and np.any(values < 0):
+            raise ValidationError(f"{what} must be a non-negative integer, got {values[values < 0][0]}")
+        values = values.astype(np.uint64)
+    else:
+        values = naturals(values, what)
+    width = max(1, -(-int(values.max(initial=0)).bit_length() // 32))
     words = np.zeros((len(values), max(columns, width)), dtype=np.uint32)
     counts = np.ones(len(values), dtype=np.int64)
     for j in range(width):

@@ -682,9 +682,9 @@ class TestTracedNames:
 
 
 class TestImportCost:
-    # scipy is most of a cold ``import uqd``; only the statistical and
-    # mean-state cross-checks use it.  qutrit_a at theta = 0 has two equal
-    # decay channels, so ``--all-perms`` enumerates two matchings.
+    # scipy is most of a cold ``import uqd``; only the mean-state
+    # cross-check uses it.  qutrit_a at theta = 0 has two equal decay
+    # channels, so ``--all-perms`` enumerates two matchings.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -693,14 +693,21 @@ class TestImportCost:
             ["check", "--rep-a", "{rep}", "--rep-b", "{rep}", "--level", "t2", "--all-perms"],
             ["sjed", "{rep}"],
             ["minimize", "{rep}"],
+            ["gauge", "extract", "--rep-min", "{min}", "--rep", "{rep}"],
             ["simulate", "{rep}", "--tmax", "1", "--ntraj", "20", "--out", "{out}"],
+            ["compare-ensembles", "--rep-a", "{rep}", "--rep-b", "{rep}", "--ntraj", "40",
+             "--tmax", "0.5", "--psi0", "1", "--threads", "1"],
             ["rate-scan", "--rep-a", "{rep}", "--rep-b", "{rep}", "--n", "20"],
+            ["example", "qutrit-a"],
+            ["fig1", "--out", "{out}", "--n-polar", "3", "--n-azimuth", "4"],
         ],
-        ids=["import", "check", "check-t2-all-perms", "sjed", "minimize", "simulate", "rate-scan"],
+        ids=["import", "check", "check-t2-all-perms", "sjed", "minimize", "gauge", "simulate",
+             "compare-ensembles", "rate-scan", "example", "fig1"],
     )
     def test_leaves_scipy_unloaded(self, tmp_path, argv):
         rep = write_rep(tmp_path, models.qutrit_a(theta=0.0), "a.json")
-        argv = [arg.format(rep=rep, out=tmp_path / "runs") for arg in argv]
+        rep_min = write_rep(tmp_path, models.qutrit_a_minimal(theta=0.0), "min.json")
+        argv = [arg.format(rep=rep, min=rep_min, out=tmp_path / "runs") for arg in argv]
         probe = (
             "import sys, uqd, uqd.cli; "
             "code = uqd.cli.main(sys.argv[1:] + ['--quiet']) if sys.argv[1:] else 0; "

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uqd import models
+from uqd import ensemble, models
 from uqd.ensemble import (
     FIG_RATE_COLUMNS,
     RATE_CURVE_CONVENTION,
@@ -282,6 +282,14 @@ class TestCompareEnsembles:
         for ens_a, ens_b in [(without_rows(ens), ens), (ens, without_rows(ens))]:
             with pytest.raises(ValidationError, match="^both ensembles must be non-empty$"):
                 compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
+
+    def test_ensembles_of_different_sizes_rejected(self, qutrit_a, monkeypatch):
+        # the exact KS law is the equal-size one; nothing is replayed first
+        monkeypatch.setattr(ensemble, "states_at", None)
+        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 6, seed=2)
+        with pytest.raises(ValidationError, match=r"^ensembles have different sizes \(5 vs 6\)$"):
+            compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
 
     def test_representations_of_other_dimensions_rejected(self, qutrit_a):
         ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)

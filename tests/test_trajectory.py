@@ -413,6 +413,14 @@ class TestGuards:
         assert seeds == [trajectory_seed(3, i) for i in range(40)]
         assert max(seeds) >= 2**63 and all(type(seed) is int for seed in seeds)
 
+    def test_array_seeds_split_as_python_ints(self):
+        # derived seeds are split whole in uint64; caller ints go through naturals
+        seeds = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        words, counts = streams._words(np.array(seeds, dtype=np.uint64), "seed", streams.POOL_SIZE)
+        ref_words, ref_counts = streams._words(seeds, "seed", streams.POOL_SIZE)
+        assert words.dtype == ref_words.dtype and np.array_equal(words, ref_words)
+        assert counts.dtype == ref_counts.dtype and counts.tolist() == ref_counts.tolist() == [1, 1, 2, 2, 2]
+
     @pytest.mark.parametrize("n_traj", [2.5, np.float64(2.0), 0, -3])
     def test_n_traj_must_be_a_positive_integer(self, qutrit_a, n_traj):
         with pytest.raises(ValidationError, match=f"^n_traj must be a positive integer, got {n_traj}$"):
