@@ -21,11 +21,12 @@ Implementation notes:
   times where it stays above ``u`` form one interval, and a greedy descent
   finds its end without a grid.  A segment starts at the narrowest level
   whose width still reaches ``t_max``.  The engine works in rounds that start
-  every live row on a segment: pass ``k`` applies level ``k``, in one
-  product, to every row whose segment starts at level ``k`` or a wider one,
-  and each row keeps the step if its squared norm stays above ``u``.  A kept
-  step that reaches ``t_max`` ends the row with no further jump.  After level
-  ``top`` every row holds a bracket ``(t, t + step]``.
+  every live row on a segment: pass ``k`` applies level ``k`` to every live
+  row in one product, and a row whose segment starts at level ``k`` or a
+  wider one keeps the step if its squared norm stays above ``u``.  A kept
+  step that reaches ``t_max`` ends the row with no further jump: it takes no
+  later level and leaves at the end of the round.  After level ``top`` every
+  other row holds a bracket ``(t, t + step]``.
 * Solve.  Within one step, ``|H_eff| tau <= 0.01``, the squared norm is the
   degree-8 polynomial ``sum_m tau^m x^T M_m x`` of the state ``x`` at the
   bracket's left end, up to about 1e-21.  At the end of each round the
@@ -36,16 +37,28 @@ Implementation notes:
   the row ends there.  A segment therefore costs at most
   ``1 + log2(t_max / step)`` passes plus its share of one solve, whatever
   ``|H_eff| * t_max`` is.
-* Replay.  `states_at` shares the table and its product `_StepTable.apply`,
-  so simulation and replay have one no-jump propagator: the levels above
-  ``step`` cover all but a remainder below ``2 step``, and the solve's
-  Taylor series covers that remainder.  One count over the ensemble's event
-  times finds every row's latest event at a sample time.
-* Rows never mix: every product and sum runs per row, over a real form of
-  the state and operators, in a fixed order.  A row's bits therefore do not
-  depend on which rows share the call, and ensembles equal their
-  trajectories simulated, or replayed, one at a time.  One stable sort by
-  row lays the rounds' fired events out row by row in one `TrajectoryEnsemble`.
+* Replay.  `states_at` builds the same table for the ensemble's horizon and
+  advances through its product `_StepTable.apply`, so simulation and replay
+  have one no-jump propagator: the levels above ``step`` cover all but a
+  remainder below ``2 step``, and the solve's Taylor series covers that
+  remainder.  One count over the ensemble's event times finds every row's
+  latest event at a sample time.
+* Rows never mix.  States and operators are held in a real form, and every
+  product of rows with an operator (the descent's and replay's levels, the
+  solve's moment and Taylor terms, the jump images) goes through one kernel,
+  `_product`: numpy's ``@`` on the rows zero-padded to chunks of
+  ``CHUNK_ROWS``, ``(chunks, CHUNK_ROWS, 2d) @ M.T``, so every BLAS call has
+  one shape whatever the number of rows.  That each row's bits then do not
+  depend on its place is a property of the BLAS library, not of IEEE
+  arithmetic, so every simulation or replay call first probes it on its own
+  operators (`_rows_independent`): a row must give the same bits among
+  random rows, at another place in another chunk, and alone.  Where the
+  probe fails, the call uses `_columns` instead, a fixed-order loop of
+  elementwise multiply-adds.  Sums over a row run left to right
+  (`_row_sum`).  A row's bits therefore do not depend on which rows share
+  the call, and ensembles equal their trajectories simulated, or replayed,
+  one at a time.  One stable sort by row lays the rounds' fired events out
+  row by row in one `TrajectoryEnsemble`.
 * Randomness.  Trajectory seed ``s`` draws the uniforms of numpy's
   ``Generator(Philox(SeedSequence(s))).random()``, bit for bit, in a fixed
   order: one for the first jump time, then for each fired jump one for its
@@ -83,6 +96,7 @@ TAYLOR_ORDER = 8
 SOLVE_ITERATIONS = 2 * TIME_LEVELS
 NORM_RESIDUAL_TOL = 1e-9
 RATE_FLOOR = 1e-14
+CHUNK_ROWS = 64  # rows per BLAS product of `_chunked`
 
 
 @dataclass(eq=False)
@@ -148,12 +162,51 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
 def _columns(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``out[..., n] = mats[...] @ cols[:, n]`` for matrices shared by every
     column, with the same products and left-to-right sums as `_row_sum`, so
-    each column of the result depends only on its own column of ``cols``.
-    The temporaries are no larger than the result."""
+    each column of the result depends only on its own column of ``cols``,
+    whatever the BLAS library.  The temporaries are no larger than the
+    result.  `_product` falls back to it where its probe fails."""
     out = mats[..., 0, None] * cols[0]
     for k in range(1, len(cols)):
         out += mats[..., k, None] * cols[k]
     return out
+
+
+def _chunked(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out[..., n, :] = mats[...] @ x[n]`` through BLAS: the rows of ``x``
+    are zero-padded to chunks of ``CHUNK_ROWS``, and each chunk is one
+    ``(CHUNK_ROWS, 2d) @ mats[...].T`` product, of the same shape whatever
+    the number of rows."""
+    n, size = x.shape
+    padded = np.zeros((-(-n // CHUNK_ROWS), CHUNK_ROWS, size))
+    padded.reshape(-1, size)[:n] = x
+    out = padded @ mats.swapaxes(-1, -2)[..., None, :, :]
+    return out.reshape(*out.shape[:-3], -1, out.shape[-1])[..., :n, :]
+
+
+def _rows_independent(mats: np.ndarray) -> bool:
+    """Whether `_chunked` gives every product of ``mats`` the same bits for a
+    row wherever the row sits: among pseudo-random rows (``sin`` of the
+    integers), one place on in the next chunk, and alone in a call of its
+    own.  OpenBLAS 0.3.31 met it for every operator tried, but it is a
+    property of the library, not of IEEE arithmetic, so each call tests it
+    on its own operators."""
+    rows = np.empty((2 * CHUNK_ROWS, mats.shape[-1]))
+    rows[:CHUNK_ROWS] = np.sin(np.arange(1.0, rows[:CHUNK_ROWS].size + 1)).reshape(CHUNK_ROWS, -1)
+    rows[CHUNK_ROWS + 1 :] = rows[: CHUNK_ROWS - 1]
+    rows[CHUNK_ROWS] = rows[CHUNK_ROWS - 1]
+    out = _chunked(mats, rows)
+    last = out[..., CHUNK_ROWS - 1 : CHUNK_ROWS, :]
+    return bool((out[..., CHUNK_ROWS + 1 :, :] == out[..., : CHUNK_ROWS - 1, :]).all()
+                and (out[..., CHUNK_ROWS : CHUNK_ROWS + 1, :] == last).all()
+                and (_chunked(mats, rows[CHUNK_ROWS : CHUNK_ROWS + 1]) == last).all())
+
+
+def _product(mats: np.ndarray, x: np.ndarray, blas: bool) -> np.ndarray:
+    """``out[..., n, :] = mats[...] @ x[n]`` for every row ``n`` of ``x``,
+    each row's bits independent of the other rows: through `_chunked` where
+    ``blas``, the result of `_rows_independent` on ``mats`` (or on a stack
+    holding them), else through `_columns`."""
+    return _chunked(mats, x) if blas else np.moveaxis(_columns(mats, x.T), -1, -2)
 
 
 class _StepTable:
@@ -179,6 +232,8 @@ class _StepTable:
     def __init__(self, h_eff: np.ndarray, t_max: float):
         h_norm = float(np.linalg.norm(h_eff, 2))
         step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
+        if t_max / step >= 2.0**1023:  # the widths 2**top * step would overflow
+            raise ValidationError(f"t_max must be below 2**1023 steps of {step:.6g}, got {t_max}")
         top = max(0, int(np.ceil(np.log2(t_max / step))))
         while step * 2.0**top < t_max:
             top += 1
@@ -203,21 +258,23 @@ class _StepTable:
         for k in range(top, 0, -1):
             y[k - 1] = 2.0 * y[k] + y[k] @ y[k]
         self.mats = y + np.eye(size)
+        self.blas = _rows_independent(np.concatenate([self.mats, self.taylor, self.moments]))
 
-    def _taylor(self, cols: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Rows ``sum_i tau[n]^i taylor[i] cols[:, n]``: the no-jump states
-        after ``tau[n]`` from the columns of ``cols``, by Horner's rule."""
-        terms = _columns(self.taylor, cols)
+    def _taylor(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Rows ``sum_i tau[n]^i taylor[i] x[n]``: the no-jump states after
+        ``tau[n]`` from the rows of ``x``, by Horner's rule."""
+        terms = _product(self.taylor, x, self.blas)
         phi = terms[TAYLOR_ORDER]
         for i in range(TAYLOR_ORDER - 1, -1, -1):
-            phi = phi * tau + terms[i]
-        return phi.T
+            phi = phi * tau[:, None] + terms[i]
+        return phi
 
     def apply(self, k: int, x: np.ndarray) -> np.ndarray:
-        """The level-``k`` propagator applied to each row of ``x``, with the
-        products and left-to-right sums of `_columns`, so each row of the
-        result depends only on its own row of ``x``."""
-        return _columns(self.mats[k], x.T).T
+        """The level-``k`` propagator applied to each row of ``x`` by
+        `_product`: BLAS on fixed-shape chunks where the table's probe found
+        every row's bits independent of its place, else `_columns`.  Either
+        way each row of the result depends only on its own row of ``x``."""
+        return _product(self.mats[k], x, self.blas)
 
     def solve(self, x: np.ndarray, u: np.ndarray):
         """Offsets ``tau`` in ``[0, step]`` where the squared norm of the
@@ -229,9 +286,8 @@ class _StepTable:
         on each row's polynomial; a Newton step that leaves the row's
         bracket falls back to bisection, and a row is frozen once its move
         is at most ``step * 2**-TIME_LEVELS``.  The rows are worked on as
-        the columns of ``x.T``."""
-        cols = x.T
-        coeffs = _row_sum((_columns(self.moments, cols) * cols).swapaxes(-1, -2))
+        the rows of ``x``."""
+        coeffs = _row_sum(_product(self.moments, x, self.blas) * x)
         lo = np.zeros(len(x))
         hi = np.full(len(x), self.step)
         tau = np.zeros(len(x))
@@ -257,7 +313,7 @@ class _StepTable:
                 break
         else:
             raise NumericalError("jump-time solve did not converge")
-        phi = self._taylor(cols, tau)
+        phi = self._taylor(x, tau)
         phi_sq = _row_sum(phi * phi)
         if np.any(np.abs(phi_sq - u) > NORM_RESIDUAL_TOL):
             raise NumericalError("jump-time solve failed to reach the norm residual tolerance")
@@ -276,7 +332,7 @@ class _StepTable:
             if rows.size:
                 x[rows] = self.apply(k, x[rows])
                 rest[rows] -= self.widths[k]
-        return self._taylor(x.T, rest)
+        return self._taylor(x, rest)
 
 
 def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
@@ -288,13 +344,13 @@ def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
         )
 
 
-def _fire(jumps: np.ndarray, phi: np.ndarray, phi_sq: np.ndarray, draws: np.ndarray,
-          times: np.ndarray):
+def _fire(jumps: np.ndarray, blas: bool, phi: np.ndarray, phi_sq: np.ndarray,
+          draws: np.ndarray, times: np.ndarray):
     """Channels and normalized post-jump states of rows ``phi`` (squared
     norms ``phi_sq``) that jump at ``times``, given one channel uniform per
     row.  ``jumps`` stacks the real forms of the K jump operators into one
-    ``(2 d K, 2 d)`` matrix."""
-    amps = _columns(jumps, phi.T).T.reshape(len(phi), -1, phi.shape[1])
+    ``(2 d K, 2 d)`` matrix, applied by `_product` with ``blas``."""
+    amps = _product(jumps, phi, blas).reshape(len(phi), -1, phi.shape[1])
     amps_sq = _row_sum(amps * amps)
     rates = amps_sq / phi_sq[:, None]
     rates[rates < RATE_FLOOR] = 0.0
@@ -338,6 +394,7 @@ def _simulate_rows(
     table = _StepTable(h_eff, t_max)
     widths = table.widths
     jumps = np.concatenate(_real_form(np.stack(rep.jumps)))
+    jumps_blas = _rows_independent(jumps)
 
     def start_level(t: np.ndarray) -> np.ndarray:
         # the narrowest level whose step from ``t`` reaches ``t_max``, in the
@@ -350,9 +407,11 @@ def _simulate_rows(
 
     # Live rows: ``x`` is the state at time ``t``, with squared norm above
     # ``u``.  Each round starts every row on a segment at level ``start``,
-    # applies each level to the rows with ``start <= level``, so that after
+    # applies each level to every row and keeps the step for the rows with
+    # ``start <= level`` whose squared norm stays above ``u``, so that after
     # level ``top`` every row holds the bracket ``(t, t + step]``, and ends
-    # with the solve.  A row leaves once ``t`` reaches ``t_max``.
+    # with the solve.  A row whose ``t`` reaches ``t_max`` gets
+    # ``start = top + 1``; rows leave after the descent and after the solve.
     row = np.arange(n)
     t = np.zeros(n)
     x = np.tile(psi0.view(float), (n, 1))
@@ -365,20 +424,21 @@ def _simulate_rows(
     while row.size:
         start = start_level(t)
         for level in range(start.min(), table.top + 1):
-            down = np.flatnonzero(start <= level)
-            if not down.size:
+            down = start <= level
+            if not down.any():
                 continue
-            new = table.apply(level, x[down])
-            above = _row_sum(new * new) > u[down]
-            x[down[above]] = new[above]
-            t[down[above]] += widths[level]
-            row, t, x, u, start = drop_finished(row, t, x, u, start)
+            new = table.apply(level, x)
+            keep = down & (_row_sum(new * new) > u)
+            np.copyto(x, new, where=keep[:, None])
+            np.add(t, widths[level], out=t, where=keep)
+            start[t >= t_max] = table.top + 1  # finished: no later level takes it
+        row, t, x, u = drop_finished(row, t, x, u)
         tau, phi, phi_sq = table.solve(x, u)
         t += tau  # a crossing after t_max ends its row with no jump
         hit = np.flatnonzero(t <= t_max)
         if hit.size:
             draws = streams.take(row[hit], 2)  # the channel's, then the next u
-            channel, post = _fire(jumps, phi[hit], phi_sq[hit], draws[:, 0], t[hit])
+            channel, post = _fire(jumps, jumps_blas, phi[hit], phi_sq[hit], draws[:, 0], t[hit])
             x[hit] = post
             fired.append((row[hit], t[hit], channel, post.view(complex)))
             u[hit] = draws[:, 1]

@@ -408,6 +408,8 @@ class TestMalformedInput:
         [
             (("simulate", "{a}", "--tmax", "nan", "--ntraj", "3", "--out", "{out}"), 3),
             (("simulate", "{a}", "--tmax", "inf", "--ntraj", "3", "--out", "{out}"), 3),
+            # t_max / step overflowed the step table's level count
+            (SIMULATE + ("--tmax", "1e308"), 3),
             (COMPARE + ("--times", "abc"), 2),
             (COMPARE + ("--times", "nan"), 3),
             (COMPARE + ("--alpha", "0"), 3),
@@ -440,7 +442,7 @@ class TestMalformedInput:
             (COMPARE + ("--seed-b", "-2"), 2),
             (("rate-scan", "--rep-b", "{a}", "--seed", "-1"), 2),
         ],
-        ids=["tmax-nan", "tmax-inf", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
+        ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
              "row-blocks-str", "n-polar--1", "n-polar-0", "simulate-psi0-nan",
              "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",
@@ -492,6 +494,17 @@ class TestMalformedInput:
         if argv[0] == "sjed":
             assert errors[0].getMessage().startswith("jumps[1]: ")
         assert not out_dir.exists()
+
+
+    def test_compare_horizon_past_the_widths_named(self, capsys, caplog, rep_files):
+        # the step depends on the pair, so the simulator's step table rejects
+        # this horizon; it ended in an OverflowError traceback
+        rep_a, _ = rep_files
+        code, out = run(capsys, *self.COMPARE[:2], rep_a, *self.COMPARE[3:], "--tmax", "1e308",
+                        "--rep-a", rep_a)
+        assert code == 3 and out == ""
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "uqd" and r.levelname == "ERROR"]
+        assert message.startswith("t_max must be below 2**1023 steps of ") and message.endswith(", got 1e+308")
 
 
 class TestPermutationMessage:

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from uqd.representation import Representation, effective_hamiltonian, jump_rates
 from uqd.sjed import partition
 from uqd import streams, trajectory
 from uqd.trajectory import (
+    CHUNK_ROWS,
     STEP_SCALE,
     coarse_grain,
     simulate,
@@ -426,6 +431,30 @@ class TestGuards:
         with pytest.raises(ValidationError, match=f"^n_traj must be a positive integer, got {n_traj}$"):
             simulate_ensemble(qutrit_a, ket(3, 1), 1.0, n_traj, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rep, ensemble: simulate(rep, ket(2, 1), 1e308, seed=0),
+            lambda rep, ensemble: simulate_ensemble(rep, ket(2, 1), 1e308, 3, 0),
+            lambda rep, ensemble: simulate_ensemble(rep, ket(2, 1), 0.02 * 2.0**1023, 3, 0),
+            lambda rep, ensemble: states_at(replace(ensemble, t_final=1e308), rep, [1.0]),
+        ],
+        ids=["simulate", "simulate_ensemble", "simulate_ensemble-2**1023-steps", "states_at"],
+    )
+    def test_horizon_past_the_widths_named(self, call):
+        # step = 0.02 here, so t_max / step overflowed and the table's level
+        # count raised an uncaught OverflowError
+        rep = single_decay()
+        ensemble = simulate_ensemble(rep, ket(2, 1), 1.0, 3, 0)
+        with pytest.raises(ValidationError, match=r"^t_max must be below 2\*\*1023 steps of 0\.02, got "):
+            call(rep, ensemble)
+
+    def test_longest_horizon_runs(self):
+        rep = single_decay()
+        ensemble = simulate_ensemble(rep, ket(2, 1), 0.02 * 2.0**1023 * (1 - 2.0**-52), 3, 0)
+        assert np.diff(ensemble.offsets).tolist() == [1, 1, 1]
+        assert states_at(ensemble, rep, [1e300]).shape == (1, 3, 2)
+
     def test_norm_growth_detected(self):
         grower = np.diag([0.5j, -0.5j])
         with pytest.raises(NumericalError, match="invalid effective Hamiltonian"):
@@ -649,6 +678,133 @@ class TestSolve:
             alone = table.solve(x[n : n + 1], u[n : n + 1])
             for a, b in zip(batch, alone):
                 assert np.array_equal(a[n], b[0])
+
+
+def chunk_model(dim):
+    """A model with a non-diagonal ``H_eff``, so every propagator entry
+    enters each product."""
+    return random_minimal_representation(
+        np.random.default_rng(5), dim, n_reset=2, n_nonreset=1, max_rank=2
+    )
+
+
+class TestChunkedProduct:
+    """Every simulator and replay product runs through BLAS on rows
+    zero-padded to chunks of ``CHUNK_ROWS``, where a per-call probe finds
+    each row's bits independent of its place, and through `_columns`
+    elsewhere."""
+
+    @staticmethod
+    def rows_to_check(n):
+        # the first and last rows and both sides of every chunk boundary
+        edges = {i for edge in range(CHUNK_ROWS, n, CHUNK_ROWS) for i in (edge - 1, edge)}
+        return sorted({0, n - 1} | edges)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("dim", [3, 8, 33])
+    def test_ensemble_rows_equal_rows_alone(self, dim, n):
+        rep, psi0 = chunk_model(dim), np.ones(dim)
+        ensemble = simulate_ensemble(rep, psi0, 2.0, n, seed=11)
+        assert ensemble.times.size
+        for i in self.rows_to_check(n):
+            alone = simulate(rep, psi0, 2.0, seed=trajectory_seed(11, i))
+            assert_same_record(ensemble[i], alone)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("dim", [3, 8, 33])
+    def test_replayed_rows_equal_rows_alone(self, dim, n):
+        rep, times = chunk_model(dim), [0.3, 1.1, 2.0]
+        ensemble = simulate_ensemble(rep, np.ones(dim), 2.0, n, seed=11)
+        assert ensemble.times.size
+        batch = states_at(ensemble, rep, times)
+        for i in self.rows_to_check(n):
+            assert np.array_equal(batch[:, i], states_at(ensemble[i], rep, times)[:, 0]), i
+
+    def test_columns_only_where_the_probe_fails(self, monkeypatch, qutrit_a):
+        verdicts, columns_calls = [], []
+        probe, columns = trajectory._rows_independent, trajectory._columns
+
+        def recording_probe(mats):
+            verdicts.append(probe(mats))
+            return verdicts[-1]
+
+        def counting_columns(*args):
+            columns_calls.append(None)
+            return columns(*args)
+
+        monkeypatch.setattr(trajectory, "_rows_independent", recording_probe)
+        monkeypatch.setattr(trajectory, "_columns", counting_columns)
+        ensemble = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 100, seed=3)
+        states_at(ensemble, qutrit_a, [0.5, 2.0])
+        # the simulation's table and jumps, then the replay's table
+        assert len(verdicts) == 3
+        assert bool(columns_calls) == (not all(verdicts))
+
+    @pytest.mark.parametrize(
+        "rep, psi0, time_rtol, time_atol",
+        [
+            (models.qutrit_a(), ket(3, 1), 1e-15, 0.0),
+            # dense operators: BLAS sums in another order and with fused
+            # multiply-adds, so times move by a few ulps of the horizon
+            (chunk_model(8), ket(8, 0), 0.0, 1e-14),
+        ],
+        ids=["qutrit_a", "dense-dim8"],
+    )
+    def test_fallback_matches_blas(self, monkeypatch, rep, psi0, time_rtol, time_atol):
+        times = [0.5, 1.3, 2.0]
+        blas = simulate_ensemble(rep, psi0, 2.0, 150, seed=9)
+        blas_states = states_at(blas, rep, times)
+        monkeypatch.setattr(trajectory, "_rows_independent", lambda mats: False)
+        fallback = simulate_ensemble(rep, psi0, 2.0, 150, seed=9)
+        assert blas.times.size > 100
+        assert np.array_equal(fallback.offsets, blas.offsets)
+        assert np.array_equal(fallback.channels, blas.channels)
+        np.testing.assert_allclose(fallback.times, blas.times, rtol=time_rtol, atol=time_atol)
+        np.testing.assert_allclose(fallback.post_jump_states, blas.post_jump_states, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(states_at(fallback, rep, times), blas_states, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "mixing",
+        [
+            lambda out: out + 1e-3 * np.roll(out, 1, axis=-2),  # a row's neighbour in its call
+            lambda out: out + 1e-3 * out[..., :1, :],  # the first row of its call
+        ],
+        ids=["neighbour", "first-row"],
+    )
+    def test_probe_rejects_a_row_dependent_product(self, monkeypatch, qutrit_a, mixing):
+        chunked = trajectory._chunked
+        monkeypatch.setattr(trajectory, "_chunked", lambda mats, x: mixing(chunked(mats, x)))
+        operator = np.random.default_rng(1).standard_normal((6, 6))
+        assert not trajectory._rows_independent(operator)
+        assert not trajectory._rows_independent(np.stack([np.eye(6), operator]))
+        mixed = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 70, seed=3)
+        mixed_states = states_at(mixed, qutrit_a, [0.5, 2.0])
+        # the same bits as with the probe turned off: `_columns` everywhere
+        monkeypatch.setattr(trajectory, "_rows_independent", lambda mats: False)
+        columns = simulate_ensemble(qutrit_a, ket(3, 1), 2.0, 70, seed=3)
+        assert columns.times.size
+        assert np.array_equal(mixed.offsets, columns.offsets)
+        assert_same_record(mixed, columns)
+        assert np.array_equal(mixed_states, states_at(columns, qutrit_a, [0.5, 2.0]))
+
+    def test_rows_independent_with_two_blas_threads(self):
+        # conftest pins BLAS to one thread; OpenBLAS splits a product over
+        # threads from about 64 x 64 x 64 multiply-adds, so the dim-32 and
+        # dim-33 chunks may run on both
+        here = Path(__file__)
+        selection = [
+            f"{here}::TestDeterminism::test_ensemble_rows_independent_of_batch",
+            f"{here}::TestStateAt::test_replayed_rows_independent_of_batch",
+            f"{here}::TestChunkedProduct::test_ensemble_rows_equal_rows_alone[33-129]",
+            f"{here}::TestChunkedProduct::test_replayed_rows_equal_rows_alone[33-129]",
+        ]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *selection],
+            cwd=here.parent.parent, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+        assert "4 passed" in proc.stdout
 
 
 class TestBoundedState:
