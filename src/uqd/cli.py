@@ -11,9 +11,10 @@ import csv
 import functools
 import json
 import logging
+import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ EXIT_NUMERIC = 3
 THREADS_HELP = (
     "accepted and ignored: all trajectories of a run advance together in one process"
 )
+RECORD_BLOCK = 1024  # records formatted and written at a time
+_EVENT = '{{"time": {!r}, "channel": {}}}'.format
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -197,10 +200,32 @@ def _parse_perm(text: Optional[str], what: str) -> Optional[tuple[int, ...]]:
     return tuple(e - 1 for e in entries)
 
 
+def _create(path: Path, **kwargs):
+    """``path`` opened for writing; one that cannot be is a usage error naming it."""
+    try:
+        return path.open("w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_out_dir(path: Path) -> None:
+    """Refuse, before any work, an output directory that cannot be made or
+    written: ``path`` or its nearest existing ancestor must be a writable
+    directory."""
+    existing = path
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise InputError(f"cannot write {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise InputError(f"cannot write {path}: {existing} is not writable")
+
+
 def _emit(doc: dict, args, out: Optional[str] = None) -> None:
     text = json.dumps(doc, indent=2 if args.pretty else None)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with _create(Path(out)) as fh:
+            fh.write(text + "\n")
         log.info("wrote %s", out)
     else:
         print(text)
@@ -331,30 +356,49 @@ def _require_seed(seed: int, flag: str) -> None:
         raise InputError(f"{flag} must be a non-negative integer, got {seed}")
 
 
+def record_lines(ensemble: trajectory.TrajectoryEnsemble) -> Iterator[str]:
+    """The JSON lines of ``ensemble``'s records, ``RECORD_BLOCK`` rows to a
+    string, byte for byte as ``json.dumps`` writes each record's dict: both
+    write an int as ``int.__repr__`` and a finite float as ``float.__repr__``
+    (the templates' ``!r``, once per number), and the simulator records only
+    finite numbers."""
+    head = json.dumps({"t_final": ensemble.t_final,
+                       "initial_state": vector_to_json(ensemble.initial_state)})[1:-1]
+    dim = ensemble.initial_state.size
+    state = ("[" + ", ".join(["[{!r}, {!r}]"] * dim) + "]").format
+    offsets, seeds = ensemble.offsets.tolist(), ensemble.seeds.tolist()
+    for start in range(0, len(seeds), RECORD_BLOCK):
+        rows = range(start, min(start + RECORD_BLOCK, len(seeds)))
+        lo, hi = offsets[rows.start], offsets[rows.stop]
+        events = list(map(_EVENT, ensemble.times[lo:hi].tolist(),
+                          (ensemble.channels[lo:hi] + 1).tolist()))
+        parts = np.asarray(ensemble.post_jump_states[lo:hi], dtype=complex)[..., None]
+        parts = iter(parts.view(float).ravel().tolist())
+        states = list(map(state, *[parts] * (2 * dim)))  # 2 * dim numbers per state
+        yield "".join([
+            f'{{"traj": {i}, "seed": {seeds[i]}, {head}, '
+            f'"events": [{", ".join(events[a - lo:b - lo])}], '
+            f'"post_jump_states": [{", ".join(states[a - lo:b - lo])}]}}\n'
+            for i, a, b in zip(rows, offsets[rows.start:], offsets[rows.start + 1:])
+        ])
+
+
 def _cmd_simulate(args) -> int:
     _require_seed(args.seed, "--seed")
     tol = _tolerance(args)
     rep = _load_representation(args.rep)
     psi0 = _load_state(args.psi0, rep.dim)
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     log.info("simulating %d trajectories", args.ntraj)
     ensemble = trajectory.simulate_ensemble(rep, psi0, args.tmax, args.ntraj, args.seed, tol=tol)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc.strerror}") from None
     records_path = out_dir / "trajectories.jsonl"
-    offsets, initial = ensemble.offsets.tolist(), vector_to_json(ensemble.initial_state)
-    times, channels = ensemble.times.tolist(), (ensemble.channels + 1).tolist()
-    with records_path.open("w", encoding="utf-8") as fh:
-        for i, (seed, lo, hi) in enumerate(zip(ensemble.seeds.tolist(), offsets, offsets[1:])):
-            record = {
-                "traj": i,
-                "seed": seed,
-                "t_final": ensemble.t_final,
-                "initial_state": initial,
-                "events": [{"time": time, "channel": channel} for time, channel
-                           in zip(times[lo:hi], channels[lo:hi])],
-                "post_jump_states": matrix_to_json(ensemble.post_jump_states[lo:hi]),
-            }
-            fh.write(json.dumps(record) + "\n")
+    with _create(records_path) as fh:
+        fh.writelines(record_lines(ensemble))
     manifest = {
         "representation": representation.to_document(rep),
         "psi0": vector_to_json(psi0),
@@ -363,7 +407,8 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
         "records": records_path.name,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    with _create(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2))
     print(json.dumps({"out": str(out_dir), "n_traj": args.ntraj,
                       "records": str(records_path)}, indent=2 if args.pretty else None))
     return EXIT_OK
@@ -499,7 +544,7 @@ def _cmd_fig1(args) -> int:
             n_azimuth=args.n_azimuth,
         )
     )
-    handle = Path(args.out).open("w", newline="", encoding="utf-8") if args.out else sys.stdout
+    handle = _create(Path(args.out), newline="") if args.out else sys.stdout
     try:
         handle.write(f"# {ens.RATE_CURVE_CONVENTION}\n")
         writer = csv.writer(handle)

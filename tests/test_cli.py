@@ -12,9 +12,16 @@ import pytest
 
 import uqd
 from uqd import models, schemas, trajectory
-from uqd.cli import main
-from uqd.representation import Representation, from_document, matrix_to_json, serialize
-from helpers import close_targets, tilted
+from uqd.cli import main, record_lines
+from uqd.representation import (
+    Representation,
+    from_document,
+    matrix_to_json,
+    serialize,
+    vector_to_json,
+)
+from uqd.trajectory import TrajectoryEnsemble
+from helpers import close_targets, random_unitary, tilted
 
 
 def run(capsys, *argv):
@@ -348,6 +355,86 @@ class TestSimulate:
         assert code == 0
 
 
+def reference_lines(ensemble):
+    """Each record of ``ensemble`` as ``json.dumps`` writes its dict: the
+    reference that `record_lines` must match byte for byte."""
+    offsets, initial = ensemble.offsets.tolist(), vector_to_json(ensemble.initial_state)
+    times, channels = ensemble.times.tolist(), (ensemble.channels + 1).tolist()
+    for i, (seed, lo, hi) in enumerate(zip(ensemble.seeds.tolist(), offsets, offsets[1:])):
+        record = {
+            "traj": i,
+            "seed": seed,
+            "t_final": ensemble.t_final,
+            "initial_state": initial,
+            "events": [{"time": time, "channel": channel} for time, channel
+                       in zip(times[lo:hi], channels[lo:hi])],
+            "post_jump_states": matrix_to_json(ensemble.post_jump_states[lo:hi]),
+        }
+        yield json.dumps(record) + "\n"
+
+
+class TestRecordFormat:
+    """`record_lines` against the ``json.dumps`` reference, line by line."""
+
+    # shortest reprs in exponent form, subnormal, signed zero, extremes
+    VALUES = (1e-05, 1e+16, 5e-324, -0.0, 1.7976931348623157e+308, 1.5e-300, 0.1, 1 / 3)
+    SEEDS = (0, 2**63, 2**64 - 1, 2**70, 7)
+
+    @classmethod
+    def hand_built(cls, dim, t_final, counts):
+        # events cycle through VALUES, in times and in both parts of each state
+        n_events = sum(counts)
+        values = np.resize(cls.VALUES, n_events * (2 * dim + 1))
+        return TrajectoryEnsemble(
+            initial_state=np.resize(cls.VALUES[::-1], 2 * dim).view(complex),
+            t_final=t_final,
+            seeds=np.array(cls.SEEDS[: len(counts)], dtype=object),
+            offsets=np.concatenate([[0], np.cumsum(counts)]),
+            times=values[:n_events],
+            channels=np.arange(n_events) % 3,
+            post_jump_states=values[n_events:].copy().view(complex).reshape(n_events, dim),
+        )
+
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    @pytest.mark.parametrize("t_final", [2.0, 1e+16])
+    def test_matches_reference(self, monkeypatch, dim, block, t_final):
+        # rows without events first, in the middle and last
+        monkeypatch.setattr(uqd.cli, "RECORD_BLOCK", block)
+        ensemble = self.hand_built(dim, t_final, [0, 3, 0, 1, 0])
+        lines = "".join(record_lines(ensemble)).splitlines(keepends=True)
+        assert lines == list(reference_lines(ensemble))
+        assert [json.loads(line)["seed"] for line in lines] == list(self.SEEDS)
+
+    def test_one_string_per_block(self, monkeypatch):
+        monkeypatch.setattr(uqd.cli, "RECORD_BLOCK", 2)
+        blocks = list(record_lines(self.hand_built(3, 2.0, [0, 3, 0, 1, 0])))
+        assert [block.count("\n") for block in blocks] == [2, 2, 1]
+
+    def test_no_rows(self):
+        assert list(record_lines(self.hand_built(2, 1.0, []))) == []
+
+    def test_dense_simulate_matches_reference(self, capsys, tmp_path):
+        # every entry of every post-jump state is a full-precision float
+        u = random_unitary(4, 11)
+        jumps = [u @ np.diag(np.sqrt([0.3, 0.7, 1.1, 0.2 * k + 0.1])) @ u.conj().T @ np.eye(4, k=k)
+                 for k in range(3)]
+        rep = Representation(hamiltonian=u @ np.diag([0.0, 0.4, 1.3, 2.1]) @ u.conj().T,
+                             jumps=jumps)
+        psi0 = tmp_path / "psi0.json"
+        psi0.write_text(json.dumps(vector_to_json(u[:, 0])))
+        out_dir = tmp_path / "runs"
+        code, _ = run(
+            capsys, "simulate", write_rep(tmp_path, rep, "dense.json"), "--psi0", str(psi0),
+            "--tmax", "2.0", "--ntraj", "50", "--seed", "5", "--out", str(out_dir),
+        )
+        assert code == 0
+        ensemble = trajectory.simulate_ensemble(rep, u[:, 0], 2.0, 50, 5)
+        assert ensemble.times.size > 50
+        lines = (out_dir / "trajectories.jsonl").read_text().splitlines(keepends=True)
+        assert lines == list(reference_lines(ensemble))
+
+
 class TestRateScan:
     def test_equivalent_pair(self, capsys, rep_files):
         rep_a, rep_min = rep_files
@@ -495,6 +582,38 @@ class TestMalformedInput:
             assert errors[0].getMessage().startswith("jumps[1]: ")
         assert not out_dir.exists()
 
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            # a regular file where the records directory should be, or above it
+            (SIMULATE[:-1] + ("{file}",), "{file}"),
+            (SIMULATE[:-1] + ("{file}/records",), "{file}/records"),
+            (("minimize", "{a}", "--out", "{missing}/x.json"), "{missing}/x.json"),
+            (("gauge", "extract", "--rep-min", "{a_min}", "--rep", "{a}", "--out",
+              "{missing}/x.json"), "{missing}/x.json"),
+            (("example", "qutrit-b", "--out", "{missing}/x.json"), "{missing}/x.json"),
+            (("fig1", "--n-polar", "3", "--n-azimuth", "3", "--out", "{missing}/x.csv"),
+             "{missing}/x.csv"),
+        ],
+        ids=["simulate-file", "simulate-under-file", "minimize", "gauge", "example", "fig1"],
+    )
+    def test_unwritable_out_named(self, capsys, caplog, monkeypatch, rep_files, tmp_path,
+                                  argv, path):
+        # ``simulate`` checks its directory before simulating anything
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the output directory was checked")
+
+        monkeypatch.setattr(uqd.trajectory, "simulate_ensemble", forbidden)
+        rep_a, rep_a_min = rep_files
+        files = {"a": rep_a, "a_min": rep_a_min, "file": tmp_path / "file",
+                 "missing": tmp_path / "missing"}
+        files["file"].write_text("kept\n")
+        code, out = run(capsys, *(arg.format(**files) for arg in argv))
+        assert code == 2 and out == ""
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "uqd" and r.levelname == "ERROR"]
+        assert message.startswith(f"cannot write {path.format(**files)}")
+        assert files["file"].read_text() == "kept\n" and not files["missing"].exists()
 
     def test_compare_horizon_past_the_widths_named(self, capsys, caplog, rep_files):
         # the step depends on the pair, so the simulator's step table rejects
