@@ -425,6 +425,10 @@ def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
         if not isinstance(entry, dict) or "matrix" not in entry:
             raise InputError(f"observables[{i}] must be an object with a 'matrix' field")
         label = entry.get("label", f"obs_{i}")
+        if not isinstance(label, str):
+            raise InputError(f"observables[{i}].label must be a string, got {label!r}")
+        if label in out:
+            raise InputError(f"observables[{i}].label {label!r} repeats an earlier label")
         where = f"observables[{i}].matrix"
         matrix = matrix_from_json(entry["matrix"], where)
         if matrix.shape != (dim, dim):

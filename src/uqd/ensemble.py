@@ -7,7 +7,7 @@ equivalent really behave identically:
   actions on sampled states, reporting worst-case deviations (zero up to
   roundoff exactly when the trajectory-equivalence conditions hold).
 * ``mean_state_check`` compares the ensemble-averaged conditional state with
-  the deterministically integrated averaged state.
+  ``exp(L t) rho0`` from `uqd.linalg.matrix_exponential`, in numpy alone.
 * ``compare_ensembles`` runs two-sample tests on two ensembles of one size,
   with a Bonferroni-corrected verdict: Kolmogorov-Smirnov on observable
   samples and Pearson's chi-square on jump-count distributions.  Observable

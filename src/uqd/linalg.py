@@ -1,4 +1,5 @@
-"""Dense complex linear-algebra kernel used by every other module.
+"""Dense complex linear-algebra kernel used by every other module, with the
+package's one matrix exponential, :func:`exp_ladder`, in numpy alone.
 
 Conventions, fixed once for the whole package:
 
@@ -17,13 +18,17 @@ call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+STEP_SCALE = 0.01  # the largest |a| * step of `exp_ladder`'s series
+# |H_eff| * step <= STEP_SCALE, so the degree-8 Taylor polynomial of the
+# squared norm over one step errs by at most 0.02**9 / 9! ~ 1e-21
+TAYLOR_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -223,17 +228,49 @@ def identity_shift(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Optional[co
     return z
 
 
+def exp_ladder(a: np.ndarray, step: float, top: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Scaling and squaring: ``taylor[i] = a^i / i!`` to ``TAYLOR_ORDER``, and
+    an iterator over ``y = exp(a w) - 1`` for ``w = step * 2**j``, ``j = 0 ..
+    top``: Horner's rule on the terms (to ``0.01**9 / 9!`` where ``|a| step <=
+    STEP_SCALE``), then ``y <- 2 y + y y``, which keeps the low digits that
+    squaring ``1 + y`` would lose."""
+    taylor = np.empty((TAYLOR_ORDER + 1, *a.shape), dtype=a.dtype)
+    taylor[0] = np.eye(len(a))
+    for i in range(1, TAYLOR_ORDER + 1):
+        taylor[i] = taylor[i - 1] @ a / i
+
+    def levels():
+        y = np.zeros_like(a)
+        for term in taylor[:0:-1]:  # Horner's rule
+            y = (y + term) * step
+        yield y
+        for _ in range(top):
+            yield (y := 2.0 * y + y @ y)
+
+    return taylor, levels()
+
+
 def matrix_exponential(mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with Pade approximants.
-
-    scipy is imported on use: within ``uqd`` only the mean-state check
-    calls this, and the import would be most of ``import uqd``'s time."""
-    import scipy.linalg
-
+    """``exp(mat)``: ``1 + y`` at the widest level of :func:`exp_ladder` from
+    ``step = 2**-top``, ``top`` the least with ``bound * step <= STEP_SCALE``
+    for ``bound = sqrt(|mat|_1) sqrt(|mat|_inf) >= |mat|_2`` (no SVD).  An
+    overflowing bound or level is a named error.  The error is about ``eps
+    |mat| max(1, exp(mu))``, ``mu`` the top eigenvalue of ``(mat + mat^+) / 2``:
+    relative on Liouvillians, not where ``exp(mat)`` is far below that."""
     mat = as_operator(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError("matrix exponential requires a square matrix")
-    return scipy.linalg.expm(mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # roots first: the product may overflow
+        bound = np.sqrt(np.linalg.norm(mat, 1)) * np.sqrt(np.linalg.norm(mat, np.inf))
+        if not np.isfinite(bound):
+            raise ValidationError("matrix exponential: the norm bound of the matrix overflows")
+        top = 0
+        while bound * 2.0**-top > STEP_SCALE:
+            top += 1
+        for y in exp_ladder(mat, 2.0**-top, top)[1]:
+            if not np.isfinite(y).all():
+                raise NumericalError(f"matrix exponential overflows (norm bound {bound:.6g})")
+    return y + np.eye(len(mat))
 
 
 def as_rng(seed: SeedLike) -> np.random.Generator:

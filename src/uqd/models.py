@@ -36,6 +36,13 @@ def _dyad(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.outer(left, right.conj())
 
 
+def _require_finite(params: dict) -> None:
+    """Name the first parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def shared_dephasing_operator() -> np.ndarray:
     """Unit-Frobenius-norm rank-2 operator (|2><2| - |0><0|) / sqrt(2)."""
     return (_dyad(_ket(3, 2), _ket(3, 2)) - _dyad(_ket(3, 0), _ket(3, 0))) / _SQRT2
@@ -55,6 +62,7 @@ def qutrit_a(
     ``vartheta`` splits the dephasing weight between the two proportional
     jumps; multiples of pi/2 would zero one of them and are rejected.
     """
+    _require_finite({"theta": theta, "gamma": gamma, "vartheta": vartheta, "lambda": lam, "phi": phi})
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     if lam == 0:
@@ -82,6 +90,7 @@ def qutrit_a_minimal(
     label: str = "qutrit-a-minimal",
 ) -> Representation:
     """Three-jump form of :func:`qutrit_a`: recombined decays, merged dephasing."""
+    _require_finite({"theta": theta, "gamma": gamma, "lambda": lam})
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     if lam == 0:
@@ -109,6 +118,7 @@ def qutrit_b(
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) != 3:
         raise ValidationError("qutrit-b takes exactly three rates")
+    _require_finite({"theta": theta, **{f"gamma {i + 1}": g for i, g in enumerate(gammas)}})
     if any(g <= 0 for g in gammas):
         raise ValidationError("all rates must be positive")
     g1, g2, g3 = gammas

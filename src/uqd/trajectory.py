@@ -17,16 +17,17 @@ Implementation notes:
   dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, so level 0
   covers ``t_max`` and level ``top`` is ``step``.  Level ``top`` is summed
   from the Taylor series of the solve, and each wider level squares the
-  next.  The squared norm never increases (`_check_contractive`), so the
-  times where it stays above ``u`` form one interval, and a greedy descent
-  finds its end without a grid.  A segment starts at the narrowest level
-  whose width still reaches ``t_max``.  The engine works in rounds that start
-  every live row on a segment: pass ``k`` applies level ``k`` to every live
-  row in one product, and a row whose segment starts at level ``k`` or a
-  wider one keeps the step if its squared norm stays above ``u``.  A kept
-  step that reaches ``t_max`` ends the row with no further jump: it takes no
-  later level and leaves at the end of the round.  After level ``top`` every
-  other row holds a bracket ``(t, t + step]``.
+  next (`uqd.linalg.exp_ladder`).  The squared norm never increases
+  (`_check_contractive`), so the times where it stays above ``u`` form one
+  interval, and a greedy descent finds its end without a grid.  A segment
+  starts at the narrowest level whose width still reaches ``t_max``.  The
+  engine works in rounds that start every live row on a segment: pass ``k``
+  applies level ``k`` to every live row in one product, and a row whose
+  segment starts at level ``k`` or a wider one keeps the step if its squared
+  norm stays above ``u``.  A kept step that reaches ``t_max`` ends the row
+  with no further jump: it takes no later level and leaves at the end of the
+  round.  After level ``top`` every other row holds a bracket
+  ``(t, t + step]``.
 * Solve.  Within one step, ``|H_eff| tau <= 0.01``, the squared norm is the
   degree-8 polynomial ``sum_m tau^m x^T M_m x`` of the state ``x`` at the
   bracket's left end, up to about 1e-21.  At the end of each round the
@@ -82,16 +83,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import DEFAULT_TOL, Tolerance, dagger, normalize
+from .linalg import DEFAULT_TOL, STEP_SCALE, TAYLOR_ORDER, Tolerance, dagger, exp_ladder, normalize
 from .representation import Representation, effective_hamiltonian, require_valid
 from .sjed import SjedPartition
 from .streams import Streams, naturals, spawned_seeds
 
-STEP_SCALE = 0.01
 TIME_LEVELS = 34  # the solve resolves step * 2**-34 ~ 1e-10 relative time
-# |H_eff| * step <= STEP_SCALE, so the degree-8 Taylor polynomial of the
-# squared norm over one step errs by at most 0.02**9 / 9! ~ 1e-21
-TAYLOR_ORDER = 8
 # Bisection alone resolves a step in TIME_LEVELS iterations of the solve
 SOLVE_ITERATIONS = 2 * TIME_LEVELS
 NORM_RESIDUAL_TOL = 1e-9
@@ -218,14 +215,11 @@ class _StepTable:
     dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, with
     ``top = ceil(log2(t_max / step))``: level 0 covers ``t_max`` and level
     ``top`` is ``step``.  Every width is ``step`` times a power of two, so
-    the widths are exact.  Level ``top`` is ``1 + y``, with ``y`` the Taylor
-    series of ``exp(A step) - 1`` from the terms below, and each wider level
-    squares the next by ``y <- 2 y + y y`` (scaling and squaring; squaring
-    ``y`` rather than ``1 + y`` keeps its low digits).
+    the widths are exact.  The levels are ``1 + y`` from
+    `uqd.linalg.exp_ladder` on ``A``, the real form of ``-i H_eff``.
 
-    With ``A`` the real form of ``-i H_eff``, ``taylor[i] = A^i / i!`` and
-    the moment matrices ``moments[m] = sum_{i+j=m} taylor[i]^T taylor[j]``,
-    so that the no-jump state from ``x`` after ``tau <= step`` is
+    With its terms ``taylor[i] = A^i / i!`` and the moment matrices
+    ``moments[m] = sum_{i+j=m} taylor[i]^T taylor[j]``, so that the no-jump state from ``x`` after ``tau <= step`` is
     ``sum_i tau^i taylor[i] x`` and its squared norm is
     ``sum_m tau^m x^T moments[m] x``, both to degree ``TAYLOR_ORDER``."""
 
@@ -240,24 +234,14 @@ class _StepTable:
         self.top = top
         self.step = step
         self.widths = step * 2.0 ** (top - np.arange(top + 1))
-        size = 2 * h_eff.shape[0]
-        real = _real_form(-1j * h_eff)
-        powers = [np.eye(size)]
-        for i in range(1, TAYLOR_ORDER + 1):
-            powers.append(powers[-1] @ real / i)
-        self.taylor = np.stack(powers)
+        self.taylor, levels = exp_ladder(_real_form(-1j * h_eff), step, top)
         self.moments = np.stack(
             [
-                sum(powers[i].T @ powers[m - i] for i in range(m + 1))
+                sum(self.taylor[i].T @ self.taylor[m - i] for i in range(m + 1))
                 for m in range(TAYLOR_ORDER + 1)
             ]
         )
-        y = np.zeros((top + 1, size, size))  # y[k] = exp(A w_k) - 1
-        for term in self.taylor[:0:-1]:  # Horner's rule
-            y[top] = (y[top] + term) * step
-        for k in range(top, 0, -1):
-            y[k - 1] = 2.0 * y[k] + y[k] @ y[k]
-        self.mats = y + np.eye(size)
+        self.mats = np.stack(list(levels))[::-1] + np.eye(len(self.taylor[0]))
         self.blas = _rows_independent(np.concatenate([self.mats, self.taylor, self.moments]))
 
     def _taylor(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:

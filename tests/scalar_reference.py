@@ -12,15 +12,18 @@ not bit for bit: identical channel sequences, event times within
 ``1e-10 * t_max`` and post-jump states within 1e-9.
 
 The bisection keeps its own depth constants, so this loop stays as it was
-whatever the engine's search does.
+whatever the engine's search does.  Its exponentials are scipy's Pade
+``expm``, so it shares no code with the Taylor ladder
+(`uqd.linalg.exp_ladder`) that the engine's levels come from.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from uqd.errors import NumericalError, ValidationError
-from uqd.linalg import DEFAULT_TOL, Tolerance, matrix_exponential, normalize
+from uqd.linalg import DEFAULT_TOL, Tolerance, normalize
 from uqd.representation import Representation, effective_hamiltonian, require_valid
 from uqd.trajectory import (
     NORM_RESIDUAL_TOL,
@@ -45,7 +48,7 @@ class _NoJumpPropagator:
         key = (float(h), level)
         cached = self._cache.get(key)
         if cached is None:
-            cached = matrix_exponential(self.generator * (h / 2.0**level))
+            cached = expm(self.generator * (h / 2.0**level))
             self._cache[key] = cached
         return cached
 

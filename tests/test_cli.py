@@ -528,6 +528,9 @@ class TestMalformedInput:
             (COMPARE + ("--seed-a", "-1"), 2),
             (COMPARE + ("--seed-b", "-2"), 2),
             (("rate-scan", "--rep-b", "{a}", "--seed", "-1"), 2),
+            # a repeated label replaced the earlier observable; a number broke the schema
+            (COMPARE + ("--observables", "{obs_dup}"), 2),
+            (COMPARE + ("--observables", "{obs_num}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
@@ -535,7 +538,8 @@ class TestMalformedInput:
              "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",
              "compare-dims", "psi0-digits", "observables-digits", "isometry-digits",
              "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short", "simulate-seed--1",
-             "compare-seed-a--1", "compare-seed-b--2", "rate-scan-seed--1"],
+             "compare-seed-a--1", "compare-seed-b--2", "rate-scan-seed--1", "observable-label-dup",
+             "observable-label-number"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
@@ -561,6 +565,10 @@ class TestMalformedInput:
         for name, matrix in (("obs", np.eye(2)), ("obs_nan", np.diag([1.0, np.nan, 0.0]))):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps([{"label": "p", "matrix": matrix_to_json(matrix)}]))
+        projector = matrix_to_json(np.diag([1.0, 0.0, 0.0]))
+        for name, labels in (("obs_dup", ["x", "x"]), ("obs_num", ["x", 3])):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps([{"label": label, "matrix": projector} for label in labels]))
         for name, bad in (("psi_nan", np.nan), ("psi_inf", np.inf)):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps([[bad, 0.0], [0.0, 0.0], [1.0, 0.0]]))
@@ -580,8 +588,36 @@ class TestMalformedInput:
         assert [r.levelname for r in errors] == ["ERROR"]
         if argv[0] == "sjed":
             assert errors[0].getMessage().startswith("jumps[1]: ")
+        if argv[-1] in ("{obs_dup}", "{obs_num}"):
+            assert errors[0].getMessage().startswith("observables[1].label ")
         assert not out_dir.exists()
 
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("example", "qutrit-a", "--gamma", "inf"), "gamma must be finite, got inf"),
+            (("example", "qutrit-a", "--lambda", "inf"), "lambda must be finite, got inf"),
+            (("example", "qutrit-a", "--theta", "inf"), "theta must be finite, got inf"),
+            (("example", "qutrit-a", "--phi", "inf"), "phi must be finite, got inf"),
+            (("example", "qutrit-a", "--vartheta", "nan"), "vartheta must be finite, got nan"),
+            (("example", "qutrit-a-minimal", "--gamma", "nan"), "gamma must be finite, got nan"),
+            (("example", "qutrit-b", "--gamma", "1,2,inf"), "gamma 3 must be finite, got inf"),
+            (("fig1", "--gamma", "inf", "--n-polar", "3", "--n-azimuth", "3"),
+             "gamma must be finite, got inf"),
+        ],
+        ids=["a-gamma", "a-lambda", "a-theta", "a-phi", "a-vartheta", "minimal-gamma", "b-gamma",
+             "fig1-gamma"],
+    )
+    def test_non_finite_model_parameter_named(self, capsys, caplog, argv, message):
+        # numpy's RuntimeWarnings on inf * 0 came first, then a generic
+        # "matrix entries must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert [r.getMessage() for r in caplog.records if r.name == "uqd"] == [message]
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, path",
@@ -814,9 +850,10 @@ class TestTracedNames:
 
 
 class TestImportCost:
-    # scipy is most of a cold ``import uqd``; only the mean-state
-    # cross-check uses it.  qutrit_a at theta = 0 has two equal decay
-    # channels, so ``--all-perms`` enumerates two matchings.
+    # scipy is the tests' oracle only: no ``uqd`` module imports it, and
+    # ``import uqd`` and every subcommand leave it unloaded.  qutrit_a at
+    # theta = 0 has two equal decay channels, so ``--all-perms`` enumerates
+    # two matchings.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -849,6 +886,13 @@ class TestImportCost:
         assert out.stderr.strip() == "0 []"
         if "--all-perms" in argv:
             assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2
+
+    def test_runs_without_scipy(self):
+        # the probe CI runs before the test extra is installed: scipy blocked,
+        # matrix_exponential, mean_state_check and three commands still run
+        script = os.path.join(os.path.dirname(__file__), "no_scipy_probe.py")
+        out = run_probe("import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')", [script])
+        assert out.stdout.strip() == "uqd ran without scipy"
 
     def test_import_leaves_orjson_unloaded(self):
         # the document decoder imports it on first use

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqd import models
-from uqd.errors import ValidationError
+from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -25,7 +28,7 @@ from uqd.linalg import (
     unvec,
     vec,
 )
-from uqd.representation import Representation, _generator_terms
+from uqd.representation import Representation, _generator_terms, liouvillian_matrix
 from conftest import ket
 import dense_reference
 from helpers import qme_gauge_variant, random_minimal_representation, random_unitary
@@ -244,6 +247,56 @@ class TestIdentityShift:
 
 
 class TestMatrixExponential:
+    """Held to scipy's Pade ``expm`` (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179, 2005), an exponential that shares no code with ``uqd``'s ladder."""
+
+    # the error scale of the ladder's squarings: eps |A| times the larger of
+    # 1 and exp(mu), mu the top eigenvalue of A's Hermitian part, which bounds
+    # every level; relative where exp(A) is near that scale, absolute where
+    # it is far below (strongly decaying normal A, a non-normal hump)
+    @pytest.mark.parametrize("norm", [0.1, 1.0, 5.0, 50.0, 500.0])
+    @pytest.mark.parametrize("normal", [False, True], ids=["general", "normal"])
+    def test_random_complex_matrices_match_scipy(self, norm, normal):
+        rng = np.random.default_rng(int(norm * 10))
+        for _ in range(20):
+            mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            if normal:
+                basis = random_unitary(4, rng)
+                mat = (basis * np.diag(mat)) @ basis.conj().T
+            mat *= norm / np.linalg.norm(mat, 2)
+            mu = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[-1]
+            scale = max(1.0, norm) * max(1.0, np.exp(mu))
+            assert np.linalg.norm((matrix_exponential(mat) - scipy.linalg.expm(mat)) / scale) <= 5e-15
+
+    # a dense Liouvillian at t = 2, |L t|_2 about 9-18 here, and with every
+    # jump x5: relative, since every level is a CPTP map.  The bound is
+    # scipy's: on dim 8, seed 2, jumps x5, 30-digit mpmath puts scipy 1.4e-14
+    # and this ladder 1.4e-15 from the exponential
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("jump_scale", [1.0, 5.0])
+    def test_dense_liouvillians_match_scipy(self, dim, jump_scale):
+        for seed in range(3):
+            rep = random_minimal_representation(np.random.default_rng(seed), dim, n_reset=2, n_nonreset=1)
+            rep = Representation(rep.hamiltonian, [jump * jump_scale for jump in rep.jumps])
+            gen = liouvillian_matrix(rep) * 2.0
+            ref = scipy.linalg.expm(gen)
+            assert np.linalg.norm(matrix_exponential(gen) - ref) <= 5e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "mat, error, message",
+        [
+            (np.diag([800.0, 0.0]), NumericalError, "matrix exponential overflows"),
+            (np.diag([1e200, 0.0]), NumericalError, "matrix exponential overflows"),
+            (np.full((2, 2), 1e308), ValidationError, "norm bound of the matrix overflows"),
+        ],
+        ids=["exp-800", "exp-1e200", "bound-1e308"],
+    )
+    def test_overflow_is_named(self, mat, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                matrix_exponential(mat)
+
     def test_zero(self):
         assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
 

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.linalg import expm
 
 from uqd import models
 from uqd.errors import NumericalError, ValidationError
-from uqd.linalg import Tolerance, matrix_exponential, normalize
+from uqd.linalg import Tolerance, normalize
 from uqd.representation import Representation, effective_hamiltonian, jump_rates
 from uqd.sjed import partition
 from uqd import streams, trajectory
@@ -177,7 +178,7 @@ class TestSamplingLawReplay:
         prev_time, prev_state = 0.0, traj.initial_state
         for when, channel, post in zip(traj.times, traj.channels, traj.post_jump_states):
             u = rng.random()
-            phi = matrix_exponential(-1j * h_eff * (when - prev_time)) @ prev_state
+            phi = expm(-1j * h_eff * (when - prev_time)) @ prev_state
             assert abs(float(np.vdot(phi, phi).real) - u) <= 1e-9
             psi_star = normalize(phi)
             rates = jump_rates(qutrit_a, psi_star)
@@ -200,7 +201,7 @@ class TestSamplingLawReplay:
             prev_time, prev_state = 0.0, traj.initial_state
             for when, post in zip(traj.times, traj.post_jump_states):
                 u = rng.random()
-                phi = matrix_exponential(-1j * h_eff * (when - prev_time)) @ prev_state
+                phi = expm(-1j * h_eff * (when - prev_time)) @ prev_state
                 rate = float(np.sum(jump_rates(qutrit_a, phi)))
                 assert abs(float(np.vdot(phi, phi).real) - u) / rate <= 2e-14
                 rng.random()
@@ -216,7 +217,7 @@ class TestSamplingLawReplay:
         for (start, state), end in zip(segments, ends):
             taus = np.linspace(0.0, end - start, 20)
             norms = [
-                float(np.linalg.norm(matrix_exponential(-1j * h_eff * tau) @ state)) for tau in taus
+                float(np.linalg.norm(expm(-1j * h_eff * tau) @ state)) for tau in taus
             ]
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -237,7 +238,7 @@ class TestFirstJumpChannelLaw:
             if not traj.times.size:
                 continue
             observed[traj.channels[0]] += 1
-            phi = matrix_exponential(-1j * h_eff * traj.times[0]) @ traj.initial_state
+            phi = expm(-1j * h_eff * traj.times[0]) @ traj.initial_state
             rates = jump_rates(qutrit_a, normalize(phi))
             expected += rates / rates.sum()
         mask = expected > 5
@@ -279,7 +280,7 @@ class TestStateAt:
                 if base_time == t:
                     assert np.array_equal(state, base)
                 else:
-                    drifted = matrix_exponential(-1j * h_eff * (t - base_time)) @ base
+                    drifted = expm(-1j * h_eff * (t - base_time)) @ base
                     assert np.max(np.abs(state - normalize(drifted))) <= 1e-12
 
     def test_out_of_range_rejected(self, qutrit_a):
@@ -598,7 +599,7 @@ class TestStepTable:
         assert table.widths[top] == step_of(rep)
         assert table.mats.shape == (top + 1, 2 * rep.dim, 2 * rep.dim)
         for width, mat in zip(table.widths, table.mats):
-            exact = _real_form(matrix_exponential(-1j * h_eff * width))
+            exact = _real_form(expm(-1j * h_eff * width))
             assert np.max(np.abs(mat - exact)) <= 1e-13
 
     @pytest.mark.parametrize("n", [10, 1000])
@@ -638,7 +639,7 @@ class TestSolve:
         taus = step * np.asarray(fractions)
         u = np.array(
             [
-                np.linalg.norm(matrix_exponential(-1j * h_eff * tau) @ state) ** 2
+                np.linalg.norm(expm(-1j * h_eff * tau) @ state) ** 2
                 for tau, state in zip(taus, states)
             ]
         )
@@ -660,7 +661,7 @@ class TestSolve:
         # the state at the returned time meets u
         assert 0.0 < tau[0] < step_of(rep)
         assert abs(phi_sq[0] - u[0]) <= 1e-15
-        exact = matrix_exponential(-1j * effective_hamiltonian(rep) * tau[0]) @ ket(2, 0)
+        exact = expm(-1j * effective_hamiltonian(rep) * tau[0]) @ ket(2, 0)
         assert np.max(np.abs(phi[0].view(complex) - exact)) <= 1e-15
 
     def test_batch_equals_rows_alone(self):
@@ -898,7 +899,7 @@ class TestDefectiveGeneratorReplay:
                 for when, post in zip(traj.times, traj.post_jump_states):
                     if when <= t:
                         base_time, base = when, post
-                drifted = matrix_exponential(-1j * h_eff * (t - base_time)) @ base
+                drifted = expm(-1j * h_eff * (t - base_time)) @ base
                 assert np.max(np.abs(state - normalize(drifted))) <= 1e-12
 
     def test_stiff_replay_matches_expm(self):
@@ -913,5 +914,5 @@ class TestDefectiveGeneratorReplay:
                 for when, post in zip(traj.times, traj.post_jump_states):
                     if when <= t:
                         base_time, base = when, post
-                drifted = matrix_exponential(-1j * h_eff * (t - base_time)) @ base
+                drifted = expm(-1j * h_eff * (t - base_time)) @ base
                 assert np.max(np.abs(state - normalize(drifted))) <= 1e-12
