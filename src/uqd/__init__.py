@@ -41,14 +41,12 @@ from .linalg import (
     proportionality_coefficient,
     random_pure_state,
     superoperator_matrix,
-    trace_distance,
     unvec,
     vec,
 )
 from .models import qutrit_a, qutrit_a_minimal, qutrit_b
 from .representation import (
     Representation,
-    drift,
     effective_hamiltonian,
     from_document,
     jump_destination,

@@ -122,11 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
 
     p = sub.add_parser("rate-scan", parents=[common],
-                       help="pointwise rate and composite-action comparison on sampled states")
+                       help="exact worst-case rate and composite-action deviations")
     p.add_argument("--rep-a", required=True)
     p.add_argument("--rep-b", required=True)
-    p.add_argument("--n", type=int, default=1000, help="number of sampled states")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perm-c", default=None, help="1-based block pairing (default: greedy)")
 
     p = sub.add_parser("example", parents=[common], help="emit a built-in qutrit representation")
@@ -481,7 +479,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rate_scan(args) -> int:
-    _require_seed(args.seed, "--seed")
     tol = _tolerance(args)
     rep_a = _load_representation(args.rep_a)
     rep_b = _load_representation(args.rep_b)
@@ -489,8 +486,6 @@ def _cmd_rate_scan(args) -> int:
         rep_a,
         rep_b,
         block_perm=_parse_perm(args.perm_c, "--perm-c"),
-        n_states=args.n,
-        seed=args.seed,
         tol=tol,
     )
     _emit(report.to_document(), args)

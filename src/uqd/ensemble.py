@@ -3,9 +3,11 @@
 These routines validate that representation pairs the checkers declare
 equivalent really behave identically:
 
-* ``rate_field_scan`` evaluates total jump rates and per-block composite
-  actions on sampled states, reporting worst-case deviations (zero up to
-  roundoff exactly when the trajectory-equivalence conditions hold).
+* ``rate_field_scan`` reports the exact worst-case deviations of the total
+  jump rate over all states (a spectral norm, with the state attaining it)
+  and of the paired blocks' composite actions (their Frobenius gap), both
+  zero up to roundoff exactly when the trajectory-equivalence conditions
+  hold.
 * ``mean_state_check`` compares the ensemble-averaged conditional state with
   ``exp(L t) rho0`` from `uqd.linalg.matrix_exponential`, in numpy alone.
 * ``compare_ensembles`` runs two-sample tests on two ensembles of one size,
@@ -37,25 +39,20 @@ from .equivalence import require_bijection, require_same_dim
 from .laws import chi2_sf, kolmogorov_sf, ks_two_sample_sf
 from .linalg import (
     DEFAULT_TOL,
-    SeedLike,
     Tolerance,
     as_operator,
-    as_rng,
     density,
     matrix_exponential,
-    random_pure_state,
-    trace_distance,
     unvec,
     vec,
 )
 from .models import qutrit_a, qutrit_a_minimal
-from .representation import Representation, jump_rates, liouvillian_matrix, vector_to_json
-from .sjed import block_gaps, partition
+from .representation import Representation, jump_rates, liouvillian_matrix, rate_operator, vector_to_json
+from .sjed import block_gaps, fix_vector_phase, partition
 from .trajectory import TrajectoryEnsemble, check_channels, check_horizon, states_at
 
 @dataclass(eq=False)
 class RateFieldReport:
-    n_states: int
     max_total_rate_dev: float
     max_block_action_dev: float
     worst_state: np.ndarray
@@ -65,7 +62,6 @@ class RateFieldReport:
     def to_document(self) -> dict:
         block_dev = self.max_block_action_dev
         return {
-            "n_states": self.n_states,
             "max_total_rate_dev": self.max_total_rate_dev,
             "max_block_action_dev": None if np.isinf(block_dev) else block_dev,
             "worst_state": vector_to_json(self.worst_state),
@@ -74,85 +70,51 @@ class RateFieldReport:
         }
 
 
-def _block_action_on_state(rep: Representation, indices: Sequence[int], psi: np.ndarray) -> np.ndarray:
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for k in indices:
-        amp = rep.jumps[k] @ psi
-        out += np.outer(amp, amp.conj())
-    return out
-
-
 def rate_field_scan(
     rep_a: Representation,
     rep_b: Representation,
     block_perm: Optional[Sequence[int]] = None,
-    n_states: int = 1000,
-    seed: SeedLike = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> RateFieldReport:
-    """Worst-case pointwise deviation between the two jump structures.
+    """Exact worst-case deviations between the two jump structures.
 
-    For each sampled state the total rates are compared directly; matched
-    blocks are compared through the trace of their composite action and the
-    trace distance of their normalized destinations.  Without an explicit
-    pairing the blocks are matched greedily by action distance; a block-count
-    mismatch makes the block deviation infinite.
+    The total rates differ at a unit state ``psi`` by ``<psi|G_b - G_a|psi>``,
+    so their largest deviation is the spectral norm of ``G_b - G_a``, which
+    the phase-fixed eigenvector of its eigenvalue largest in magnitude
+    attains.  Paired blocks are compared by the Frobenius gap between their
+    composite actions (:func:`uqd.sjed.block_gaps`), the number theorem 1
+    holds against its cutoff.  Without an explicit pairing the blocks are
+    matched greedily by that gap; a block-count mismatch makes the block
+    deviation infinite.
     """
     require_same_dim(rep_a, rep_b)
-    if n_states < 1:
-        raise ValidationError(f"n_states must be at least 1, got {n_states}")
     parts_a = partition(rep_a, tol)
     parts_b = partition(rep_b, tol)
-    notes: List[str] = []
+    values, vectors = np.linalg.eigh(rate_operator(rep_b) - rate_operator(rep_a))
+    top = int(np.argmax(np.abs(values)))
+    perm: Optional[tuple[int, ...]] = None
     if block_perm is not None:
-        perm: Optional[tuple[int, ...]] = require_bijection(
-            block_perm, parts_b.block_count, parts_a.block_count, "block"
-        )
-    elif parts_a.block_count == parts_b.block_count:
-        gaps, _ = block_gaps(rep_b, parts_b, rep_a, parts_a, tol)
-        taken: List[int] = []
-        for row in gaps:  # the first smallest gap among the blocks not yet taken
-            taken.append(int(np.argmin(row)))
-            gaps[:, taken[-1]] = np.inf
-        perm = tuple(taken)
-        notes.append("blocks paired greedily by composite-action distance")
-    else:
-        perm = None
+        perm = require_bijection(block_perm, parts_b.block_count, parts_a.block_count, "block")
+    max_block, notes = np.inf, []
+    if perm is None and parts_a.block_count != parts_b.block_count:
         notes.append(
             f"block counts differ ({parts_b.block_count} vs {parts_a.block_count}); "
             "block deviation set to infinity"
         )
-
-    rng = as_rng(seed)
-    max_total = 0.0
-    max_block = 0.0 if perm is not None else np.inf
-    worst = random_pure_state(rep_a.dim, rng)
-    for _ in range(n_states):
-        psi = random_pure_state(rep_a.dim, rng)
-        total_dev = abs(float(np.sum(jump_rates(rep_b, psi))) - float(np.sum(jump_rates(rep_a, psi))))
-        block_dev = 0.0
-        if perm is not None:
-            for alpha, beta in enumerate(perm):
-                action_b = _block_action_on_state(rep_b, parts_b.blocks[alpha].indices, psi)
-                action_a = _block_action_on_state(rep_a, parts_a.blocks[beta].indices, psi)
-                rate_b = float(np.real(np.trace(action_b)))
-                rate_a = float(np.real(np.trace(action_a)))
-                block_dev = max(block_dev, abs(rate_b - rate_a))
-                if rate_a > tol.atol and rate_b > tol.atol:
-                    block_dev = max(
-                        block_dev, trace_distance(action_b / rate_b, action_a / rate_a)
-                    )
-        score = max(total_dev, block_dev if perm is not None else 0.0)
-        if score >= max(max_total, max_block if perm is not None else 0.0):
-            worst = psi
-        max_total = max(max_total, total_dev)
-        if perm is not None:
-            max_block = max(max_block, block_dev)
+    else:
+        gaps, _ = block_gaps(rep_b, parts_b, rep_a, parts_a, tol)
+        if perm is None:
+            free, taken = gaps.copy(), []
+            for row in free:  # the first smallest gap among the blocks not yet taken
+                taken.append(int(np.argmin(row)))
+                free[:, taken[-1]] = np.inf
+            perm = tuple(taken)
+            notes.append("blocks paired greedily by composite-action distance")
+        max_block = max(float(gaps[alpha, beta]) for alpha, beta in enumerate(perm))
     return RateFieldReport(
-        n_states=n_states,
-        max_total_rate_dev=max_total,
+        max_total_rate_dev=float(abs(values[top])),
         max_block_action_dev=max_block,
-        worst_state=worst,
+        worst_state=fix_vector_phase(vectors[:, top]),
         block_perm=perm,
         notes=tuple(notes),
     )

@@ -299,9 +299,3 @@ def haar_isometry(rows: int, cols: int, seed: SeedLike) -> np.ndarray:
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of ``a - b``."""
-    diff = as_operator(a) - as_operator(b)
-    return float(0.5 * np.sum(np.linalg.svd(diff, compute_uv=False)))

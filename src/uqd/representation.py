@@ -3,8 +3,8 @@
 A representation is a Hamiltonian ``H`` (hbar = 1) together with an ordered
 list of nonzero jump operators ``J_1..J_d`` (units of rate**0.5) acting on a
 ``dim``-dimensional Hilbert space.  From it we derive the generator acting on
-column-stacked density matrices, the non-Hermitian effective Hamiltonian, the
-state-dependent jump rates and destinations, and the no-jump drift.
+column-stacked density matrices, the non-Hermitian effective Hamiltonian, and
+the state-dependent jump rates and destinations.
 
 Wire format (UTF-8 JSON)::
 
@@ -112,12 +112,14 @@ def require_valid(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> None:
         raise ValidationError("; ".join(f"zero jump operator at index {k}" for k in zeros))
 
 
+def rate_operator(rep: Representation) -> np.ndarray:
+    """``G = sum_k J_k^+ J_k``: the total jump rate at ``psi`` is ``<psi|G|psi>``."""
+    return sum(dagger(jump) @ jump for jump in rep.jumps)
+
+
 def effective_hamiltonian(rep: Representation) -> np.ndarray:
     """Non-Hermitian drift generator ``H - (i/2) sum_k J_k^+ J_k``."""
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for jump in rep.jumps:
-        acc += dagger(jump) @ jump
-    return rep.hamiltonian - 0.5j * acc
+    return rep.hamiltonian - 0.5j * rate_operator(rep)
 
 
 def _generator_terms(rep: Representation) -> tuple[list, list]:
@@ -125,7 +127,7 @@ def _generator_terms(rep: Representation) -> tuple[list, list]:
     ``L = 1 (x) K + (iH^T - G^T/2) (x) 1 + sum_k conj(J_k) (x) J_k`` with
     ``K = -iH - G/2`` and ``G = sum_k J_k^+ J_k``."""
     ham = rep.hamiltonian
-    gain = sum(dagger(j) @ j for j in rep.jumps)
+    gain = rate_operator(rep)
     eye = np.eye(rep.dim)
     lefts = [eye, 1j * ham.T - 0.5 * gain.T, *(j.conj() for j in rep.jumps)]
     rights = [-1j * ham - 0.5 * gain, eye, *rep.jumps]
@@ -169,14 +171,6 @@ def jump_destination(
     if rate <= tol.atol:
         return np.zeros((rep.dim, rep.dim), dtype=complex)
     return np.outer(amp, amp.conj()) / rate
-
-
-def drift(rep: Representation, psi_density: np.ndarray) -> np.ndarray:
-    """No-jump flow of a pure density matrix; traceless and Hermitian."""
-    psi = as_operator(psi_density)
-    h_eff = effective_hamiltonian(rep)
-    flow = -1j * (h_eff @ psi) + 1j * (psi @ dagger(h_eff))
-    return flow - psi * np.trace(flow)
 
 
 # -- serialization ----------------------------------------------------------

@@ -10,7 +10,9 @@ superoperator and is taken from the package.
 
 :func:`block_action_matrix` rebuilds a block's composite action from its
 canonical data (``chi`` and ``Gamma``, or weight and canonical operator), so
-tests can hold the partition's summaries to the jumps' own action.
+tests can hold the partition's summaries to the jumps' own action, and
+:func:`paired_block_gap` is the dense form of the block value that
+``uqd.ensemble.rate_field_scan`` reports.
 """
 
 from __future__ import annotations
@@ -41,6 +43,25 @@ def block_action_matrix(block: SjedBlock) -> np.ndarray:
     if isinstance(block, ResetBlock):
         return np.outer(vec(density(block.chi)), vec(block.gamma_op).conj())
     return superoperator_matrix([block.weight * block.canonical_op])
+
+
+def paired_block_gap(
+    rep_a: Representation,
+    rep_b: Representation,
+    block_perm: Sequence[int],
+    tol: Tolerance = DEFAULT_TOL,
+) -> float:
+    """Largest Frobenius gap between the dense composite actions of block
+    ``alpha`` of ``rep_b`` and block ``block_perm[alpha]`` of ``rep_a``."""
+    parts_a = partition(rep_a, tol)
+    parts_b = partition(rep_b, tol)
+    return max(
+        frobenius(
+            composite_action(rep_b, parts_b.blocks[alpha])
+            - composite_action(rep_a, parts_a.blocks[beta])
+        )
+        for alpha, beta in enumerate(block_perm)
+    )
 
 
 def same_liouvillian(

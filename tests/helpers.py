@@ -183,3 +183,14 @@ def cross_block_mixture(rng, rep_min: Representation) -> Representation:
     return Representation(
         hamiltonian=rep_min.hamiltonian.copy(), jumps=jumps, label=f"{rep_min.label}-mixed"
     )
+
+
+def rank_one_perturbation(rng, rep: Representation, scale: float = 0.3) -> Representation:
+    """``rep`` with ``scale |J_1|_2 |v><v|`` added to its first jump, for a
+    Haar-random unit ``v``: total rates and destinations both change."""
+    v = normalize(rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim))
+    jumps = list(rep.jumps)
+    jumps[0] = jumps[0] + scale * np.linalg.norm(jumps[0], 2) * np.outer(v, v.conj())
+    return Representation(
+        hamiltonian=rep.hamiltonian.copy(), jumps=jumps, label=f"{rep.label}-perturbed"
+    )

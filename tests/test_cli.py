@@ -438,14 +438,20 @@ class TestRecordFormat:
 class TestRateScan:
     def test_equivalent_pair(self, capsys, rep_files):
         rep_a, rep_min = rep_files
-        code, out = run(
-            capsys, "rate-scan", "--rep-a", rep_a, "--rep-b", rep_min, "--n", "200"
-        )
+        code, out = run(capsys, "rate-scan", "--rep-a", rep_a, "--rep-b", rep_min)
         assert code == 0
         doc = json.loads(out)
         validate_schema(doc, "rate_field_report")
         assert doc["max_total_rate_dev"] < 1e-10
         assert doc["max_block_action_dev"] < 1e-10
+
+    def test_sample_count_is_an_unknown_argument(self, capsys, rep_files):
+        # the scan samples no states, so it takes no --n
+        rep_a, rep_min = rep_files
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-scan", "--rep-a", rep_a, "--rep-b", rep_min, "--n", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 5" in capsys.readouterr().err
 
 
 class TestCompareEnsembles:
@@ -501,7 +507,6 @@ class TestMalformedInput:
             (COMPARE + ("--times", "nan"), 3),
             (COMPARE + ("--alpha", "0"), 3),
             (COMPARE + ("--times", "5"), 3),
-            (("rate-scan", "--rep-b", "{a}", "--n", "0"), 3),
             # an equivalent pair: a NaN cutoff would report "different QME"
             (("check", "--rep-b", "{a_min}", "--atol", "nan", "--rtol", "nan"), 3),
             (COMPARE + ("--observables", "{obs}"), 2),
@@ -527,18 +532,17 @@ class TestMalformedInput:
             (SIMULATE + ("--seed", "-1"), 2),
             (COMPARE + ("--seed-a", "-1"), 2),
             (COMPARE + ("--seed-b", "-2"), 2),
-            (("rate-scan", "--rep-b", "{a}", "--seed", "-1"), 2),
             # a repeated label replaced the earlier observable; a number broke the schema
             (COMPARE + ("--observables", "{obs_dup}"), 2),
             (COMPARE + ("--observables", "{obs_num}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
-             "rate-scan-n-0", "tolerance-nan", "observable-shape", "row-blocks-int",
+             "tolerance-nan", "observable-shape", "row-blocks-int",
              "row-blocks-str", "n-polar--1", "n-polar-0", "simulate-psi0-nan",
              "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",
              "compare-dims", "psi0-digits", "observables-digits", "isometry-digits",
              "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short", "simulate-seed--1",
-             "compare-seed-a--1", "compare-seed-b--2", "rate-scan-seed--1", "observable-label-dup",
+             "compare-seed-a--1", "compare-seed-b--2", "observable-label-dup",
              "observable-label-number"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
@@ -752,7 +756,7 @@ class TestNoDenseBuilders:
             (["gauge", "extract", "--rep-min", rep_min, "--rep", rep_a, "--out", iso], 0),
             (["gauge", "apply", "--rep", rep_min, "--isometry", iso], 0),
             (["simulate", rep_a, "--tmax", "0.5", "--ntraj", "4", "--out", str(tmp_path / "runs")], 0),
-            (["rate-scan", "--rep-a", rep_a, "--rep-b", rep_min, "--n", "20"], 0),
+            (["rate-scan", "--rep-a", rep_a, "--rep-b", rep_min], 0),
             (["fig1", "--out", str(tmp_path / "rates.csv"), "--n-polar", "3", "--n-azimuth", "3"], 0),
         ]
         for level, extra in (("t1", []), ("t2", ["--perm", "1,2,3,4,5"]), ("t3", ["--perm-c", "1,2"])):
@@ -783,7 +787,7 @@ class TestPreconditionCost:
             (["check", "--rep-a", "{a_min}", "--rep-b", "{a}"], (4, 2, 1, 3)),
             (["gauge", "apply", "--rep", "{a_min}", "--isometry", "{iso}"], (4, 2, 1, 3)),
             (["gauge", "extract", "--rep-min", "{a_min}", "--rep", "{a}"], (4, 2, 1, 3)),
-            (["rate-scan", "--rep-a", "{a_min}", "--rep-b", "{a}", "--n", "20"], (2, 2, 0, 1)),
+            (["rate-scan", "--rep-a", "{a_min}", "--rep-b", "{a}"], (2, 2, 0, 1)),
             (["compare-ensembles", "--rep-a", "{a_min}", "--rep-b", "{a}", "--level", "t3",
               "--ntraj", "20", "--tmax", "0.5", "--psi0", "1"], (4, 2, 0, 0)),
         ],
@@ -866,7 +870,7 @@ class TestImportCost:
             ["simulate", "{rep}", "--tmax", "1", "--ntraj", "20", "--out", "{out}"],
             ["compare-ensembles", "--rep-a", "{rep}", "--rep-b", "{rep}", "--ntraj", "40",
              "--tmax", "0.5", "--psi0", "1", "--threads", "1"],
-            ["rate-scan", "--rep-a", "{rep}", "--rep-b", "{rep}", "--n", "20"],
+            ["rate-scan", "--rep-a", "{rep}", "--rep-b", "{rep}"],
             ["example", "qutrit-a"],
             ["fig1", "--out", "{out}", "--n-polar", "3", "--n-azimuth", "4"],
         ],

@@ -1,18 +1,24 @@
 """`uqd.laws` and the two-sample tests built on it, against scipy.stats as
 the oracle: the KS statistic, p-value and method to the bit, the chi-square
-statistic to the bit and its tail to 1e-13."""
+statistic to the bit and its tail to 1e-13.  From x = 1000 on, where scipy's
+chi-square tail drifts, the tail is held to mpmath's exact value instead."""
 
 import warnings
 
 import numpy as np
 import pytest
+import mpmath
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqd.ensemble import _chi2_two_sample, _ks_2samp, _pooled_table
 from uqd.errors import NumericalError
 from uqd.laws import chi2_sf, kolmogorov_sf, ks_two_sample_sf
+
+# scipy's chi-square tail drifts from the exact value by up to 1.1e-13
+# relative from x ~ 1000 on (see test_tail_matches_scipy)
+SCIPY_TAIL_UP_TO = 1000.0
 
 # Hodges' recursion rounds by less than n * 2**-52 (2e-12 at n = 10**4), so
 # from this tail down it cannot round past 1 and fall back.
@@ -28,6 +34,12 @@ def scipy_ks(x, y):
     fell_back = [w for w in caught if "Exact calculation unsuccessful" in str(w.message)]
     assert len(fell_back) == len(caught)
     return float(result.statistic), float(result.pvalue), "asymp" if fell_back else "exact"
+
+
+def exact_chi2_sf(x, df):
+    """Upper chi-square tail from mpmath's regularized gamma at 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, regularized=True))
 
 
 def fallback_steps(n):
@@ -99,6 +111,9 @@ class TestChiSquare:
         ratio=st.floats(0.8, 1.25),
         seed=st.integers(0, 2**32 - 1),
     )
+    # statistic 1261.43 at 31 degrees of freedom: scipy's tail is 1.01e-13
+    # from the exact one there, uqd's 2.6e-16
+    @example(size=2406, mean=29.0, ratio=0.8, seed=111205)
     def test_statistic_matches_scipy(self, size, mean, ratio, seed):
         rng = np.random.default_rng(seed)
         x, y = rng.poisson(mean, size), rng.poisson(mean * ratio, size)
@@ -109,7 +124,10 @@ class TestChiSquare:
             return
         ref = scipy.stats.chi2_contingency(table, correction=False)
         assert stat == float(ref.statistic)
-        assert p == pytest.approx(float(ref.pvalue), rel=1e-13, abs=0)
+        if stat > SCIPY_TAIL_UP_TO:
+            assert p == pytest.approx(exact_chi2_sf(stat, ref.dof), rel=1e-14, abs=0)
+        else:
+            assert p == pytest.approx(float(ref.pvalue), rel=1e-13, abs=0)
 
     def test_tail_matches_scipy(self):
         # scipy's own tail drifts from the exact value by up to 1.1e-13

@@ -24,7 +24,6 @@ from uqd.linalg import (
     random_pure_state,
     stack_factor,
     superoperator_matrix,
-    trace_distance,
     unvec,
     vec,
 )
@@ -354,11 +353,6 @@ class TestSmallHelpers:
     def test_haar_isometry_columns_orthonormal(self, rng):
         iso = haar_isometry(5, 3, rng)
         assert np.allclose(iso.conj().T @ iso, np.eye(3), atol=1e-12)
-
-    def test_trace_distance_pure_states(self):
-        # orthogonal pure states are at distance 1, equal ones at 0
-        assert trace_distance(density(ket(2, 0)), density(ket(2, 1))) == pytest.approx(1.0)
-        assert trace_distance(density(ket(2, 0)), density(ket(2, 0))) == pytest.approx(0.0)
 
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValidationError):

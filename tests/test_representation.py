@@ -13,7 +13,6 @@ from uqd.errors import ParseError, ValidationError
 from uqd.linalg import density, matrix_exponential, random_pure_state, unvec, vec
 from uqd.representation import (
     Representation,
-    drift,
     effective_hamiltonian,
     from_document,
     jump_destination,
@@ -219,37 +218,12 @@ class TestRatesAndDestinations:
 
 
 class TestDrift:
-    def test_dark_state_is_stationary(self):
-        rep = single_decay()
-        flow = drift(rep, density(ket(2, 0)))
-        assert np.max(np.abs(flow)) < 1e-14
-
-    def test_traceless_and_hermitian(self, qutrit_a, rng):
-        for _ in range(50):
-            psi = random_pure_state(3, rng)
-            flow = drift(qutrit_a, density(psi))
-            assert abs(np.trace(flow)) < 1e-12
-            assert np.max(np.abs(flow - flow.conj().T)) < 1e-12
-
-    def test_direct_formula(self, qutrit_a, rng):
-        h_eff = effective_hamiltonian(qutrit_a)
-        for _ in range(10):
-            psi = density(random_pure_state(3, rng))
-            raw = -1j * h_eff @ psi + 1j * psi @ h_eff.conj().T
-            expected = raw - psi * np.trace(raw)
-            assert np.max(np.abs(drift(qutrit_a, psi) - expected)) < 1e-13
-
-    def test_excited_projector_flow(self, qutrit_a):
-        # the off-diagonal weight couples |1> and |2>, so the flow is finite,
-        # traceless and purely in the (1,2) sector
-        flow = drift(qutrit_a, density(ket(3, 1)))
-        assert abs(np.trace(flow)) < 1e-12
-        expected_coupling = -2.0 * np.cos(np.pi / 6) * np.sin(np.pi / 6) / 4
-        assert flow[1, 2] == pytest.approx(expected_coupling, abs=1e-12)
-        assert np.max(np.abs(flow)) > 0.1
+    """The generator splits into the no-jump drift of a pure state and the
+    jumps' gain and loss terms."""
 
     def test_generator_equals_drift_plus_jumps(self, qutrit_a, rng):
         gen = liouvillian_matrix(qutrit_a)
+        h_eff = effective_hamiltonian(qutrit_a)
         for _ in range(25):
             psi_vec = random_pure_state(3, rng)
             psi = density(psi_vec)
@@ -257,7 +231,8 @@ class TestDrift:
             for k in range(qutrit_a.n_jumps):
                 amp = qutrit_a.jumps[k] @ psi_vec
                 jump_parts += np.outer(amp, amp.conj()) - psi * float(np.vdot(amp, amp).real)
-            decomposition = drift(qutrit_a, psi) + jump_parts
+            flow = -1j * (h_eff @ psi) + 1j * (psi @ h_eff.conj().T)
+            decomposition = flow - psi * np.trace(flow) + jump_parts
             assert np.max(np.abs(unvec(gen @ vec(psi)) - decomposition)) < 1e-12
 
 
