@@ -39,7 +39,6 @@ from .linalg import (
     normalize,
     numerical_rank,
     proportionality_coefficient,
-    random_pure_state,
     superoperator_matrix,
     unvec,
     vec,

@@ -156,11 +156,18 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(atol=args.atol, rtol=args.rtol)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, what: str = "file") -> str:
+    """The UTF-8 text of ``path``; one that is missing, unreadable or not
+    UTF-8 is a usage error naming it."""
     file = Path(path)
     if not file.is_file():
-        raise InputError(f"no such file: {path}")
-    return file.read_text(encoding="utf-8")
+        raise InputError(f"no such {what}: {path}")
+    try:
+        return file.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _load_representation(path: str) -> Representation:
@@ -171,10 +178,7 @@ def _load_state(spec: str, dim: int) -> np.ndarray:
     try:
         index = int(spec)
     except ValueError:
-        file = Path(spec)
-        if not file.is_file():
-            raise InputError(f"no such state file: {spec}")
-        state = vector_from_json(representation.loads(file.read_text(encoding="utf-8")), "psi0")
+        state = vector_from_json(representation.loads(_read_text(spec, "state file")), "psi0")
         if state.size != dim:
             raise InputError(f"psi0: length {state.size} does not match dim {dim}")
         normalize(state)  # a zero or non-finite state fails here, before any simulation

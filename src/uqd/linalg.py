@@ -18,13 +18,12 @@ call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 STEP_SCALE = 0.01  # the largest |a| * step of `exp_ladder`'s series
 # |H_eff| * step <= STEP_SCALE, so the degree-8 Taylor polynomial of the
 # squared norm over one step errs by at most 0.02**9 / 9! ~ 1e-21
@@ -271,31 +270,3 @@ def matrix_exponential(mat: np.ndarray) -> np.ndarray:
             if not np.isfinite(y).all():
                 raise NumericalError(f"matrix exponential overflows (norm bound {bound:.6g})")
     return y + np.eye(len(mat))
-
-
-def as_rng(seed: SeedLike) -> np.random.Generator:
-    """Build (or pass through) a deterministic random generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def random_pure_state(dim: int, seed: SeedLike) -> np.ndarray:
-    """Haar-distributed unit vector: normalized complex Gaussian entries."""
-    if dim < 1:
-        raise ValidationError("state dimension must be at least 1")
-    rng = as_rng(seed)
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return normalize(raw)
-
-
-def haar_isometry(rows: int, cols: int, seed: SeedLike) -> np.ndarray:
-    """Haar-random isometry (rows x cols, rows >= cols) via QR."""
-    if rows < cols:
-        raise ValidationError("an isometry needs at least as many rows as columns")
-    rng = as_rng(seed)
-    raw = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(raw)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))

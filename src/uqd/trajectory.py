@@ -395,7 +395,8 @@ def _simulate_rows(
     # ``start <= level`` whose squared norm stays above ``u``, so that after
     # level ``top`` every row holds the bracket ``(t, t + step]``, and ends
     # with the solve.  A row whose ``t`` reaches ``t_max`` gets
-    # ``start = top + 1``; rows leave after the descent and after the solve.
+    # ``start = top + 1``; rows leave after the descent and after the solve,
+    # and a descent that finishes every row ends the loop.
     row = np.arange(n)
     t = np.zeros(n)
     x = np.tile(psi0.view(float), (n, 1))
@@ -417,6 +418,8 @@ def _simulate_rows(
             np.add(t, widths[level], out=t, where=keep)
             start[t >= t_max] = table.top + 1  # finished: no later level takes it
         row, t, x, u = drop_finished(row, t, x, u)
+        if not row.size:
+            break
         tau, phi, phi_sq = table.solve(x, u)
         t += tau  # a crossing after t_max ends its row with no jump
         hit = np.flatnonzero(t <= t_max)

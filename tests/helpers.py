@@ -1,15 +1,47 @@
-"""Random model generators shared by the equivalence and acceptance tests,
-and an empty trajectory ensemble."""
+"""Random states, isometries and models shared by the tests, and an empty
+trajectory ensemble.  ``uqd`` itself draws no random numbers through
+``numpy.random``, so the generators live here."""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from uqd import BlockIsometry, Representation, partition
-from uqd.linalg import frobenius, haar_isometry, normalize, numerical_rank
+from uqd.errors import ValidationError
+from uqd.linalg import frobenius, normalize, numerical_rank
+
+SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+
+
+def as_rng(seed: SeedLike) -> np.random.Generator:
+    """Build (or pass through) a deterministic random generator."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
+def random_pure_state(dim: int, seed: SeedLike) -> np.ndarray:
+    """Haar-distributed unit vector: normalized complex Gaussian entries."""
+    if dim < 1:
+        raise ValidationError("state dimension must be at least 1")
+    rng = as_rng(seed)
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return normalize(raw)
+
+
+def haar_isometry(rows: int, cols: int, seed: SeedLike) -> np.ndarray:
+    """Haar-random isometry (rows x cols, rows >= cols) via QR."""
+    if rows < cols:
+        raise ValidationError("an isometry needs at least as many rows as columns")
+    rng = as_rng(seed)
+    raw = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(raw)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
 
 
 def without_rows(ensemble):

@@ -1,11 +1,11 @@
-"""Run ``uqd`` with scipy blocked: ``matrix_exponential``, ``mean_state_check``
-on a ``qutrit_a`` ensemble, and the ``check``, ``simulate`` and
-``compare-ensembles`` commands.
+"""Run ``uqd`` with scipy and ``numpy.random`` blocked: ``matrix_exponential``,
+``mean_state_check`` on a ``qutrit_a`` ensemble, and the ``check``,
+``simulate`` and ``compare-ensembles`` commands.
 
 ``python tests/no_scipy_probe.py`` needs only ``uqd``'s run-time
 dependencies, so it also runs where the test extra is not installed.  It
-prints one line and exits 0 when every step succeeds without scipy, and
-ends in an error otherwise.
+prints one line and exits 0 when every step succeeds without scipy and
+``numpy.random``, and ends in an error otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 
 def main() -> int:
     sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+    sys.modules["numpy.random"] = None  # uqd draws its uniforms in uqd.streams
     import numpy as np
 
     from uqd import models
@@ -52,7 +53,7 @@ def main() -> int:
                 code = uqd_main([*argv, "--quiet"])
             if code != 0:
                 raise SystemExit(f"uqd {argv[0]} exited {code}")
-    print("uqd ran without scipy")
+    print("uqd ran without scipy and numpy.random")
     return 0
 
 

@@ -22,7 +22,6 @@ from uqd.equivalence import (
     extract_isometry,
     same_liouvillian,
 )
-from uqd.linalg import random_pure_state
 from uqd.representation import Representation, jump_rates, liouvillian_matrix
 from uqd.sjed import NonResetBlock, ResetBlock, partition
 from uqd.trajectory import simulate_ensemble
@@ -33,6 +32,7 @@ from helpers import (
     qme_gauge_variant,
     random_block_isometry,
     random_minimal_representation,
+    random_pure_state,
 )
 
 N_TRAJ = 10_000

@@ -535,6 +535,12 @@ class TestMalformedInput:
             # a repeated label replaced the earlier observable; a number broke the schema
             (COMPARE + ("--observables", "{obs_dup}"), 2),
             (COMPARE + ("--observables", "{obs_num}"), 2),
+            # a file that is not UTF-8 once ended in a traceback and exit 1
+            (("check", "--rep-b", "{not_utf8}"), 2),
+            (("sjed", "{not_utf8}"), 2),
+            (SIMULATE + ("--psi0", "{not_utf8}"), 2),
+            (COMPARE + ("--observables", "{not_utf8}"), 2),
+            (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{not_utf8}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "tolerance-nan", "observable-shape", "row-blocks-int",
@@ -543,7 +549,8 @@ class TestMalformedInput:
              "compare-dims", "psi0-digits", "observables-digits", "isometry-digits",
              "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short", "simulate-seed--1",
              "compare-seed-a--1", "compare-seed-b--2", "observable-label-dup",
-             "observable-label-number"],
+             "observable-label-number", "check-not-utf8", "sjed-not-utf8", "psi0-not-utf8",
+             "observables-not-utf8", "isometry-not-utf8"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
@@ -557,7 +564,7 @@ class TestMalformedInput:
         # observable; row blocks that are not index lists; initial states
         # with a NaN or an infinite entry or of the wrong length (a later
         # --psi0 overrides COMPARE's); a 5000-digit integer; a qubit document
-        # whose second jump holds NaN
+        # whose second jump holds NaN; a file whose first byte is 0xFF
         qubit = Representation(None, [np.diag([1.0, 0.0])])
         files = {"out": out_dir, "qubit": write_rep(tmp_path, qubit, "qubit.json")}
         jump_nan = {"dim": 2, "hamiltonian": matrix_to_json(np.zeros((2, 2))),
@@ -566,6 +573,8 @@ class TestMalformedInput:
                            ("psi_short", "[[1, 0], [0, 0]]")):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
+        files["not_utf8"] = tmp_path / "not_utf8.json"
+        files["not_utf8"].write_bytes(b"\xff" + json.dumps(matrix_to_json(np.eye(3))).encode())
         for name, matrix in (("obs", np.eye(2)), ("obs_nan", np.diag([1.0, np.nan, 0.0]))):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps([{"label": "p", "matrix": matrix_to_json(matrix)}]))
@@ -590,8 +599,10 @@ class TestMalformedInput:
         assert out == ""
         errors = [r for r in caplog.records if r.name == "uqd"]
         assert [r.levelname for r in errors] == ["ERROR"]
-        if argv[0] == "sjed":
+        if argv[-1] == "{jump_nan}":
             assert errors[0].getMessage().startswith("jumps[1]: ")
+        if argv[-1] == "{not_utf8}":
+            assert errors[0].getMessage() == f"cannot read {files['not_utf8']}: not UTF-8 text at byte 0"
         if argv[-1] in ("{obs_dup}", "{obs_num}"):
             assert errors[0].getMessage().startswith("observables[1].label ")
         assert not out_dir.exists()
@@ -854,10 +865,10 @@ class TestTracedNames:
 
 
 class TestImportCost:
-    # scipy is the tests' oracle only: no ``uqd`` module imports it, and
-    # ``import uqd`` and every subcommand leave it unloaded.  qutrit_a at
-    # theta = 0 has two equal decay channels, so ``--all-perms`` enumerates
-    # two matchings.
+    # scipy is the tests' oracle only and numpy.random their generator: no
+    # ``uqd`` module imports either, and ``import uqd`` and every subcommand
+    # leave both unloaded.  qutrit_a at theta = 0 has two equal decay
+    # channels, so ``--all-perms`` enumerates two matchings.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -884,7 +895,8 @@ class TestImportCost:
         probe = (
             "import sys, uqd, uqd.cli; "
             "code = uqd.cli.main(sys.argv[1:] + ['--quiet']) if sys.argv[1:] else 0; "
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)"
+            "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random'))), "
+            "file=sys.stderr)"
         )
         out = run_probe(probe, argv)
         assert out.stderr.strip() == "0 []"
@@ -892,11 +904,12 @@ class TestImportCost:
             assert len(json.loads(out.stdout)["theorem2"]["matchings"]) == 2
 
     def test_runs_without_scipy(self):
-        # the probe CI runs before the test extra is installed: scipy blocked,
-        # matrix_exponential, mean_state_check and three commands still run
+        # the probe CI runs before the test extra is installed: scipy and
+        # numpy.random blocked, matrix_exponential, mean_state_check and
+        # three commands still run
         script = os.path.join(os.path.dirname(__file__), "no_scipy_probe.py")
         out = run_probe("import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')", [script])
-        assert out.stdout.strip() == "uqd ran without scipy"
+        assert out.stdout.strip() == "uqd ran without scipy and numpy.random"
 
     def test_import_leaves_orjson_unloaded(self):
         # the document decoder imports it on first use

@@ -13,12 +13,13 @@ from uqd.equivalence import (
     same_liouvillian,
 )
 from uqd.errors import NumericalError, ValidationError
-from uqd.linalg import Tolerance, frobenius, haar_isometry
+from uqd.linalg import Tolerance, frobenius
 from uqd.representation import Representation
 from uqd.sjed import partition
 import dense_reference
 from helpers import (
     cross_block_mixture,
+    haar_isometry,
     mixed_rank,
     permuted_phase_variant,
     qme_gauge_variant,

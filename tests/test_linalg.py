@@ -13,7 +13,6 @@ from uqd.linalg import (
     Tolerance,
     density,
     frobenius,
-    haar_isometry,
     identity_shift,
     kron_sum_core,
     kron_sum_norm,
@@ -21,7 +20,6 @@ from uqd.linalg import (
     normalize,
     numerical_rank,
     proportionality_coefficient,
-    random_pure_state,
     stack_factor,
     superoperator_matrix,
     unvec,
@@ -30,7 +28,13 @@ from uqd.linalg import (
 from uqd.representation import Representation, _generator_terms, liouvillian_matrix
 from conftest import ket
 import dense_reference
-from helpers import qme_gauge_variant, random_minimal_representation, random_unitary
+from helpers import (
+    haar_isometry,
+    qme_gauge_variant,
+    random_minimal_representation,
+    random_pure_state,
+    random_unitary,
+)
 
 
 def dyad(i, j, dim=3):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from uqd import models, representation
 from uqd.errors import ParseError, ValidationError
-from uqd.linalg import density, matrix_exponential, random_pure_state, unvec, vec
+from uqd.linalg import density, matrix_exponential, unvec, vec
 from uqd.representation import (
     Representation,
     effective_hamiltonian,
@@ -29,7 +29,7 @@ from uqd.representation import (
     vector_to_json,
 )
 from conftest import ket
-from helpers import qme_gauge_variant
+from helpers import qme_gauge_variant, random_pure_state
 
 
 def single_decay(gamma=1.0, hamiltonian=None):

@@ -10,9 +10,7 @@ from uqd.linalg import (
     Tolerance,
     density,
     frobenius,
-    haar_isometry,
     proportionality_coefficient,
-    random_pure_state,
     superoperator_matrix,
     vec,
 )
@@ -35,9 +33,11 @@ from dense_reference import block_action_matrix
 from helpers import (
     close_targets,
     cross_block_mixture,
+    haar_isometry,
     mixed_rank,
     random_block_isometry,
     random_minimal_representation,
+    random_pure_state,
     random_unitary,
 )
 

@@ -681,6 +681,28 @@ class TestSolve:
                 assert np.array_equal(a[n], b[0])
 
 
+    def test_never_on_zero_rows(self, monkeypatch):
+        # single decay from |1>: a row that jumps lands on the dark |0>, so
+        # the last round's descent finishes every row left, and the solve
+        # after it once ran on zero rows
+        sizes = []
+        original = _StepTable.solve
+
+        def recording(self, x, u):
+            sizes.append(len(x))
+            return original(self, x, u)
+
+        monkeypatch.setattr(_StepTable, "solve", recording)
+        rep, t_max = single_decay(), 2.0
+        ensemble = simulate_ensemble(rep, ket(2, 1), t_max, 200, seed=38)
+        assert sizes and min(sizes) > 0
+        assert ensemble.times.size > 100
+        for i, traj in enumerate(ensemble):
+            ref = reference_simulate(rep, ket(2, 1), t_max, trajectory_seed(38, i))
+            assert np.array_equal(traj.channels, ref.channels)
+            assert np.all(np.abs(traj.times - ref.times) <= 1e-10 * t_max)
+
+
 def chunk_model(dim):
     """A model with a non-diagonal ``H_eff``, so every propagator entry
     enters each product."""
