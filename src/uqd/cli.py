@@ -452,7 +452,7 @@ def _cmd_compare(args) -> int:
     psi0 = _load_state(args.psi0, rep_a.dim)
     observables = _load_observables(args.observables, rep_a.dim)
     times = [args.tmax / 2, args.tmax]
-    if args.times:
+    if args.times is not None:
         try:
             times = [float(x) for x in args.times.split(",")]
         except ValueError:
@@ -509,6 +509,8 @@ def _cmd_example(args) -> int:
             try:
                 rates = tuple(float(x) for x in str(args.gamma).split(","))
             except ValueError:
+                rates = ()
+            if len(rates) != 3:
                 raise InputError("qutrit-b --gamma must be three comma-separated rates")
             kwargs["gammas"] = rates
         rep = models.qutrit_b(**kwargs)

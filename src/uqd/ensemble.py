@@ -304,13 +304,16 @@ def _label_count_tests(
 def check_comparison(alpha: float, times: Sequence[float], t_final: float) -> None:
     """Reject a significance level outside (0, 1), a horizon ``t_final``
     that is not positive and finite, or a sample time outside
-    ``[0, t_final]``, before any ensemble is simulated or replayed."""
+    ``[0, t_final]`` or repeating an earlier one, before any ensemble is
+    simulated or replayed."""
     if not 0 < alpha < 1:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     check_horizon(t_final)
-    for t in times:
+    for i, t in enumerate(times):
         if not 0 <= t <= t_final:
             raise ValidationError(f"time {t} outside [0, {t_final}]")
+        if t in times[:i]:
+            raise ValidationError(f"time {t} repeats an earlier time")
 
 
 def compare_ensembles(

@@ -27,6 +27,15 @@ give the same bits.  The one difference: ``orjson`` returns an integer beyond
 64 bits as a float, which is then no integer ``dim`` or index.  Output is
 always written by ``json``.
 
+:func:`parse` has two decode paths.  The *plain* path takes a document whose
+fields after ``dim`` and ``label`` are ``"hamiltonian"`` and ``"jumps"``, in
+that order, with every operator a ``dim x dim`` nest of pairs, and reads all
+its numbers with one ``orjson`` call on a flat array: no list is built per
+entry.  It declines whatever it cannot read exactly, and the *exact* path,
+``from_document(loads(text))``, then decodes the document and names any
+fault.  Where the plain path accepts, both give the same bits (see
+:func:`parse`).
+
 Structural validity is an invariant of :class:`Representation`: finite
 entries, a square Hermitian Hamiltonian and jumps of its shape.  Only the
 rule that no jump is zero needs a tolerance; :func:`require_valid` checks it.
@@ -202,8 +211,10 @@ def _pair_from_json(obj, where: str) -> complex:
 def _numeric_array(obj, ndim: int) -> Optional[np.ndarray]:
     """Complex array of a JSON-decoded nest of ``ndim`` non-empty list levels
     of ``[re, im]`` pairs, decoded in one numpy pass; ``None`` where it is not
-    plainly numeric (ragged, empty, wrong depth, strings, ``None``, bools
-    only, integers beyond int64), so the per-entry path names the fault.
+    plainly numeric (ragged, empty, wrong depth, strings, ``None``, integers
+    beyond int64), so the per-entry path names the fault, and for a nest of
+    booleans alone, which that path reads as 0 and 1 as numpy reads
+    booleans mixed with numbers.
 
     Where both paths accept, they give the same bits: each number becomes
     the nearest double, as ``complex(re, im)`` makes it.
@@ -304,5 +315,97 @@ def loads(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+_JSON_SPACE = b" \t\n\r"
+_NUMBER_OR_SPACE = b"0123456789.+-eE" + _JSON_SPACE
+# past the skeleton check, these are the brackets, the brace and the key
+_STRUCTURE_TO_SPACES = bytes.maketrans(b'[]}"jumps:', b" " * 10)
+
+
+def _nest_skeleton(dim: int) -> bytes:
+    """A ``dim x dim`` nest of pairs with its numbers and spaces deleted."""
+    row = b"[" + b",".join([b"[,]"] * dim) + b"]"
+    return b"[" + b",".join([row] * dim) + b"]"
+
+
+def _slots_filled(data: bytes) -> bool:
+    """Whether no ``[`` of ``data`` is followed, and no ``]`` preceded, by a
+    character below ``-``, such as a comma, a space or a quote.  In a text
+    with a nest's skeleton, every pair then opens and closes on a number
+    character: no slot is empty, for a number outside the pair to fill."""
+    codes = np.frombuffer(data, np.uint8)
+    left, right = codes[:-1], codes[1:]
+    for bracket, at, inside in ((ord("["), left, right), (ord("]"), right, left)):
+        empty = at == bracket
+        empty &= inside < ord("-")  # in place: one mask of the text at a time
+        if empty.any():
+            return False
+    return True
+
+
+def _plain_operators(text: str) -> Optional[tuple[str, np.ndarray]]:
+    """Label and ``(1 + n_jumps, dim, dim)`` operators of a plainly nested
+    document, or ``None`` wherever the text is anything else."""
+    import orjson
+
+    try:
+        head, key, rest = text.encode().partition(b'"hamiltonian":')
+        head = head.rstrip(_JSON_SPACE)
+        if not key or not head.endswith(b","):
+            return None
+        fields = orjson.loads(head[:-1] + b"}")
+        if not isinstance(fields, dict) or fields.keys() - {"dim", "label"}:
+            return None
+        dim, label = fields.get("dim"), fields.get("label", "")
+        if type(dim) is not int or dim < 1 or not isinstance(label, str):
+            return None
+        skeleton = rest.translate(None, _NUMBER_OR_SPACE)
+        n_ops = skeleton.count(b"[,]") // (dim * dim)
+        if n_ops < 2:
+            return None
+        nest = _nest_skeleton(dim)
+        if skeleton != nest + b',"jumps":[' + b",".join([nest] * (n_ops - 1)) + b"]}":
+            return None
+        if b'"jumps"' not in rest:  # a space in the key passes the skeleton
+            return None
+        # a compact text passes as it is, an indented one once its spaces go
+        if not (_slots_filled(rest) or _slots_filled(rest.translate(None, _JSON_SPACE))):
+            return None
+        flat = b"[" + rest.translate(_STRUCTURE_TO_SPACES) + b"]"
+        del rest  # one copy of the text at a time, for peak memory
+        values = np.array(orjson.loads(flat), dtype=float)
+        ops = values.view(complex).reshape(n_ops, dim, dim)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return label, ops
+
+
 def parse(text: str) -> Representation:
-    return from_document(loads(text))
+    """The representation a JSON document holds.
+
+    The plain path (:func:`_plain_operators`) decodes the text up to the
+    first ``"hamiltonian":`` key as an object of ``dim`` and an optional
+    ``label``.  With its number characters and spaces deleted, the rest
+    must then be exactly the Hamiltonian's nest skeleton, ``,"jumps":[``,
+    one or more jump nest skeletons and ``]}``; its key must read
+    ``"jumps"``, and no pair may have an empty slot (:func:`_slots_filled`).
+    With its brackets, brace and key turned into spaces, the rest is
+    decoded as one flat ``orjson`` array.
+
+    This is exact.  The skeleton fixes the order of every bracket, comma,
+    key character and brace, with only number characters and spaces between
+    them.  Each stretch between two commas holds one pair slot, which is not
+    empty, and everything else in it becomes a space, so a number character
+    outside the slot would make a second number, which ``orjson`` refuses.
+    It so reads each slot's number alone, with the parse the nested
+    document gives it.  Spaces, not deletions, keep the invalid ``[0.0]7``
+    from reading as ``0.07``.  Any decode error, overflow or non-finite
+    entry declines, and :func:`from_document` of :func:`loads` then decodes
+    the text and names every fault.
+    """
+    plain = _plain_operators(text)
+    if plain is None:
+        return from_document(loads(text))
+    label, ops = plain
+    return Representation(hamiltonian=ops[0], jumps=ops[1:], label=label)

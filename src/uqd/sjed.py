@@ -20,8 +20,11 @@ class homogeneous in type.
 One test decides the relation: two jumps share destinations when both have
 numerical rank 1 or both do not, and the sine of the angle between their
 unit directions (leading image, or flattened operator) is at most
-``tol.cutoff(1.0)``.  :func:`partition` returns exact classes, or raises
-:class:`NumericalError` where the relation is not transitive.
+``tol.cutoff(1.0)``.  :func:`partition` takes every jump's rank and leading
+image from one batched SVD of the stacked jumps; numpy runs the same LAPACK
+call on each matrix of a stack, so each gives the bits of its own SVD.  It
+returns exact classes, or raises :class:`NumericalError` where the relation
+is not transitive.
 
 The composite action of a class, ``rho -> sum_k J_k rho J_k^+``, is the
 canonical object compared between representations: classes match exactly
@@ -133,15 +136,6 @@ class SjedPartition:
         return lookup
 
 
-def _direction(jump: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:
-    """Whether a valid operator has numerical rank 1, and its unit direction:
-    the leading image when it does, else the flattened operator over its norm."""
-    u, sigma, _ = np.linalg.svd(jump)
-    if np.count_nonzero(sigma > tol.cutoff(sigma[0])) == 1:
-        return True, u[:, 0]
-    return False, jump.reshape(-1) / frobenius(jump)
-
-
 def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two nonzero square operators of one shape have equal
     destinations everywhere: their two-jump :func:`partition` has one block."""
@@ -169,15 +163,22 @@ def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartitio
 
     Two jumps share destinations when they are of one kind (rank 1 or not)
     and the sine of the angle between their unit directions is at most
-    ``tol.cutoff(1.0)``.  Each jump joins the class whose members are
-    exactly the earlier jumps it relates to, or opens a class when it
-    relates to none.  Any other pattern means the relation is not
+    ``tol.cutoff(1.0)``.  A jump has rank 1 when one singular value exceeds
+    ``tol.cutoff`` of the largest; its direction is then its leading image,
+    else the flattened jump over its norm.  Each jump joins the class whose
+    members are exactly the earlier jumps it relates to, or opens a class
+    when it relates to none.  Any other pattern means the relation is not
     transitive at this tolerance, which raises :class:`NumericalError`
     whatever the order of the jumps.
     """
     require_valid(rep, tol)
     cutoff = tol.cutoff(1.0)
-    kinds, directions = zip(*(_direction(jump, tol) for jump in rep.jumps))
+    images, sigmas, _ = np.linalg.svd(np.stack(rep.jumps))
+    kinds = [np.count_nonzero(sigma > tol.cutoff(sigma[0])) == 1 for sigma in sigmas]
+    directions = [
+        u[:, 0] if reset else jump.reshape(-1) / frobenius(jump)
+        for u, reset, jump in zip(images, kinds, rep.jumps)
+    ]
     classes: List[List[int]] = []
     class_of: List[int] = []
     for j, (reset, v) in enumerate(zip(kinds, directions)):

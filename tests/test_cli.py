@@ -93,8 +93,9 @@ class TestExample:
         rep = from_document(json.loads(out))
         assert rep.n_jumps == 5
 
-    def test_bad_gamma_is_usage_error(self, capsys):
-        code, _ = run(capsys, "example", "qutrit-b", "--gamma", "nope")
+    @pytest.mark.parametrize("gamma", ["nope", "1,2", "1,2,3,4"])
+    def test_bad_gamma_is_usage_error(self, capsys, gamma):
+        code, _ = run(capsys, "example", "qutrit-b", "--gamma", gamma)
         assert code == 2
 
     def test_unknown_flag_is_usage_error(self):
@@ -507,6 +508,9 @@ class TestMalformedInput:
             (COMPARE + ("--times", "nan"), 3),
             (COMPARE + ("--alpha", "0"), 3),
             (COMPARE + ("--times", "5"), 3),
+            # a repeated time once ran its KS tests twice and reported them once
+            (COMPARE + ("--times", "0.25,0.25"), 3),
+            (COMPARE + ("--times", ""), 2),
             # an equivalent pair: a NaN cutoff would report "different QME"
             (("check", "--rep-b", "{a_min}", "--atol", "nan", "--rtol", "nan"), 3),
             (COMPARE + ("--observables", "{obs}"), 2),
@@ -543,6 +547,7 @@ class TestMalformedInput:
             (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{not_utf8}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
+             "times-repeated", "times-empty",
              "tolerance-nan", "observable-shape", "row-blocks-int",
              "row-blocks-str", "n-polar--1", "n-polar-0", "simulate-psi0-nan",
              "simulate-psi0-inf", "compare-psi0-nan", "compare-psi0-inf", "observable-nan",

@@ -311,6 +311,14 @@ class TestCompareEnsembles:
         with pytest.raises(ValidationError, match="^ensembles have mismatched horizons$"):
             compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [1.0])
 
+    def test_repeated_time_rejected(self, qutrit_a, monkeypatch):
+        # it once kept one KS entry per time and counted the repeat once
+        monkeypatch.setattr(ensemble, "states_at", None)
+        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
+        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=2)
+        with pytest.raises(ValidationError, match=r"^time 0\.5 repeats an earlier time$"):
+            compare_ensembles(ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [0.5, 0.5, 1.0])
+
     def test_empty_ensemble_rejected(self, qutrit_a):
         ens = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 5, seed=1)
         for ens_a, ens_b in [(without_rows(ens), ens), (ens, without_rows(ens))]:

@@ -474,3 +474,120 @@ class TestDecoder:
             assert shipped.startswith(outcome)
         else:
             assert shipped[0] == outcome
+
+
+def outcome(decode, text):
+    """Label and operators, or the error type and message, of ``decode(text)``."""
+    try:
+        rep = decode(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return rep.label, rep.dim, rep.hamiltonian.tobytes(), [jump.tobytes() for jump in rep.jumps]
+
+
+def exact(text):
+    return from_document(representation.loads(text))
+
+
+FINITE = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.0, 0.1]),
+)
+# labels with escapes, brackets and non-ASCII; a lone surrogate is the
+# exact path's (TestDecoder)
+LABEL_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\[]{},: 0.-e\n\té☃'), st.characters(exclude_categories=["Cs"])),
+    max_size=6,
+)
+MUTATION_CHARS = st.sampled_from(list('0123456789.-+eE[]{},:" \ntnu'))
+
+
+@st.composite
+def representation_texts(draw):
+    """``serialize``-style text of a random representation: compact or
+    indented, ASCII-escaped or not, under a label with escapes and brackets."""
+    dim = draw(st.integers(1, 3))
+    entries = st.lists(FINITE, min_size=2 * dim * dim, max_size=2 * dim * dim)
+    operator = lambda: np.array(draw(entries)).view(complex).reshape(dim, dim)
+    raw = operator()
+    jumps = [operator() for _ in range(draw(st.integers(1, 3)))]
+    rep = Representation((raw + raw.conj().T) / 2, jumps, label=draw(LABEL_TEXT))
+    return json.dumps(
+        to_document(rep), indent=draw(st.sampled_from([None, 2])), ensure_ascii=draw(st.booleans())
+    )
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text with one character inserted, deleted or replaced."""
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        return text[:at] + draw(MUTATION_CHARS) + text[at:]
+    return text[:at] + ("" if edit == "delete" else draw(MUTATION_CHARS)) + text[at + 1:]
+
+
+def pair_doc(jump: str, head: str = '"dim": 1') -> str:
+    return '{%s, "hamiltonian": [[[0.0, 0.0]]], "jumps": [%s]}' % (head, jump)
+
+
+class TestPlainDecode:
+    """``parse`` reads a plainly nested document in one flat pass and gives
+    the bits, or the error, of ``from_document(loads(text))``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=representation_texts())
+    def test_documents_agree_with_the_exact_path(self, text):
+        assert outcome(parse, text) == outcome(exact, text)
+        assert representation._plain_operators(text) is not None
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=mutated(representation_texts()))
+    def test_edited_documents_agree_with_the_exact_path(self, text):
+        assert outcome(parse, text) == outcome(exact, text)
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            (pair_doc("[[[1.0, 0.0]7]]"), False),
+            (pair_doc("[[[1.0, ]0.0]]"), False),
+            (pair_doc("[[[, 1.0]]]7"), False),
+            (pair_doc("[[[1.0, 0.0]]]").replace('"jumps":', '"jumps" :'), True),
+            (pair_doc("[[[1.0, 0.0]]]").replace('"jumps":', '"ju1mps":'), False),
+            (pair_doc("[[[1.0, 0.0]]]").replace('"jumps":', '" jumps":'), False),
+            ('{"hamiltonian": [[[0.0, 0.0]]], "dim": 1, "jumps": [[[[1.0, 0.0]]]]}', False),
+            ('{"dim": 1, "jumps": [[[[1.0, 0.0]]]], "hamiltonian": [[[0.0, 0.0]]]}', False),
+            (pair_doc("[[[1.0, 0.0]]]", head='"note": 1, "dim": 1'), False),
+            (pair_doc("[[[1.0, 0.0]]]").replace("]]]]}", ']]]], "note": 1}'), False),
+            (pair_doc("[[[true, false]]]"), False),
+            (pair_doc("[[[null, 0.0]]]"), False),
+            (pair_doc("[[[NaN, 0.0]]]"), False),
+            (pair_doc("[[[1e400, 0.0]]]"), False),
+            (pair_doc("[[[%d, -0]]]" % (2**64 + 1)), True),
+            (pair_doc("[[[%d, 0]]]" % 10**30), True),
+            (pair_doc("[[[-0, 3]]]"), True),
+            ('{"dim": 11 "hamiltonian": [[[0.0, 0.0]]], "jumps": [[[[1.0, 0.0]]]]}', False),
+            (pair_doc("[[[1.0, 0.0]]]", head='"dim": 2'), False),
+            (pair_doc("[[[1.0, 0.0]]]", head='"dim": true'), False),
+            (pair_doc("[[[1.0, 0.0]]], [[[2.0, 0.0]]]", head='"label": "[\\"x\\"]", "dim": 1'), True),
+        ],
+        ids=["stray-number", "number-outside-its-pair", "number-after-a-nest",
+             "spaced-jumps-key", "number-in-jumps-key", "space-in-jumps-key",
+             "hamiltonian-first", "jumps-first", "extra-key-first",
+             "extra-key-last", "booleans", "null", "nan", "float-overflow", "beyond-int64",
+             "beyond-uint64", "negative-zero-integer", "no-comma-before-hamiltonian",
+             "dim-mismatch", "dim-true",
+             "escaped-label"],
+    )
+    def test_row(self, text, plain):
+        assert outcome(parse, text) == outcome(exact, text)
+        assert (representation._plain_operators(text) is not None) == plain
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_canonical_document_never_reaches_from_document(self, qutrit_a, indent):
+        text = serialize(qutrit_a, indent=indent)
+        with mock.patch.object(representation, "from_document", side_effect=AssertionError):
+            back = parse(text)
+        assert back.hamiltonian.tobytes() == qutrit_a.hamiltonian.tobytes()
+        assert [j.tobytes() for j in back.jumps] == [j.tobytes() for j in qutrit_a.jumps]

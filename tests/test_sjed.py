@@ -7,6 +7,7 @@ from uqd import models
 from uqd.equivalence import apply_gauge
 from uqd.errors import NumericalError, ValidationError
 from uqd.linalg import (
+    DEFAULT_TOL,
     Tolerance,
     density,
     frobenius,
@@ -24,6 +25,7 @@ from uqd.sjed import (
     block_jumps,
     composite_action,
     fix_phase,
+    fix_vector_phase,
     minimal_block_representation,
     minimize_representation,
     partition,
@@ -161,6 +163,27 @@ class TestPartition:
                 for j in range(i + 1, rep.n_jumps):
                     same_block = lookup[i] == lookup[j]
                     assert are_jed(rep.jumps[i], rep.jumps[j]) == same_block
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 16, 32])
+    def test_blocks_carry_the_bits_of_per_jump_svds(self, dim):
+        # one batched SVD must give each jump the bits of its own SVD
+        rng = np.random.default_rng(dim)
+        jumps = []
+        for _ in range(6):
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            jumps.append(raw if rng.random() < 0.5 else np.outer(raw[:, 0], raw[0]))
+        jumps += [(0.3 - 0.4j) * jumps[0], 2.0 * jumps[1]]
+        parts = partition(Representation(hamiltonian=None, jumps=jumps))
+        for blk in parts.blocks:
+            first = jumps[blk.indices[0]]
+            u, sigma, _ = np.linalg.svd(first)
+            reset = np.count_nonzero(sigma > DEFAULT_TOL.cutoff(sigma[0])) == 1
+            assert isinstance(blk, ResetBlock) == reset
+            if reset:
+                assert blk.chi.tobytes() == fix_vector_phase(u[:, 0]).tobytes()
+            else:
+                canonical = fix_phase((first.reshape(-1) / frobenius(first)).reshape(dim, dim))
+                assert blk.canonical_op.tobytes() == canonical.tobytes()
 
     def test_distinct_blocks_have_distinct_actions(self, qutrit_a):
         parts = partition(qutrit_a)
