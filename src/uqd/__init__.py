@@ -71,6 +71,7 @@ from .trajectory import (
     coarse_grain,
     simulate,
     simulate_ensemble,
+    simulate_ensembles,
     state_at,
 )
 

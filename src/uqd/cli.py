@@ -443,8 +443,14 @@ def _load_observables(spec: Optional[str], dim: int) -> dict[str, np.ndarray]:
 
 
 def _cmd_compare(args) -> int:
+    """Simulate both sides in one pass of `trajectory.simulate_ensembles`,
+    whose rows are bit for bit those of two `simulate_ensemble` calls, and
+    compare them.  Every argument is checked before the pass, the t2
+    channel permutation too where the two channel counts agree."""
     _require_seed(args.seed_a, "--seed-a")
     _require_seed(args.seed_b, "--seed-b")
+    perm = _parse_perm(args.perm, "--perm")
+    block_perm = _parse_perm(args.perm_c, "--perm-c")
     tol = _tolerance(args)
     rep_a = _load_representation(args.rep_a)
     rep_b = _load_representation(args.rep_b)
@@ -458,12 +464,13 @@ def _cmd_compare(args) -> int:
         except ValueError:
             raise InputError("--times must be a comma-separated list of numbers")
     ens.check_comparison(args.alpha, times, args.tmax)
-    log.info("simulating 2 x %d trajectories", args.ntraj)
-    ens_a = trajectory.simulate_ensemble(
-        rep_a, psi0, args.tmax, args.ntraj, args.seed_a, tol=tol
-    )
-    ens_b = trajectory.simulate_ensemble(
-        rep_b, psi0, args.tmax, args.ntraj, args.seed_b, tol=tol
+    if args.level == "t2" and perm is not None and rep_a.n_jumps == rep_b.n_jumps:
+        # different jump counts give the structural document instead
+        equivalence.require_bijection(perm, rep_b.n_jumps, rep_a.n_jumps, "channel")
+    # the block check needs both partitions, so it waits for compare_ensembles
+    log.info("simulating 2 x %d trajectories in one pass", args.ntraj)
+    ens_a, ens_b = trajectory.simulate_ensembles(
+        [rep_a, rep_b], psi0, args.tmax, args.ntraj, [args.seed_a, args.seed_b], tol=tol
     )
     comparison = ens.compare_ensembles(
         ens_a,
@@ -473,8 +480,8 @@ def _cmd_compare(args) -> int:
         observables,
         times,
         level=args.level,
-        perm=_parse_perm(args.perm, "--perm"),
-        block_perm=_parse_perm(args.perm_c, "--perm-c"),
+        perm=perm,
+        block_perm=block_perm,
         alpha=args.alpha,
         tol=tol,
     )

@@ -11,8 +11,10 @@ equivalent really behave identically:
 * ``mean_state_check`` compares the ensemble-averaged conditional state with
   ``exp(L t) rho0`` from `uqd.linalg.matrix_exponential`, in numpy alone.
 * ``compare_ensembles`` runs two-sample tests on two ensembles of one size,
-  with a Bonferroni-corrected verdict: Kolmogorov-Smirnov on observable
-  samples and Pearson's chi-square on jump-count distributions.  Observable
+  such as the two sides of one `uqd.trajectory.simulate_ensembles` pass
+  (``uqd compare-ensembles`` simulates them so), with a Bonferroni-corrected
+  verdict: Kolmogorov-Smirnov on observable samples and Pearson's
+  chi-square on jump-count distributions.  Observable
   samples are first snapped to a grid whose step comes from the tolerance,
   so values that differ only by roundoff (an atom at ``0.0`` against one at
   ``3.7e-33``) count as one.  The null laws are in `uqd.laws`: Hodges' exact
@@ -330,7 +332,10 @@ def compare_ensembles(
     tol: Tolerance = DEFAULT_TOL,
 ) -> EnsembleComparison:
     """Two-sample comparison at a theorem level of two non-empty trajectory
-    ensembles of one size ``N`` whose horizons agree to 1e-12.
+    ensembles of one size ``N`` whose horizons agree to 1e-12, simulated
+    apart or as the two sides of one `uqd.trajectory.simulate_ensembles`
+    pass, which gives each side the bits it has alone.  Each is replayed
+    under its own representation.
 
     ``t1`` tests observable distributions and total jump counts, ``t3`` adds
     per-block counts after applying ``block_perm``, ``t2`` adds per-channel

@@ -15,8 +15,11 @@ Wire format (UTF-8 JSON)::
       "jumps": [ [[[re, im], ...], ...], ... ] # one matrix per operator
     }
 
-Complex scalars are two-element ``[re, im]`` arrays.  Jump indices are
-1-based in all documents and reports, 0-based in the Python API.
+Complex scalars are two-element ``[re, im]`` arrays of numbers; a JSON
+``true`` or ``false`` is no number, and a ``dim`` of ``true`` is no integer.
+A document has no other fields (``schemas/representation.schema.json``).
+Jump indices are 1-based in all documents and reports, 0-based in the
+Python API.
 
 Documents are decoded by :func:`loads`: ``orjson`` first, and the standard
 ``json`` module only where ``orjson`` refuses the text (``NaN`` and
@@ -61,6 +64,8 @@ from .linalg import (
 )
 
 HERMITICITY_TOL = 1e-12
+# the fields of schemas/representation.schema.json, which allows no others
+DOCUMENT_FIELDS = ("label", "dim", "hamiltonian", "jumps")
 
 
 @dataclass(eq=False)
@@ -199,7 +204,7 @@ def _pair_from_json(obj, where: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(part, (int, float)) for part in obj)
+        or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in obj)
     ):
         raise ParseError(f"{where}: complex scalars must be [re, im] pairs, got {obj!r}")
     try:
@@ -212,13 +217,15 @@ def _numeric_array(obj, ndim: int) -> Optional[np.ndarray]:
     """Complex array of a JSON-decoded nest of ``ndim`` non-empty list levels
     of ``[re, im]`` pairs, decoded in one numpy pass; ``None`` where it is not
     plainly numeric (ragged, empty, wrong depth, strings, ``None``, integers
-    beyond int64), so the per-entry path names the fault, and for a nest of
-    booleans alone, which that path reads as 0 and 1 as numpy reads
-    booleans mixed with numbers.
+    beyond int64, booleans), so the per-entry path names the fault.  numpy
+    reads booleans among numbers as 0 and 1, so a nest that passes is
+    written back by ``orjson``, in C, and must hold no ``true`` or ``false``.
 
     Where both paths accept, they give the same bits: each number becomes
     the nearest double, as ``complex(re, im)`` makes it.
     """
+    import orjson
+
     if not isinstance(obj, list):
         return None
     try:
@@ -226,6 +233,12 @@ def _numeric_array(obj, ndim: int) -> Optional[np.ndarray]:
     except (ValueError, TypeError, OverflowError):
         return None
     if arr.dtype.kind not in "fi" or arr.shape[ndim:] != (2,):
+        return None
+    try:  # lists, numbers and booleans only, past the dtype check
+        text = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
+    except orjson.JSONEncodeError:
+        return None
+    if b"t" in text or b"f" in text:  # no number is written with either letter
         return None
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
@@ -282,8 +295,12 @@ def from_document(doc) -> Representation:
     for key in ("dim", "hamiltonian", "jumps"):
         if key not in doc:
             raise ParseError(f"missing field {key}")
+    unknown = [key for key in doc if key not in DOCUMENT_FIELDS]
+    if unknown:
+        raise ParseError(f"{unknown[0]}: unknown field; a representation has only "
+                         f"{', '.join(DOCUMENT_FIELDS)}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError(f"dim: expected a positive integer, got {dim!r}")
     label = doc.get("label", "")
     if not isinstance(label, str):

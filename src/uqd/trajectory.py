@@ -10,9 +10,25 @@ to the normalized image under the chosen jump operator.
 Implementation notes:
 
 * One engine advances every trajectory of a call together, as the rows of an
-  ``(N, dim)`` array; `simulate` is the engine with one row.  The search for
-  each crossing has two stages: a dyadic descent brackets it to one
-  ``step = 0.01 / |H_eff|``, and a solve finds it inside that bracket.
+  ``(N, dim)`` array.  The rows may belong to several representations, the
+  *sides* of the call, which share the initial state and the horizon:
+  `simulate` is one side with one row, `simulate_ensemble` one side, and
+  `simulate_ensembles` several, as ``uqd compare-ensembles`` simulates its
+  two sides in one pass.  The search for each crossing has two stages: a
+  dyadic descent brackets it to one ``step = 0.01 / |H_eff|``, and a solve
+  finds it inside that bracket.
+* Sides.  Each side keeps its own step table, its own stack of jump
+  operators, the row-independence probes of both, and its own products: one
+  per level in the descent, in the solve and for the jump images, each on
+  the side's rows.  The live rows stay in row order, so a side's rows are
+  one slice of them.  Everything else runs once over the rows of all sides:
+  the rounds, the keep and update of the descent, the Newton iteration of
+  the solve (each row with its own side's ``step``), one `Streams` over
+  every side's seeds, and the final sort.  Sides with different ``top``
+  are aligned at their finest level, so every side reaches its own
+  ``step`` at the pass's last level.  Each row therefore has the bits it
+  has when its side is simulated alone.  Every side is checked before the
+  pass, in order; an error raised in the pass names its side.
 * Descent.  A table holds the exponentials ``exp(-i H_eff w_k)`` at the
   dyadic widths ``w_k = step * 2**(top - k)``, ``k = 0 .. top``, so level 0
   covers ``t_max`` and level ``top`` is ``step``.  Level ``top`` is summed
@@ -78,6 +94,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from itertools import accumulate, pairwise
+from string import ascii_lowercase
 from typing import Sequence
 
 import numpy as np
@@ -244,15 +262,6 @@ class _StepTable:
         self.mats = np.stack(list(levels))[::-1] + np.eye(len(self.taylor[0]))
         self.blas = _rows_independent(np.concatenate([self.mats, self.taylor, self.moments]))
 
-    def _taylor(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Rows ``sum_i tau[n]^i taylor[i] x[n]``: the no-jump states after
-        ``tau[n]`` from the rows of ``x``, by Horner's rule."""
-        terms = _product(self.taylor, x, self.blas)
-        phi = terms[TAYLOR_ORDER]
-        for i in range(TAYLOR_ORDER - 1, -1, -1):
-            phi = phi * tau[:, None] + terms[i]
-        return phi
-
     def apply(self, k: int, x: np.ndarray) -> np.ndarray:
         """The level-``k`` propagator applied to each row of ``x`` by
         `_product`: BLAS on fixed-shape chunks where the table's probe found
@@ -260,48 +269,9 @@ class _StepTable:
         way each row of the result depends only on its own row of ``x``."""
         return _product(self.mats[k], x, self.blas)
 
-    def solve(self, x: np.ndarray, u: np.ndarray):
-        """Offsets ``tau`` in ``[0, step]`` where the squared norm of the
-        no-jump state from row ``x[n]`` falls to ``u[n]``, the states there
-        and their squared norms.
-
-        Each row must hold a bracket: squared norm above ``u[n]`` at 0 and
-        at most ``u[n]`` at ``step``.  A safeguarded Newton iteration runs
-        on each row's polynomial; a Newton step that leaves the row's
-        bracket falls back to bisection, and a row is frozen once its move
-        is at most ``step * 2**-TIME_LEVELS``.  The rows are worked on as
-        the rows of ``x``."""
-        coeffs = _row_sum(_product(self.moments, x, self.blas) * x)
-        lo = np.zeros(len(x))
-        hi = np.full(len(x), self.step)
-        tau = np.zeros(len(x))
-        resolution = self.step * 2.0**-TIME_LEVELS
-        live = np.arange(len(x))
-        for _ in range(SOLVE_ITERATIONS):
-            at, c = tau[live], coeffs[:, live]
-            value, slope = c[TAYLOR_ORDER], np.zeros(len(live))
-            for m in range(TAYLOR_ORDER - 1, -1, -1):
-                slope = slope * at + value
-                value = value * at + c[m]
-            value -= u[live]
-            above = value > 0.0
-            left = np.where(above, at, lo[live])
-            right = np.where(above, hi[live], at)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                guess = at - value / slope
-            # closed test: an exact root is its own Newton step
-            guess = np.where((left <= guess) & (guess <= right), guess, (left + right) / 2)
-            lo[live], hi[live], tau[live] = left, right, guess
-            live = live[np.abs(guess - at) > resolution]
-            if not live.size:
-                break
-        else:
-            raise NumericalError("jump-time solve did not converge")
-        phi = self._taylor(x, tau)
-        phi_sq = _row_sum(phi * phi)
-        if np.any(np.abs(phi_sq - u) > NORM_RESIDUAL_TOL):
-            raise NumericalError("jump-time solve failed to reach the norm residual tolerance")
-        return tau, phi, phi_sq
+    def taylor_terms(self, x: np.ndarray) -> np.ndarray:
+        """``(TAYLOR_ORDER + 1, N, 2d)`` rows ``taylor[i] x[n]``."""
+        return _product(self.taylor, x, self.blas)
 
     def advance(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Row ``n`` of the result is the no-jump state ``x[n]`` after
@@ -316,7 +286,16 @@ class _StepTable:
             if rows.size:
                 x[rows] = self.apply(k, x[rows])
                 rest[rows] -= self.widths[k]
-        return self._taylor(x, rest)
+        return _horner(self.taylor_terms(x), rest)
+
+
+def _horner(terms: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Rows ``sum_i tau[n]^i terms[i, n]``, by Horner's rule: from
+    `_StepTable.taylor_terms`, the no-jump states after ``tau[n]``."""
+    phi = terms[TAYLOR_ORDER]
+    for i in range(TAYLOR_ORDER - 1, -1, -1):
+        phi = phi * tau[:, None] + terms[i]
+    return phi
 
 
 def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
@@ -328,13 +307,37 @@ def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
         )
 
 
-def _fire(jumps: np.ndarray, blas: bool, phi: np.ndarray, phi_sq: np.ndarray,
+@dataclass(eq=False)
+class _Side:
+    """One representation's share of a pass: its step table; its K jump
+    operators, stacked in the real form into one ``(2 d K, 2 d)`` matrix,
+    and their probe; the pass level of its table's level 0, so that every
+    side reaches its own ``step`` at the pass's last level; and the prefix
+    of the errors its rows raise during the pass."""
+
+    table: _StepTable
+    jumps: np.ndarray
+    jumps_blas: bool
+    shift: int
+    name: str
+
+
+def _joined(parts: list, axis: int = 0) -> np.ndarray:
+    """The sides' parts of one array, in side order, along ``axis``."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
+
+
+def _fire(sides: Sequence[_Side], cuts: Sequence[slice], phi: np.ndarray, phi_sq: np.ndarray,
           draws: np.ndarray, times: np.ndarray):
     """Channels and normalized post-jump states of rows ``phi`` (squared
     norms ``phi_sq``) that jump at ``times``, given one channel uniform per
-    row.  ``jumps`` stacks the real forms of the K jump operators into one
-    ``(2 d K, 2 d)`` matrix, applied by `_product` with ``blas``."""
-    amps = _product(jumps, phi, blas).reshape(len(phi), -1, phi.shape[1])
+    row: the rows ``cuts[s]`` jump under ``sides[s]``."""
+    if len(sides) > 1:
+        parts = [_fire([side], [slice(None)], phi[cut], phi_sq[cut], draws[cut], times[cut])
+                 for side, cut in zip(sides, cuts) if cut.stop > cut.start]
+        return tuple(np.concatenate(field) for field in zip(*parts))
+    side = sides[0]
+    amps = _product(side.jumps, phi, side.jumps_blas).reshape(len(phi), -1, phi.shape[1])
     amps_sq = _row_sum(amps * amps)
     rates = amps_sq / phi_sq[:, None]
     rates[rates < RATE_FLOOR] = 0.0
@@ -342,11 +345,81 @@ def _fire(jumps: np.ndarray, blas: bool, phi: np.ndarray, phi_sq: np.ndarray,
     total = cumulative[:, -1]
     if np.any(total <= 0.0):
         t_star = float(times[np.argmax(total <= 0.0)])
-        raise NumericalError(f"no channel has positive rate at sampled jump time {t_star:.6g}")
+        raise NumericalError(f"{side.name}no channel has positive rate at sampled jump time {t_star:.6g}")
     channel = np.count_nonzero(cumulative / total[:, None] <= draws[:, None], axis=1)
     channel = np.minimum(channel, rates.shape[1] - 1)
     rows = np.arange(len(phi))
     return channel, amps[rows, channel] / np.sqrt(amps_sq[rows, channel])[:, None]
+
+
+def _slices(values: np.ndarray, edges: Sequence[int]) -> Sequence[slice]:
+    """For each side ``s``, the slice of the sorted ``values`` that lies in
+    ``[edges[s], edges[s + 1])``; ``edges`` spans every value, so one side
+    takes them all."""
+    if len(edges) == 2:
+        return (slice(None),)
+    cuts = np.searchsorted(values, edges[1:-1]).tolist()
+    return [slice(lo, hi) for lo, hi in pairwise([0, *cuts, len(values)])]
+
+
+def _name_at(sides: Sequence[_Side], cuts: Sequence[slice], position: int) -> str:
+    """The name of the side whose cut holds row ``position``."""
+    return next(side.name for side, cut in zip(sides, cuts) if cut.stop is None or position < cut.stop)
+
+
+def _solve(sides: Sequence[_Side], cuts: Sequence[slice], x: np.ndarray, u: np.ndarray):
+    """Offsets ``tau`` in ``[0, step]`` where the squared norm of the
+    no-jump state from row ``x[n]`` falls to ``u[n]``, the states there and
+    their squared norms: the rows ``cuts[s]`` of ``x`` under the table of
+    ``sides[s]``, whose errors start with its name.
+
+    Each row must hold a bracket: squared norm above ``u[n]`` at 0 and at
+    most ``u[n]`` at its table's ``step``.  A safeguarded Newton iteration
+    runs on each row's polynomial; a Newton step that leaves the row's
+    bracket falls back to bisection, and a row is frozen once its move is
+    at most ``step * 2**-TIME_LEVELS``.  The moment and Taylor products are
+    each table's, on its own rows; the rest works on all rows together."""
+    tables = [side.table for side in sides]
+    terms = _joined([_product(table.moments, x[cut], table.blas) for table, cut in zip(tables, cuts)], -2)
+    coeffs = _row_sum(terms * x)
+    # one step for every row, or each row's own
+    uniform = len({table.step for table in tables}) == 1
+    step = tables[0].step if uniform else np.concatenate(
+        [np.full(cut.stop - cut.start, table.step) for table, cut in zip(tables, cuts)])
+    lo = np.zeros(len(x))
+    hi = np.full(len(x), step)
+    tau = np.zeros(len(x))
+    resolution = step * 2.0**-TIME_LEVELS
+    live = np.arange(len(x))
+    # a zero slope makes an infinite or NaN Newton step, which the bracket
+    # test below replaces by bisection
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(SOLVE_ITERATIONS):
+            at, c = tau[live], coeffs[:, live]
+            value, slope = c[TAYLOR_ORDER], np.zeros(len(live))
+            for m in range(TAYLOR_ORDER - 1, -1, -1):
+                slope = slope * at + value
+                value = value * at + c[m]
+            value -= u[live]
+            above = value > 0.0
+            left = np.where(above, at, lo[live])
+            right = np.where(above, hi[live], at)
+            guess = at - value / slope
+            # closed test: an exact root is its own Newton step
+            guess = np.where((left <= guess) & (guess <= right), guess, (left + right) / 2)
+            lo[live], hi[live], tau[live] = left, right, guess
+            live = live[np.abs(guess - at) > (resolution if uniform else resolution[live])]
+            if not live.size:
+                break
+        else:
+            raise NumericalError(_name_at(sides, cuts, live[0]) + "jump-time solve did not converge")
+    phi = _horner(_joined([table.taylor_terms(x[cut]) for table, cut in zip(tables, cuts)], -2), tau)
+    phi_sq = _row_sum(phi * phi)
+    missed = np.abs(phi_sq - u) > NORM_RESIDUAL_TOL
+    if missed.any():
+        raise NumericalError(_name_at(sides, cuts, np.argmax(missed))
+                             + "jump-time solve failed to reach the norm residual tolerance")
+    return tau, phi, phi_sq
 
 
 def _require_state_length(psi: np.ndarray, rep: Representation) -> None:
@@ -360,46 +433,57 @@ def check_horizon(t_max: float) -> None:
 
 
 def _simulate_rows(
-    rep: Representation,
+    reps: Sequence[Representation],
     psi0: np.ndarray,
     t_max: float,
-    seeds: np.ndarray,
+    seeds: Sequence[np.ndarray],
     tol: Tolerance,
-) -> TrajectoryEnsemble:
-    """One labelled trajectory per seed, all advanced together."""
-    require_valid(rep, tol)
-    check_horizon(t_max)
-    psi0 = normalize(psi0)
-    _require_state_length(psi0, rep)
-    psi0.flags.writeable = False
-    streams = Streams(seeds)
-    h_eff = effective_hamiltonian(rep)
-    _check_contractive(h_eff, tol)
-    table = _StepTable(h_eff, t_max)
-    widths = table.widths
-    jumps = np.concatenate(_real_form(np.stack(rep.jumps)))
-    jumps_blas = _rows_independent(jumps)
-
-    def start_level(t: np.ndarray) -> np.ndarray:
-        # the narrowest level whose step from ``t`` reaches ``t_max``, in the
-        # same float sum as the step itself, so a kept step ends the row
-        return np.count_nonzero(t[:, None] + widths >= t_max, axis=1) - 1
-
-    n = len(seeds)
+) -> list[TrajectoryEnsemble]:
+    """For each side ``s``, one labelled trajectory under ``reps[s]`` per
+    seed of ``seeds[s]``; all rows of all sides advance together.  Every
+    check of a side runs before the next side's, and all before the pass."""
+    tables, jumps = [], []
+    for rep in reps:
+        require_valid(rep, tol)
+        check_horizon(t_max)
+        state = normalize(psi0)
+        _require_state_length(state, rep)
+        h_eff = effective_hamiltonian(rep)
+        _check_contractive(h_eff, tol)
+        tables.append(_StepTable(h_eff, t_max))
+        jumps.append(np.concatenate(_real_form(np.stack(rep.jumps))))
+    state.flags.writeable = False
+    top = max(table.top for table in tables)
+    names = [""] if len(reps) == 1 else [
+        f"side {ascii_lowercase[i] if i < len(ascii_lowercase) else i + 1}: " for i in range(len(reps))
+    ]
+    sides = [_Side(table, stack, _rows_independent(stack), top - table.top, name)
+             for table, stack, name in zip(tables, jumps, names)]
+    # each side's widths at the pass's levels, (top + 1, sides); the levels
+    # above a side's level 0 never take its rows, and reach any t_max
+    widths = np.full((top + 1, len(sides)), np.inf)
+    for s, side in enumerate(sides):
+        widths[side.shift :, s] = side.table.widths
+    # side s holds rows starts[s] up to starts[s + 1], and the live rows stay
+    # in row order, so each side is one slice of them
+    starts = list(accumulate([len(side_seeds) for side_seeds in seeds], initial=0))
+    n = starts[-1]
+    streams = Streams(_joined(list(seeds)))
     # (row, time, channel, post-jump state) of each round's fired rows
-    fired = [(np.empty(0, int), np.empty(0), np.empty(0, int), np.empty((0, rep.dim), complex))]
+    fired = [(np.empty(0, int), np.empty(0), np.empty(0, int), np.empty((0, state.size), complex))]
 
     # Live rows: ``x`` is the state at time ``t``, with squared norm above
     # ``u``.  Each round starts every row on a segment at level ``start``,
     # applies each level to every row and keeps the step for the rows with
     # ``start <= level`` whose squared norm stays above ``u``, so that after
     # level ``top`` every row holds the bracket ``(t, t + step]``, and ends
-    # with the solve.  A row whose ``t`` reaches ``t_max`` gets
+    # with the solve.  A side's level ``k`` is the pass's level
+    # ``k + shift``.  A row whose ``t`` reaches ``t_max`` gets
     # ``start = top + 1``; rows leave after the descent and after the solve,
     # and a descent that finishes every row ends the loop.
     row = np.arange(n)
     t = np.zeros(n)
-    x = np.tile(psi0.view(float), (n, 1))
+    x = np.tile(state.view(float), (n, 1))
     u = streams.take(row)[:, 0]
 
     def drop_finished(*arrays):
@@ -407,34 +491,51 @@ def _simulate_rows(
         return arrays if keep.all() else tuple(a[keep] for a in arrays)
 
     while row.size:
-        start = start_level(t)
-        for level in range(start.min(), table.top + 1):
+        cuts = _slices(row, starts)
+        # each row's widths; one side's broadcast against its rows
+        row_widths = widths if len(sides) == 1 else np.repeat(
+            widths, [cut.stop - cut.start for cut in cuts], axis=1)
+        # the narrowest level whose step from ``t`` reaches ``t_max``, in the
+        # same float sum as the step itself, so a kept step ends the row
+        start = (t + row_widths >= t_max).sum(axis=0) - 1
+        for level in range(start.min(), top + 1):
             down = start <= level
             if not down.any():
                 continue
-            new = table.apply(level, x)
+            if len(sides) == 1:  # one side's rows are all rows
+                new = sides[0].table.apply(level, x)
+            else:
+                new = np.concatenate([side.table.apply(level - side.shift, x[cut])
+                                      if level >= side.shift else x[cut]
+                                      for side, cut in zip(sides, cuts)])
             keep = down & (_row_sum(new * new) > u)
             np.copyto(x, new, where=keep[:, None])
-            np.add(t, widths[level], out=t, where=keep)
-            start[t >= t_max] = table.top + 1  # finished: no later level takes it
+            np.add(t, row_widths[level], out=t, where=keep)
+            start[t >= t_max] = top + 1  # finished: no later level takes it
         row, t, x, u = drop_finished(row, t, x, u)
         if not row.size:
             break
-        tau, phi, phi_sq = table.solve(x, u)
+        cuts = _slices(row, starts)
+        tau, phi, phi_sq = _solve(sides, cuts, x, u)
         t += tau  # a crossing after t_max ends its row with no jump
         hit = np.flatnonzero(t <= t_max)
         if hit.size:
-            draws = streams.take(row[hit], 2)  # the channel's, then the next u
-            channel, post = _fire(jumps, jumps_blas, phi[hit], phi_sq[hit], draws[:, 0], t[hit])
+            jumped, at = row[hit], t[hit]
+            draws = streams.take(jumped, 2)  # the channel's, then the next u
+            channel, post = _fire(sides, _slices(jumped, starts), phi[hit], phi_sq[hit], draws[:, 0], at)
             x[hit] = post
-            fired.append((row[hit], t[hit], channel, post.view(complex)))
+            fired.append((jumped, at, channel, post.view(complex)))
             u[hit] = draws[:, 1]
         row, t, x, u = drop_finished(row, t, x, u)
     # rounds run in time order, so a stable sort by row keeps events in order
     rows, *record = (np.concatenate(parts) for parts in zip(*fired))
     order = np.argsort(rows, kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return TrajectoryEnsemble(psi0, float(t_max), seeds, offsets, *(field[order] for field in record))
+    ends = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return [
+        TrajectoryEnsemble(state, float(t_max), side_seeds, ends[lo : hi + 1] - ends[lo],
+                           *(field[order[ends[lo] : ends[hi]]] for field in record))
+        for side_seeds, lo, hi in zip(seeds, starts[:-1], starts[1:])
+    ]
 
 
 def simulate(
@@ -447,7 +548,7 @@ def simulate(
     """One labelled trajectory as a one-row ensemble, bitwise reproducible
     from the non-negative integer ``seed``, kept exactly: it draws the uniforms
     of ``np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))``."""
-    return _simulate_rows(rep, psi0, t_max, naturals([seed], "seed"), tol)
+    return _simulate_rows([rep], psi0, t_max, [naturals([seed], "seed")], tol)[0]
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -473,9 +574,29 @@ def simulate_ensemble(
     ``SeedSequence`` spawned from the non-negative master ``seed`` would give
     them, and so are their Philox keys.
     """
+    return simulate_ensembles([rep], psi0, t_max, n_traj, [seed], tol)[0]
+
+
+def simulate_ensembles(
+    reps: Sequence[Representation],
+    psi0: np.ndarray,
+    t_max: float,
+    n_traj: int,
+    seeds: Sequence[int],
+    tol: Tolerance = DEFAULT_TOL,
+) -> list[TrajectoryEnsemble]:
+    """``simulate_ensemble(reps[s], psi0, t_max, n_traj, seeds[s], tol)``
+    for each side ``s``, bit for bit, from one pass over the rows of all
+    sides.  Every side is checked before the pass, in order; an error raised
+    during the pass names its side: ``side a``, ``side b``, ... in the
+    order of ``reps``.
+    """
     if not hasattr(n_traj, "__index__") or operator.index(n_traj) < 1:
         raise ValidationError(f"n_traj must be a positive integer, got {n_traj}")
-    return _simulate_rows(rep, psi0, t_max, spawned_seeds(seed, np.arange(n_traj)), tol)
+    if len(seeds) != len(reps) or not reps:
+        raise ValidationError(f"need one seed per representation, got {len(seeds)} for {len(reps)}")
+    indices = np.arange(n_traj)
+    return _simulate_rows(reps, psi0, t_max, [spawned_seeds(seed, indices) for seed in seeds], tol)
 
 
 def states_at(ensemble: TrajectoryEnsemble, rep: Representation, times: Sequence[float]) -> np.ndarray:

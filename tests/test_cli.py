@@ -477,14 +477,17 @@ class TestCompareEnsembles:
 
     def test_incomparable_records_fail(self, capsys, rep_files):
         rep_a, rep_min = rep_files
-        code, out = run(
-            capsys, "compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_min,
-            "--level", "t2", "--ntraj", "20", "--tmax", "0.5", "--psi0", "1",
-            "--threads", "1",
-        )
-        assert code == 1
-        doc = json.loads(out)
-        assert "incomparable" in doc["structural"]
+        # a channel permutation cannot map 5 channels onto 3, so the records
+        # are incomparable with one as without one
+        for perm in ((), ("--perm", "1,2,3,4,5")):
+            code, out = run(
+                capsys, "compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_min,
+                "--level", "t2", "--ntraj", "20", "--tmax", "0.5", "--psi0", "1",
+                "--threads", "1", *perm,
+            )
+            assert code == 1
+            doc = json.loads(out)
+            assert "incomparable" in doc["structural"]
 
 
 class TestMalformedInput:
@@ -545,6 +548,13 @@ class TestMalformedInput:
             (SIMULATE + ("--psi0", "{not_utf8}"), 2),
             (COMPARE + ("--observables", "{not_utf8}"), 2),
             (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{not_utf8}"), 2),
+            # permutations were parsed after both ensembles were simulated
+            (COMPARE + ("--perm", "abc"), 2),
+            (COMPARE + ("--perm-c", "0,1"), 2),
+            # a document off the representation schema
+            (("check", "--rep-b", "{dim_true}"), 2),
+            (("check", "--rep-b", "{entry_true}"), 2),
+            (("check", "--rep-b", "{extra_key}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "times-repeated", "times-empty",
@@ -555,14 +565,15 @@ class TestMalformedInput:
              "sjed-jump-nan", "simulate-psi0-short", "compare-psi0-short", "simulate-seed--1",
              "compare-seed-a--1", "compare-seed-b--2", "observable-label-dup",
              "observable-label-number", "check-not-utf8", "sjed-not-utf8", "psi0-not-utf8",
-             "observables-not-utf8", "isometry-not-utf8"],
+             "observables-not-utf8", "isometry-not-utf8", "perm-abc", "perm-c-zero",
+             "dim-true", "entry-true", "extra-key"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated before the arguments were checked")
 
         if argv[0] == "compare-ensembles":
-            monkeypatch.setattr(uqd.trajectory, "simulate_ensemble", forbidden)
+            monkeypatch.setattr(uqd.trajectory, "simulate_ensembles", forbidden)
         rep_a, rep_a_min = rep_files
         out_dir = tmp_path / "records"
         # a qubit beside the qutrits; a 2 x 2 observable for a qutrit; a NaN
@@ -574,8 +585,13 @@ class TestMalformedInput:
         files = {"out": out_dir, "qubit": write_rep(tmp_path, qubit, "qubit.json")}
         jump_nan = {"dim": 2, "hamiltonian": matrix_to_json(np.zeros((2, 2))),
                     "jumps": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([np.nan, 0.0]))]}
+        off_schema = {
+            "dim_true": '{"dim": true, "hamiltonian": [[[0, 0]]], "jumps": [[[[1, 0]]]]}',
+            "entry_true": '{"dim": 1, "hamiltonian": [[[0, 0]]], "jumps": [[[[true, 0]]]]}',
+            "extra_key": '{"dim": 1, "hamiltonian": [[[0, 0]]], "jumps": [[[[1, 0]]]], "note": 1}',
+        }
         for name, text in (("digits", "[%s]" % ("1" * 5000)), ("jump_nan", json.dumps(jump_nan)),
-                           ("psi_short", "[[1, 0], [0, 0]]")):
+                           ("psi_short", "[[1, 0], [0, 0]]"), *off_schema.items()):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
         files["not_utf8"] = tmp_path / "not_utf8.json"
@@ -610,6 +626,9 @@ class TestMalformedInput:
             assert errors[0].getMessage() == f"cannot read {files['not_utf8']}: not UTF-8 text at byte 0"
         if argv[-1] in ("{obs_dup}", "{obs_num}"):
             assert errors[0].getMessage().startswith("observables[1].label ")
+        named = {"{dim_true}": "dim: ", "{entry_true}": "jumps[0][0][0]: ", "{extra_key}": "note: "}
+        if argv[-1] in named:
+            assert errors[0].getMessage().startswith(named[argv[-1]])
         assert not out_dir.exists()
 
 
@@ -698,7 +717,15 @@ class TestPermutationMessage:
         ],
         ids=["check", "rate-scan", "compare-t2", "compare-t3"],
     )
-    def test_one_message_from_every_entry_point(self, capsys, caplog, rep_files, argv, message):
+    def test_one_message_from_every_entry_point(self, capsys, caplog, monkeypatch, rep_files,
+                                                argv, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the channel permutation was checked")
+
+        # equal channel counts: the t2 bijection is checked before the pass;
+        # the t3 block check needs both partitions, so it runs after it
+        if "t2" in argv:
+            monkeypatch.setattr(uqd.trajectory, "simulate_ensembles", forbidden)
         rep_a, rep_a_min = rep_files
         args = [arg.format(a=rep_a, a_min=rep_a_min) for arg in argv] + ["--rep-a", rep_a]
         code, out = run(capsys, *args)

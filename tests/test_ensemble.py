@@ -21,7 +21,7 @@ from uqd.errors import ValidationError
 from uqd.linalg import DEFAULT_TOL, Tolerance
 from uqd.representation import Representation
 from uqd.sjed import partition
-from uqd.trajectory import coarse_grain, simulate_ensemble
+from uqd.trajectory import coarse_grain, simulate_ensemble, simulate_ensembles
 from conftest import ket
 import dense_reference
 from helpers import (
@@ -227,8 +227,8 @@ def reset_pair_ensembles():
     # -|0> + 6e-17|2>, so its p0 atom sits near 3.7e-33 instead of at 0.0
     tilde = models.qutrit_b(theta=0.0, gammas=(0.7, 0.8, 2.0))
     rotated = models.qutrit_b(theta=np.pi / 2, gammas=(1.0, 0.5, 2.0))
-    ens_t = simulate_ensemble(tilde, ket(3, 1), 1.0, 1000, seed=83)
-    ens_r = simulate_ensemble(rotated, ket(3, 1), 1.0, 1000, seed=84)
+    # both sides in one pass, as ``uqd compare-ensembles`` simulates them
+    ens_t, ens_r = simulate_ensembles([tilde, rotated], ket(3, 1), 1.0, 1000, [83, 84])
     return tilde, rotated, ens_t, ens_r
 
 
@@ -271,8 +271,7 @@ class TestSnapping:
 
 class TestCompareEnsembles:
     def test_self_comparison_passes(self, qutrit_a):
-        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=11)
-        ens_b = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 400, seed=12)
+        ens_a, ens_b = simulate_ensembles([qutrit_a, qutrit_a], ket(3, 1), 1.0, 400, [11, 12])
         result = compare_ensembles(
             ens_a, ens_b, qutrit_a, qutrit_a, BASIS_OBS, [0.5, 1.0], level="t1"
         )
@@ -282,8 +281,7 @@ class TestCompareEnsembles:
     def test_channel_records_incomparable_across_different_lengths(
         self, qutrit_a, qutrit_a_min
     ):
-        ens_a = simulate_ensemble(qutrit_a, ket(3, 1), 1.0, 50, seed=1)
-        ens_b = simulate_ensemble(qutrit_a_min, ket(3, 1), 1.0, 50, seed=2)
+        ens_a, ens_b = simulate_ensembles([qutrit_a, qutrit_a_min], ket(3, 1), 1.0, 50, [1, 2])
         result = compare_ensembles(
             ens_a, ens_b, qutrit_a, qutrit_a_min, BASIS_OBS, [1.0], level="t2"
         )
@@ -294,8 +292,7 @@ class TestCompareEnsembles:
         # swapped reset targets: block counts only match under the swap
         tilde = models.qutrit_b(theta=0.0, gammas=(0.7, 0.8, 2.0))
         rotated = models.qutrit_b(theta=np.pi / 2, gammas=(1.0, 0.5, 2.0))
-        ens_a = simulate_ensemble(tilde, ket(3, 1), 1.0, 500, seed=21)
-        ens_b = simulate_ensemble(rotated, ket(3, 1), 1.0, 500, seed=22)
+        ens_a, ens_b = simulate_ensembles([tilde, rotated], ket(3, 1), 1.0, 500, [21, 22])
         swap = compare_ensembles(
             ens_a, ens_b, tilde, rotated, BASIS_OBS, [1.0], level="t3", block_perm=(1, 0)
         )

@@ -475,6 +475,25 @@ class TestDecoder:
         else:
             assert shipped[0] == outcome
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": true, "hamiltonian": [[[0, 0]]], "jumps": [[[[1, 0]]]]}',
+             "dim: expected a positive integer, got True"),
+            (with_jump("true"), "jumps[0][0][0]: complex scalars must be [re, im] pairs, got [True, 0]"),
+            ('{"dim": 1, "hamiltonian": [[[false, 0.5]]], "jumps": [[[[1, 0]]]]}',
+             "hamiltonian[0][0]: complex scalars must be [re, im] pairs, got [False, 0.5]"),
+            (with_jump("1").replace("]]]]}", ']]]], "note": 1}'), "note: unknown field; "),
+        ],
+        ids=["dim-true", "entry-true", "entry-false-among-floats", "extra-key"],
+    )
+    def test_off_schema_document_named(self, text, message):
+        # booleans read as 0 and 1, and unknown fields were ignored
+        for decode in (parse, exact):
+            with pytest.raises(ParseError) as info:
+                decode(text)
+            assert str(info.value).startswith(message)
+
 
 def outcome(decode, text):
     """Label and operators, or the error type and message, of ``decode(text)``."""

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from uqd import models
@@ -16,12 +18,14 @@ from uqd.linalg import Tolerance, normalize
 from uqd.representation import Representation, effective_hamiltonian, jump_rates
 from uqd.sjed import partition
 from uqd import streams, trajectory
+from uqd.streams import spawned_seeds
 from uqd.trajectory import (
     CHUNK_ROWS,
     STEP_SCALE,
     coarse_grain,
     simulate,
     simulate_ensemble,
+    simulate_ensembles,
     state_at,
     states_at,
     trajectory_seed,
@@ -620,8 +624,13 @@ class TestStepTable:
         assert [len(table.mats) for table in tables] == [top + 1, top + 1]
 
 
+def solve(table, x, u):
+    """`trajectory._solve` of the rows ``x`` under one table."""
+    return trajectory._solve([trajectory._Side(table, None, False, 0, "")], [slice(0, len(x))], x, u)
+
+
 class TestSolve:
-    """`_StepTable.solve` on hand-made brackets of one ``step``."""
+    """`trajectory._solve` on hand-made brackets of one ``step``."""
 
     @staticmethod
     def driven_decay():
@@ -649,14 +658,14 @@ class TestSolve:
     def test_bracket_without_crossing_raises(self, qutrit_a):
         table, x, u = self.table_and_norms(qutrit_a, [ket(3, 1)], [2.0])
         with pytest.raises(NumericalError, match="residual"):
-            table.solve(x, u)
+            solve(table, x, u)
 
     def test_dark_start_meets_the_residual(self):
         rep = self.driven_decay()
         table, x, u = self.table_and_norms(rep, [ket(2, 0)], [0.5])
         assert table.moments[1] @ x[0] @ x[0] == 0.0  # no slope at the start
         assert u[0] < 1.0
-        tau, phi, phi_sq = table.solve(x, u)
+        tau, phi, phi_sq = solve(table, x, u)
         # the norm falls as tau**3 here, so the time is ill-conditioned, but
         # the state at the returned time meets u
         assert 0.0 < tau[0] < step_of(rep)
@@ -674,25 +683,32 @@ class TestSolve:
         table, x, u = self.table_and_norms(rep, states, fractions)
         # row 0 is dark: its first Newton step divides by a zero slope and
         # falls back to bisection
-        batch = table.solve(x, u)
+        batch = solve(table, x, u)
         for n in range(len(states)):
-            alone = table.solve(x[n : n + 1], u[n : n + 1])
+            alone = solve(table, x[n : n + 1], u[n : n + 1])
             for a, b in zip(batch, alone):
                 assert np.array_equal(a[n], b[0])
 
+
+    def test_error_names_its_side(self, qutrit_a):
+        # side b's row holds no crossing within its step; side a's does
+        table, x, u = self.table_and_norms(qutrit_a, [ket(3, 1)] * 2, [0.5, 2.0])
+        sides = [trajectory._Side(table, None, False, 0, name) for name in ("side a: ", "side b: ")]
+        with pytest.raises(NumericalError, match="^side b: jump-time solve failed"):
+            trajectory._solve(sides, [slice(0, 1), slice(1, 2)], x, u)
 
     def test_never_on_zero_rows(self, monkeypatch):
         # single decay from |1>: a row that jumps lands on the dark |0>, so
         # the last round's descent finishes every row left, and the solve
         # after it once ran on zero rows
         sizes = []
-        original = _StepTable.solve
+        original = trajectory._solve
 
-        def recording(self, x, u):
+        def recording(sides, cuts, x, u):
             sizes.append(len(x))
-            return original(self, x, u)
+            return original(sides, cuts, x, u)
 
-        monkeypatch.setattr(_StepTable, "solve", recording)
+        monkeypatch.setattr(trajectory, "_solve", recording)
         rep, t_max = single_decay(), 2.0
         ensemble = simulate_ensemble(rep, ket(2, 1), t_max, 200, seed=38)
         assert sizes and min(sizes) > 0
@@ -828,6 +844,57 @@ class TestChunkedProduct:
         )
         assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
         assert "4 passed" in proc.stdout
+
+
+FIELDS = ("times", "channels", "post_jump_states", "offsets", "seeds")
+
+
+class TestSharedPass:
+    """One pass advances the rows of several representations that share the
+    initial state and the horizon; each side keeps the bits it has alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        rows=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+        scale=st.sampled_from([4.0, 16.0, 64.0]),
+    )
+    def test_each_side_equals_its_ensemble_alone(self, seed, dim, rows, scale):
+        rng = np.random.default_rng(seed)
+        rep_a = random_minimal_representation(rng, dim, n_reset=1, n_nonreset=1, max_rank=1)
+        rep_b = random_minimal_representation(rng, dim, n_reset=2, n_nonreset=1)
+        # a larger |H_eff| makes a shorter step, so side b has more levels
+        rep_b = Representation(scale * rep_b.hamiltonian, rep_b.jumps)
+        t_max = 1.5
+        tops = [_StepTable(effective_hamiltonian(rep), t_max).top for rep in (rep_a, rep_b)]
+        assume(rep_a.n_jumps != rep_b.n_jumps and tops[0] != tops[1])
+        psi0 = normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        masters = [int(m) for m in rng.integers(0, 2**32, 2)]
+        seeds = [spawned_seeds(m, np.arange(n)) for m, n in zip(masters, rows)]
+        shared = trajectory._simulate_rows([rep_a, rep_b], psi0, t_max, seeds, Tolerance())
+        for ensemble, rep, master, n in zip(shared, (rep_a, rep_b), masters, rows):
+            alone = simulate_ensemble(rep, psi0, t_max, n, master)
+            for field in FIELDS:
+                a, b = getattr(ensemble, field), getattr(alone, field)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    def test_ensembles_of_one_pass(self, qutrit_a):
+        other = models.qutrit_a(vartheta=1.1, phi=2.3)
+        shared = simulate_ensembles([qutrit_a, other], ket(3, 1), 2.0, 40, [1, 2])
+        for ensemble, rep, master in zip(shared, (qutrit_a, other), (1, 2)):
+            alone = simulate_ensemble(rep, ket(3, 1), 2.0, 40, master)
+            assert np.array_equal(ensemble.offsets, alone.offsets)
+            assert_same_record(ensemble, alone)
+
+    def test_side_a_checked_first(self):
+        # both sides fail their checks; side a's error comes first
+        with pytest.raises(ValidationError, match="expected 2$"):
+            simulate_ensembles([single_decay(), models.qutrit_a()], ket(4, 0), 1.0, 5, [1, 2])
+
+    def test_one_seed_per_side(self, qutrit_a):
+        with pytest.raises(ValidationError, match="one seed per representation"):
+            simulate_ensembles([qutrit_a, qutrit_a], ket(3, 1), 1.0, 5, [1])
 
 
 class TestBoundedState:
