@@ -335,7 +335,10 @@ def compare_ensembles(
     ensembles of one size ``N`` whose horizons agree to 1e-12, simulated
     apart or as the two sides of one `uqd.trajectory.simulate_ensembles`
     pass, which gives each side the bits it has alone.  Each is replayed
-    under its own representation.
+    under its own representation by `uqd.trajectory.states_at`: through the
+    step table its pass kept, where that table fits the representation and
+    the horizon, else through one built for them, with the same bits.  So
+    ``uqd compare-ensembles`` builds one table per side.
 
     ``t1`` tests observable distributions and total jump counts, ``t3`` adds
     per-block counts after applying ``block_perm``, ``t2`` adds per-channel

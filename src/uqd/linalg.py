@@ -49,15 +49,26 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_operator(entries) -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting non-finite entries."""
+def as_matrix(entries) -> np.ndarray:
+    """Coerce to a 2-D complex array of at least one row and column."""
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2:
         raise ValidationError(f"expected a matrix, got array of ndim {mat.ndim}")
     if mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValidationError("matrices must have at least one row and column")
-    if not np.isfinite(mat).all():
+    return mat
+
+
+def require_finite(mats: np.ndarray) -> None:
+    """Reject a matrix, or a stack of them, with a non-finite entry."""
+    if not np.isfinite(mats).all():
         raise ValidationError("matrix entries must be finite")
+
+
+def as_operator(entries) -> np.ndarray:
+    """`as_matrix`, rejecting non-finite entries."""
+    mat = as_matrix(entries)
+    require_finite(mat)
     return mat
 
 

@@ -58,9 +58,10 @@ from .errors import ParseError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    as_operator,
+    as_matrix,
     dagger,
     frobenius,
+    require_finite,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -77,23 +78,24 @@ class Representation:
     label: str = ""
 
     def __post_init__(self) -> None:
-        jumps = tuple(as_operator(j) for j in self.jumps)
+        jumps = tuple(as_matrix(j) for j in self.jumps)
         if not jumps:
             raise ValidationError("a representation needs at least one jump operator")
         if self.hamiltonian is None:
             ham = np.zeros((jumps[0].shape[0],) * 2, dtype=complex)
         else:
-            ham = as_operator(self.hamiltonian)
+            ham = as_matrix(self.hamiltonian)
         dim = ham.shape[0]
         if ham.shape != (dim, dim):
             raise ValidationError(f"Hamiltonian is not square: shape {ham.shape}")
-        if not _is_hermitian(ham):
-            raise ValidationError("Hamiltonian not Hermitian")
         for k, jump in enumerate(jumps):
             if jump.shape != (dim, dim):
                 raise ValidationError(
                     f"jump operator {k + 1} has shape {jump.shape}, expected {(dim, dim)}"
                 )
+        require_finite(np.stack([ham, *jumps]))  # one check, now that the shapes agree
+        if not _is_hermitian(ham):
+            raise ValidationError("Hamiltonian not Hermitian")
         self.hamiltonian = ham
         self.jumps = jumps
 

@@ -18,12 +18,15 @@ Implementation notes:
   dyadic descent brackets it to one ``step = 0.01 / |H_eff|``, and a solve
   finds it inside that bracket.
 * Sides.  Each side keeps its own step table, its own stack of jump
-  operators, the row-independence probes of both, and its own products: one
-  per level in the descent, in the solve and for the jump images, each on
-  the side's rows.  The live rows stay in row order, so a side's rows are
-  one slice of them.  Everything else runs once over the rows of all sides:
-  the rounds, the keep and update of the descent, the Newton iteration of
-  the solve (each row with its own side's ``step``), one `Streams` over
+  operators and the row-independence probes of both.  The live rows sit in
+  one chunk layout (`_Chunks`): each side's rows, in row order, from the
+  first row of a chunk of their own, so that each descent level is one
+  product for every side, with each chunk's operator its side's.  The
+  solve's moment and Taylor products and the jump images stay each side's
+  own, on its rows, with the operator shapes of a side simulated alone.
+  Everything else runs once over the rows of all sides: the rounds, the
+  keep and update of the descent, the Newton iteration of the solve (each
+  row with its own side's ``step``), the channel draw, one `Streams` over
   every side's seeds, and the final sort.  Sides with different ``top``
   are aligned at their finest level, so every side reaches its own
   ``step`` at the pass's last level.  Each row therefore has the bits it
@@ -38,44 +41,49 @@ Implementation notes:
   interval, and a greedy descent finds its end without a grid.  A segment
   starts at the narrowest level whose width still reaches ``t_max``.  The
   engine works in rounds that start every live row on a segment: pass ``k``
-  applies level ``k`` to every live row in one product, and a row whose
-  segment starts at level ``k`` or a wider one keeps the step if its squared
-  norm stays above ``u``.  A kept step that reaches ``t_max`` ends the row
-  with no further jump: it takes no later level and leaves at the end of the
-  round.  After level ``top`` every other row holds a bracket
-  ``(t, t + step]``.
+  applies level ``k`` to every slot of the layout in one product, and a row
+  whose segment starts at level ``k`` or a wider one keeps the step if its
+  squared norm stays above ``u``.  A kept step that reaches ``t_max`` ends
+  the row with no further jump: it takes no later level, and its slot stays
+  behind, finished, until the layout is laid out anew in fewer chunks.
+  After level ``top`` every other row holds a bracket ``(t, t + step]``.
 * Solve.  Within one step, ``|H_eff| tau <= 0.01``, the squared norm is the
   degree-8 polynomial ``sum_m tau^m x^T M_m x`` of the state ``x`` at the
   bracket's left end, up to about 1e-21.  At the end of each round the
   bracketed rows are solved together by a safeguarded Newton iteration on that
-  polynomial, to ``2**-34`` of ``step``, and the state at the crossing is
-  rebuilt from its Taylor series; its squared norm must meet ``u`` to 1e-9.
+  polynomial, to ``2**-34`` of ``step``, on arrays of the rows not yet
+  frozen, and the state at the crossing is rebuilt from its Taylor series
+  by Horner's rule in place; its squared norm must meet ``u`` to 1e-9.
   A crossing after ``t_max`` means there is no jump before ``t_max``, and
   the row ends there.  A segment therefore costs at most
   ``1 + log2(t_max / step)`` passes plus its share of one solve, whatever
   ``|H_eff| * t_max`` is.
-* Replay.  `states_at` builds the same table for the ensemble's horizon and
-  advances through its product `_StepTable.apply`, so simulation and replay
-  have one no-jump propagator: the levels above ``step`` cover all but a
-  remainder below ``2 step``, and the solve's Taylor series covers that
-  remainder.  One count over the ensemble's event times finds every row's
-  latest event at a sample time.
+* Replay.  `states_at` advances through the step table of the ensemble's
+  horizon with `_product`, so simulation and replay have one no-jump
+  propagator: the levels above ``step`` cover all but a remainder below
+  ``2 step``, and the solve's Taylor series covers that remainder.  The
+  table is the pass's own where `simulate_ensembles` kept it on the
+  ensemble and it fits the representation, as in ``uqd compare-ensembles``,
+  else one built for the horizon, with the same bits.  One count over the
+  ensemble's event times finds every row's latest event at a sample time.
 * Rows never mix.  States and operators are held in a real form, and every
-  product of rows with an operator (the descent's and replay's levels, the
-  solve's moment and Taylor terms, the jump images) goes through one kernel,
-  `_product`: numpy's ``@`` on the rows zero-padded to chunks of
-  ``CHUNK_ROWS``, ``(chunks, CHUNK_ROWS, 2d) @ M.T``, so every BLAS call has
-  one shape whatever the number of rows.  That each row's bits then do not
-  depend on its place is a property of the BLAS library, not of IEEE
-  arithmetic, so every simulation or replay call first probes it on its own
-  operators (`_rows_independent`): a row must give the same bits among
-  random rows, at another place in another chunk, and alone.  Where the
-  probe fails, the call uses `_columns` instead, a fixed-order loop of
-  elementwise multiply-adds.  Sums over a row run left to right
-  (`_row_sum`).  A row's bits therefore do not depend on which rows share
-  the call, and ensembles equal their trajectories simulated, or replayed,
-  one at a time.  One stable sort by row lays the rounds' fired events out
-  row by row in one `TrajectoryEnsemble`.
+  product of rows with an operator goes through one kernel, `_chunked`:
+  numpy's ``@`` on rows in chunks of ``CHUNK_ROWS``, ``(chunks,
+  CHUNK_ROWS, 2d) @ M.T``, one BLAS call per chunk and operator of one
+  shape whatever the number of rows.  The descent's levels run on the
+  layout, with one operator per chunk, into a kept buffer; the other
+  products (`_product`) run on their rows zero-padded to chunks.  That each
+  row's bits then do not depend on its place is a property of the BLAS
+  library, not of IEEE arithmetic, so every simulation or replay call first
+  probes it on its own operators in that call form (`_rows_independent`):
+  a row must give the same bits among random rows, one place on, and
+  alone.  Where the probe fails, the call uses `_columns` instead, a
+  fixed-order loop of elementwise multiply-adds.  Sums over a row run left
+  to right (`_row_sum`).  A row's bits therefore do not depend on which
+  rows share the call or where it sits, and ensembles equal their
+  trajectories simulated, or replayed, one at a time.  One stable sort by
+  row lays the rounds' fired events out row by row in one
+  `TrajectoryEnsemble`.
 * Randomness.  Trajectory seed ``s`` draws the uniforms of numpy's
   ``Generator(Philox(SeedSequence(s))).random()``, bit for bit, in a fixed
   order: one for the first jump time, then for each fired jump one for its
@@ -93,10 +101,10 @@ caches and no process pool.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, pairwise
 from string import ascii_lowercase
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -121,7 +129,10 @@ class TrajectoryEnsemble:
     blocks after `coarse_grain`) and ``post_jump_states`` ``(events, dim)``.
     Row ``i``, of exact seed ``seeds[i]``, holds events ``offsets[i]`` up to
     ``offsets[i + 1]`` in time order.  ``ens[i]``, like each item of an
-    iteration, is one row as a one-row ensemble."""
+    iteration, is one row as a one-row ensemble.  ``table`` is the step table
+    of the pass that simulated it, where `simulate_ensembles` kept it, or
+    None; `states_at` replays through it only where it `_StepTable.fits`
+    the representation and ``t_final``."""
 
     initial_state: np.ndarray
     t_final: float
@@ -130,6 +141,7 @@ class TrajectoryEnsemble:
     times: np.ndarray
     channels: np.ndarray
     post_jump_states: np.ndarray
+    table: Optional[_StepTable] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -186,42 +198,118 @@ def _columns(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``out[..., n, :] = mats[...] @ x[n]`` through BLAS: the rows of ``x``
-    are zero-padded to chunks of ``CHUNK_ROWS``, and each chunk is one
-    ``(CHUNK_ROWS, 2d) @ mats[...].T`` product, of the same shape whatever
-    the number of rows."""
+def _chunked(mats: np.ndarray, chunks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``result[..., c, n, :] = mats[..., c, :, :] @ chunks[c, n]``, the one
+    BLAS product of the module: one ``(CHUNK_ROWS, 2d) @ mats[..., c].T``
+    product per chunk ``c`` of ``chunks``, ``(chunks, CHUNK_ROWS, 2d)``, of
+    the same shape whatever the number of rows.  ``mats`` holds one operator
+    per chunk, or one shared by every chunk (a stack of them broadcast as
+    ``(..., 1, 2d', 2d)``)."""
+    return np.matmul(chunks, mats.swapaxes(-1, -2), out=out)
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """The rows of ``x``, in order, zero-padded to ``(chunks, CHUNK_ROWS, 2d)``."""
     n, size = x.shape
     padded = np.zeros((-(-n // CHUNK_ROWS), CHUNK_ROWS, size))
     padded.reshape(-1, size)[:n] = x
-    out = padded @ mats.swapaxes(-1, -2)[..., None, :, :]
-    return out.reshape(*out.shape[:-3], -1, out.shape[-1])[..., :n, :]
+    return padded
 
 
 def _rows_independent(mats: np.ndarray) -> bool:
-    """Whether `_chunked` gives every product of ``mats`` the same bits for a
-    row wherever the row sits: among pseudo-random rows (``sin`` of the
-    integers), one place on in the next chunk, and alone in a call of its
-    own.  OpenBLAS 0.3.31 met it for every operator tried, but it is a
-    property of the library, not of IEEE arithmetic, so each call tests it
-    on its own operators."""
-    rows = np.empty((2 * CHUNK_ROWS, mats.shape[-1]))
-    rows[:CHUNK_ROWS] = np.sin(np.arange(1.0, rows[:CHUNK_ROWS].size + 1)).reshape(CHUNK_ROWS, -1)
-    rows[CHUNK_ROWS + 1 :] = rows[: CHUNK_ROWS - 1]
-    rows[CHUNK_ROWS] = rows[CHUNK_ROWS - 1]
-    out = _chunked(mats, rows)
-    last = out[..., CHUNK_ROWS - 1 : CHUNK_ROWS, :]
-    return bool((out[..., CHUNK_ROWS + 1 :, :] == out[..., : CHUNK_ROWS - 1, :]).all()
-                and (out[..., CHUNK_ROWS : CHUNK_ROWS + 1, :] == last).all()
-                and (_chunked(mats, rows[CHUNK_ROWS : CHUNK_ROWS + 1]) == last).all())
+    """Whether `_chunked` gives every product of ``mats`` (one operator or a
+    stack) the same bits for a row wherever the row sits, in the call form of
+    the pass: one BLAS product per chunk and operator, into a kept buffer.
+    Each operator takes three chunks: pseudo-random rows (``sin`` of the
+    integers), the same rows one place on, and the last row alone.  OpenBLAS
+    0.3.31 met it for every operator tried, but it is a property of the
+    library, not of IEEE arithmetic, so each call tests it on its own
+    operators."""
+    mats = mats.reshape(-1, 1, *mats.shape[-2:])
+    size = mats.shape[-1]
+    rows = np.zeros((3, CHUNK_ROWS, size))
+    rows[0] = np.sin(np.arange(1.0, CHUNK_ROWS * size + 1)).reshape(CHUNK_ROWS, size)
+    rows[1, 1:] = rows[0, :-1]
+    rows[1, 0] = rows[2, 0] = rows[0, -1]
+    out = _chunked(mats, rows, np.empty((len(mats), *rows.shape[:-1], mats.shape[-2])))
+    last = out[:, 0, -1]
+    return bool((out[:, 1, 1:] == out[:, 0, :-1]).all()
+                and (out[:, 1, 0] == last).all() and (out[:, 2, 0] == last).all())
 
 
 def _product(mats: np.ndarray, x: np.ndarray, blas: bool) -> np.ndarray:
     """``out[..., n, :] = mats[...] @ x[n]`` for every row ``n`` of ``x``,
-    each row's bits independent of the other rows: through `_chunked` where
-    ``blas``, the result of `_rows_independent` on ``mats`` (or on a stack
-    holding them), else through `_columns`."""
-    return _chunked(mats, x) if blas else np.moveaxis(_columns(mats, x.T), -1, -2)
+    each row's bits independent of the other rows: through `_chunked` on the
+    rows zero-padded to chunks where ``blas``, the result of
+    `_rows_independent` on ``mats`` (or on a stack holding them), else
+    through `_columns`."""
+    if not blas:
+        return np.moveaxis(_columns(mats, x.T), -1, -2)
+    out = _chunked(mats[..., None, :, :], _padded(x))
+    return out.reshape(*out.shape[:-3], -1, out.shape[-1])[..., : len(x), :]
+
+
+class _Chunks:
+    """The live rows of a pass, laid out for its level products: side
+    ``s``'s ``counts[s]`` rows, in row order, from the first row of a chunk
+    of its own, zero-padded to whole chunks, in ``rows``, ``(chunks,
+    CHUNK_ROWS, 2d)``, so that `apply` makes one product per level for
+    every side.  ``levels[k, s]`` is side ``s``'s propagator at the pass's
+    level ``k`` and ``blas[s]`` its table's probe.  Each slot holds its
+    row's time ``t``, target ``u``, index ``row`` and widths ``widths[k]``;
+    a padding slot has an infinite time, no row (-1) and a zero state, so
+    no level keeps it.  A row keeps its slot while the layout lasts: rows
+    that end stay behind as finished slots until the pass lays the rows out
+    anew in fewer chunks."""
+
+    def __init__(self, x: np.ndarray, t: np.ndarray, u: np.ndarray, row: np.ndarray, counts: Sequence[int],
+                 levels: np.ndarray, widths: np.ndarray, blas: Sequence[bool]):
+        per_side = [-(-count // CHUNK_ROWS) for count in counts]
+        self.side = np.repeat(np.arange(len(counts)), per_side)  # each chunk's side
+        self.levels, self.blas = levels, blas
+        size = x.shape[1]
+        self.rows = np.zeros((len(self.side), CHUNK_ROWS, size))
+        self.new = np.empty_like(self.rows)
+        self.flat = self.rows.reshape(-1, size)
+        slots = len(self.flat)
+        self.t, self.u, self.row = np.full(slots, np.inf), np.ones(slots), np.full(slots, -1)
+        firsts, chunks = accumulate(counts, initial=0), accumulate(per_side, initial=0)
+        for first, chunk, count in zip(firsts, chunks, counts):
+            into = slice(CHUNK_ROWS * chunk, CHUNK_ROWS * chunk + count)
+            for layout, values in ((self.flat, x), (self.t, t), (self.u, u), (self.row, row)):
+                layout[into] = values[first : first + count]
+        # one side's widths broadcast against its slots
+        self.widths = widths if len(counts) == 1 else np.repeat(
+            widths, np.multiply(per_side, CHUNK_ROWS), axis=1)
+        # a row as one opaque element, so that `keep` copies whole rows
+        self.record = np.dtype((np.void, self.rows.itemsize * size))
+        self.records, self.new_records = (self.flat.view(self.record)[:, 0],
+                                          self.new.reshape(self.flat.shape).view(self.record)[:, 0])
+
+    def apply(self, level: int) -> np.ndarray:
+        """Each side's level-``level`` propagator on each of its rows, every
+        side's chunks in one BLAS product where their probes passed, through
+        `_columns` on the rows of each side whose probe failed."""
+        mats = self.levels[level]
+        new = self.new
+        if any(self.blas):
+            new = _chunked(mats if len(mats) == 1 else mats[self.side], self.rows, new)
+        for s, blas in enumerate(self.blas):
+            if not blas:
+                chunks = self.side == s
+                rows = self.rows[chunks].reshape(-1, self.rows.shape[-1])
+                new[chunks] = _product(mats[s], rows, False).reshape(-1, *self.rows.shape[1:])
+        return new
+
+    def norms(self, new: np.ndarray) -> np.ndarray:
+        """The squared norm of each slot of `apply`'s rows ``new``."""
+        return _row_sum((new * new).reshape(len(self.flat), -1))
+
+    def keep(self, new: np.ndarray, where: np.ndarray) -> None:
+        """Take the slots of `apply`'s rows ``new`` where ``where`` holds."""
+        source = (self.new_records if new is self.new
+                  else new.reshape(self.flat.shape).view(self.record)[:, 0])
+        np.copyto(self.records, source, where=where)
 
 
 class _StepTable:
@@ -237,11 +325,18 @@ class _StepTable:
     `uqd.linalg.exp_ladder` on ``A``, the real form of ``-i H_eff``.
 
     With its terms ``taylor[i] = A^i / i!`` and the moment matrices
-    ``moments[m] = sum_{i+j=m} taylor[i]^T taylor[j]``, so that the no-jump state from ``x`` after ``tau <= step`` is
-    ``sum_i tau^i taylor[i] x`` and its squared norm is
-    ``sum_m tau^m x^T moments[m] x``, both to degree ``TAYLOR_ORDER``."""
+    ``moments[m] = sum_{i+j=m} taylor[i]^T taylor[j]``, so that the no-jump
+    state from ``x`` after ``tau <= step`` is ``sum_i tau^i taylor[i] x``
+    and its squared norm is ``sum_m tau^m x^T moments[m] x``, both to degree
+    ``TAYLOR_ORDER``.
+
+    A table is a function of ``H_eff`` and ``t_max`` alone, which it keeps:
+    `simulate_ensembles` hands each side's table to its ensemble, and
+    `states_at` replays through it where it `fits` the representation and
+    the horizon, so a compare builds one table per side."""
 
     def __init__(self, h_eff: np.ndarray, t_max: float):
+        self.h_eff, self.t_max = h_eff, t_max
         h_norm = float(np.linalg.norm(h_eff, 2))
         step = min(t_max, STEP_SCALE / h_norm) if h_norm > 0 else t_max
         if t_max / step >= 2.0**1023:  # the widths 2**top * step would overflow
@@ -253,21 +348,17 @@ class _StepTable:
         self.step = step
         self.widths = step * 2.0 ** (top - np.arange(top + 1))
         self.taylor, levels = exp_ladder(_real_form(-1j * h_eff), step, top)
-        self.moments = np.stack(
-            [
-                sum(self.taylor[i].T @ self.taylor[m - i] for i in range(m + 1))
-                for m in range(TAYLOR_ORDER + 1)
-            ]
-        )
+        # every product taylor[i]^T taylor[j] in one call, summed over i in order
+        products = np.matmul(self.taylor.swapaxes(-1, -2)[:, None], self.taylor[None])
+        self.moments = np.zeros_like(self.taylor)
+        for i in range(TAYLOR_ORDER + 1):
+            self.moments[i:] += products[i, : TAYLOR_ORDER + 1 - i]
         self.mats = np.stack(list(levels))[::-1] + np.eye(len(self.taylor[0]))
         self.blas = _rows_independent(np.concatenate([self.mats, self.taylor, self.moments]))
 
-    def apply(self, k: int, x: np.ndarray) -> np.ndarray:
-        """The level-``k`` propagator applied to each row of ``x`` by
-        `_product`: BLAS on fixed-shape chunks where the table's probe found
-        every row's bits independent of its place, else `_columns`.  Either
-        way each row of the result depends only on its own row of ``x``."""
-        return _product(self.mats[k], x, self.blas)
+    def fits(self, h_eff: np.ndarray, t_max: float) -> bool:
+        """Whether this is the table of ``h_eff`` and ``t_max``."""
+        return t_max == self.t_max and np.array_equal(h_eff, self.h_eff)
 
     def taylor_terms(self, x: np.ndarray) -> np.ndarray:
         """``(TAYLOR_ORDER + 1, N, 2d)`` rows ``taylor[i] x[n]``."""
@@ -276,26 +367,42 @@ class _StepTable:
     def advance(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Row ``n`` of the result is the no-jump state ``x[n]`` after
         ``tau[n]`` in ``[0, t_max]``: each level ``k < top`` takes, through
-        `apply`, the rows with at least ``w_k`` left (an exact subtraction),
-        and the Taylor series covers the rest: below ``2 step``, it errs by
-        at most ``0.02**9 / 9! ~ 1e-21``."""
+        `_product`, the rows with at least ``w_k`` left (an exact
+        subtraction), and the Taylor series covers the rest: below ``2
+        step``, it errs by at most ``0.02**9 / 9! ~ 1e-21``."""
         x = x.copy()
         rest = np.array(tau, dtype=float)
         for k in range(self.top):
             rows = np.flatnonzero(rest >= self.widths[k])
             if rows.size:
-                x[rows] = self.apply(k, x[rows])
+                x[rows] = _product(self.mats[k], x[rows], self.blas)
                 rest[rows] -= self.widths[k]
         return _horner(self.taylor_terms(x), rest)
 
 
 def _horner(terms: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Rows ``sum_i tau[n]^i terms[i, n]``, by Horner's rule: from
-    `_StepTable.taylor_terms`, the no-jump states after ``tau[n]``."""
-    phi = terms[TAYLOR_ORDER]
+    `_StepTable.taylor_terms`, the no-jump states after ``tau[n]``.  The
+    steps run in place on one flat view, each entry with its row's
+    ``tau``, in the memory order of ``terms``: row-major from BLAS,
+    column-major from `_columns`.  The result keeps that order, which
+    `states_at`'s row norms depend on."""
+    phi = terms[TAYLOR_ORDER].copy(order="K")
+    order = "C" if phi.flags.c_contiguous else "F"
+    flat = phi.reshape(-1, order=order)
+    tau = np.repeat(tau, phi.shape[-1]) if order == "C" else np.tile(tau, phi.shape[-1])
     for i in range(TAYLOR_ORDER - 1, -1, -1):
-        phi = phi * tau[:, None] + terms[i]
+        flat *= tau
+        flat += terms[i].reshape(-1, order=order)
     return phi
+
+
+def _quadratic_forms(table: _StepTable, x: np.ndarray) -> np.ndarray:
+    """``(TAYLOR_ORDER + 1, N)`` coefficients ``x[n]^T moments[m] x[n]`` of
+    the squared norm's polynomial from each row ``x[n]``."""
+    terms = _product(table.moments, x, table.blas)
+    terms *= x
+    return _row_sum(terms)
 
 
 def _check_contractive(h_eff: np.ndarray, tol: Tolerance) -> None:
@@ -331,23 +438,35 @@ def _fire(sides: Sequence[_Side], cuts: Sequence[slice], phi: np.ndarray, phi_sq
           draws: np.ndarray, times: np.ndarray):
     """Channels and normalized post-jump states of rows ``phi`` (squared
     norms ``phi_sq``) that jump at ``times``, given one channel uniform per
-    row: the rows ``cuts[s]`` jump under ``sides[s]``."""
-    if len(sides) > 1:
-        parts = [_fire([side], [slice(None)], phi[cut], phi_sq[cut], draws[cut], times[cut])
-                 for side, cut in zip(sides, cuts) if cut.stop > cut.start]
-        return tuple(np.concatenate(field) for field in zip(*parts))
-    side = sides[0]
-    amps = _product(side.jumps, phi, side.jumps_blas).reshape(len(phi), -1, phi.shape[1])
+    row: the rows ``cuts[s]`` jump under ``sides[s]``.  Each side's jump
+    product is its own; the channel draw runs once over every row, with the
+    amplitudes of a side with fewer jumps zero-padded: a zero rate adds
+    nothing to the cumulative rates, and a cumulative share of 1 is never
+    below a uniform, so each row draws the channel it draws alone."""
+    size = phi.shape[1]
+    counts = [len(side.jumps) // size for side in sides]
+    widest = max(counts)
+    if min(counts) == widest:
+        amps = _joined([_product(side.jumps, phi[cut], side.jumps_blas)
+                        for side, cut in zip(sides, cuts)]).reshape(len(phi), widest, size)
+        last = widest - 1
+    else:
+        amps = np.zeros((len(phi), widest, size))
+        for side, cut, count in zip(sides, cuts, counts):
+            if cut.stop > cut.start:
+                amps[cut, :count] = _product(side.jumps, phi[cut], side.jumps_blas).reshape(-1, count, size)
+        last = np.repeat(np.subtract(counts, 1), [cut.stop - cut.start for cut in cuts])
     amps_sq = _row_sum(amps * amps)
     rates = amps_sq / phi_sq[:, None]
     rates[rates < RATE_FLOOR] = 0.0
     cumulative = np.cumsum(rates, axis=1)
     total = cumulative[:, -1]
     if np.any(total <= 0.0):
-        t_star = float(times[np.argmax(total <= 0.0)])
-        raise NumericalError(f"{side.name}no channel has positive rate at sampled jump time {t_star:.6g}")
+        first = int(np.argmax(total <= 0.0))
+        raise NumericalError(f"{_name_at(sides, cuts, first)}no channel has positive rate at sampled "
+                             f"jump time {float(times[first]):.6g}")
     channel = np.count_nonzero(cumulative / total[:, None] <= draws[:, None], axis=1)
-    channel = np.minimum(channel, rates.shape[1] - 1)
+    channel = np.minimum(channel, last)
     rows = np.arange(len(phi))
     return channel, amps[rows, channel] / np.sqrt(amps_sq[rows, channel])[:, None]
 
@@ -378,42 +497,50 @@ def _solve(sides: Sequence[_Side], cuts: Sequence[slice], x: np.ndarray, u: np.n
     runs on each row's polynomial; a Newton step that leaves the row's
     bracket falls back to bisection, and a row is frozen once its move is
     at most ``step * 2**-TIME_LEVELS``.  The moment and Taylor products are
-    each table's, on its own rows; the rest works on all rows together."""
+    each table's, on its own rows; the iteration runs on all rows together,
+    on arrays of the rows not yet frozen, compacted only when a row
+    freezes."""
     tables = [side.table for side in sides]
-    terms = _joined([_product(table.moments, x[cut], table.blas) for table, cut in zip(tables, cuts)], -2)
-    coeffs = _row_sum(terms * x)
+    coeffs = _joined([_quadratic_forms(table, x[cut]) for table, cut in zip(tables, cuts)], -1)
     # one step for every row, or each row's own
     uniform = len({table.step for table in tables}) == 1
     step = tables[0].step if uniform else np.concatenate(
         [np.full(cut.stop - cut.start, table.step) for table, cut in zip(tables, cuts)])
-    lo = np.zeros(len(x))
-    hi = np.full(len(x), step)
-    tau = np.zeros(len(x))
+    # the rows not yet frozen: their bracket, their latest offset ``at`` and
+    # their targets; ``tau`` takes each row's last offset
+    n = len(x)
+    live, at, lo, hi, target = np.arange(n), np.zeros(n), np.zeros(n), np.full(n, step), u
     resolution = step * 2.0**-TIME_LEVELS
-    live = np.arange(len(x))
+    tau = np.empty(n)
     # a zero slope makes an infinite or NaN Newton step, which the bracket
     # test below replaces by bisection
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(SOLVE_ITERATIONS):
-            at, c = tau[live], coeffs[:, live]
-            value, slope = c[TAYLOR_ORDER], np.zeros(len(live))
+            value, slope = coeffs[TAYLOR_ORDER], np.zeros(len(at))
             for m in range(TAYLOR_ORDER - 1, -1, -1):
                 slope = slope * at + value
-                value = value * at + c[m]
-            value -= u[live]
+                value = value * at + coeffs[m]
+            value -= target
             above = value > 0.0
-            left = np.where(above, at, lo[live])
-            right = np.where(above, hi[live], at)
+            lo = np.where(above, at, lo)
+            hi = np.where(above, hi, at)
             guess = at - value / slope
             # closed test: an exact root is its own Newton step
-            guess = np.where((left <= guess) & (guess <= right), guess, (left + right) / 2)
-            lo[live], hi[live], tau[live] = left, right, guess
-            live = live[np.abs(guess - at) > (resolution if uniform else resolution[live])]
-            if not live.size:
+            guess = np.where((lo <= guess) & (guess <= hi), guess, (lo + hi) / 2)
+            moving = np.abs(guess - at) > resolution
+            at = guess
+            if moving.all():
+                continue
+            tau[live] = guess
+            if not moving.any():
                 break
+            live, at, lo, hi, target = live[moving], at[moving], lo[moving], hi[moving], target[moving]
+            coeffs = coeffs[:, moving]
+            if not uniform:
+                resolution = resolution[moving]
         else:
             raise NumericalError(_name_at(sides, cuts, live[0]) + "jump-time solve did not converge")
-    phi = _horner(_joined([table.taylor_terms(x[cut]) for table, cut in zip(tables, cuts)], -2), tau)
+    phi = _joined([_horner(table.taylor_terms(x[cut]), tau[cut]) for table, cut in zip(tables, cuts)])
     phi_sq = _row_sum(phi * phi)
     missed = np.abs(phi_sq - u) > NORM_RESIDUAL_TOL
     if missed.any():
@@ -440,8 +567,9 @@ def _simulate_rows(
     tol: Tolerance,
 ) -> list[TrajectoryEnsemble]:
     """For each side ``s``, one labelled trajectory under ``reps[s]`` per
-    seed of ``seeds[s]``; all rows of all sides advance together.  Every
-    check of a side runs before the next side's, and all before the pass."""
+    seed of ``seeds[s]``, which keeps its side's step table; all rows of all
+    sides advance together.  Every check of a side runs before the next
+    side's, and all before the pass."""
     tables, jumps = [], []
     for rep in reps:
         require_valid(rep, tol)
@@ -459,62 +587,53 @@ def _simulate_rows(
     ]
     sides = [_Side(table, stack, _rows_independent(stack), top - table.top, name)
              for table, stack, name in zip(tables, jumps, names)]
-    # each side's widths at the pass's levels, (top + 1, sides); the levels
-    # above a side's level 0 never take its rows, and reach any t_max
+    # each side's widths and propagators at the pass's levels, (top + 1,
+    # sides); the levels above a side's level 0 never take its rows, reach
+    # any t_max, and hold its level 0 so that the product stays finite
     widths = np.full((top + 1, len(sides)), np.inf)
+    levels = np.empty((top + 1, len(sides), 2 * state.size, 2 * state.size))
     for s, side in enumerate(sides):
         widths[side.shift :, s] = side.table.widths
+        levels[: side.shift, s] = side.table.mats[0]
+        levels[side.shift :, s] = side.table.mats
+    blas = [side.table.blas for side in sides]
     # side s holds rows starts[s] up to starts[s + 1], and the live rows stay
     # in row order, so each side is one slice of them
-    starts = list(accumulate([len(side_seeds) for side_seeds in seeds], initial=0))
+    starts = np.array([0, *accumulate(len(side_seeds) for side_seeds in seeds)])
     n = starts[-1]
     streams = Streams(_joined(list(seeds)))
     # (row, time, channel, post-jump state) of each round's fired rows
     fired = [(np.empty(0, int), np.empty(0), np.empty(0, int), np.empty((0, state.size), complex))]
 
-    # Live rows: ``x`` is the state at time ``t``, with squared norm above
-    # ``u``.  Each round starts every row on a segment at level ``start``,
-    # applies each level to every row and keeps the step for the rows with
-    # ``start <= level`` whose squared norm stays above ``u``, so that after
-    # level ``top`` every row holds the bracket ``(t, t + step]``, and ends
-    # with the solve.  A side's level ``k`` is the pass's level
-    # ``k + shift``.  A row whose ``t`` reaches ``t_max`` gets
-    # ``start = top + 1``; rows leave after the descent and after the solve,
-    # and a descent that finishes every row ends the loop.
-    row = np.arange(n)
-    t = np.zeros(n)
-    x = np.tile(state.view(float), (n, 1))
-    u = streams.take(row)[:, 0]
-
-    def drop_finished(*arrays):
-        keep = t < t_max
-        return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-    while row.size:
-        cuts = _slices(row, starts)
-        # each row's widths; one side's broadcast against its rows
-        row_widths = widths if len(sides) == 1 else np.repeat(
-            widths, [cut.stop - cut.start for cut in cuts], axis=1)
+    # Each round starts every live row on a segment at level ``start``,
+    # applies each level to every slot and keeps the step for the rows with
+    # ``start <= level`` whose squared norm stays above their target ``u``,
+    # so that after level ``top`` every live row holds the bracket ``(t, t +
+    # step]``, and ends with the solve on the live rows.  A side's level
+    # ``k`` is the pass's level ``k + shift``.  A row whose ``t`` reaches
+    # ``t_max`` gets ``start = top + 1``; a finished slot starts at ``top``
+    # at the latest, and what a level does to it is never read.  A descent
+    # or a solve that finishes every row ends the loop.
+    chunks = _Chunks(np.tile(state.view(float), (n, 1)), np.zeros(n), streams.take(np.arange(n))[:, 0],
+                     np.arange(n), starts[1:] - starts[:-1], levels, widths, blas)
+    while True:
+        t, u = chunks.t, chunks.u
         # the narrowest level whose step from ``t`` reaches ``t_max``, in the
         # same float sum as the step itself, so a kept step ends the row
-        start = (t + row_widths >= t_max).sum(axis=0) - 1
+        start = (t + chunks.widths >= t_max).sum(axis=0) - 1
         for level in range(start.min(), top + 1):
             down = start <= level
             if not down.any():
                 continue
-            if len(sides) == 1:  # one side's rows are all rows
-                new = sides[0].table.apply(level, x)
-            else:
-                new = np.concatenate([side.table.apply(level - side.shift, x[cut])
-                                      if level >= side.shift else x[cut]
-                                      for side, cut in zip(sides, cuts)])
-            keep = down & (_row_sum(new * new) > u)
-            np.copyto(x, new, where=keep[:, None])
-            np.add(t, row_widths[level], out=t, where=keep)
+            new = chunks.apply(level)
+            keep = down & (chunks.norms(new) > u)
+            chunks.keep(new, keep)
+            np.add(t, chunks.widths[level], out=t, where=keep)
             start[t >= t_max] = top + 1  # finished: no later level takes it
-        row, t, x, u = drop_finished(row, t, x, u)
-        if not row.size:
+        live = np.flatnonzero(t < t_max)
+        if not live.size:
             break
+        row, x, t, u = chunks.row[live], chunks.flat[live], t[live], u[live]
         cuts = _slices(row, starts)
         tau, phi, phi_sq = _solve(sides, cuts, x, u)
         t += tau  # a crossing after t_max ends its row with no jump
@@ -526,15 +645,24 @@ def _simulate_rows(
             x[hit] = post
             fired.append((jumped, at, channel, post.view(complex)))
             u[hit] = draws[:, 1]
-        row, t, x, u = drop_finished(row, t, x, u)
+        going = t < t_max
+        if not going.any():
+            break
+        counts = ([np.count_nonzero(going)] if len(sides) == 1
+                  else np.diff(np.searchsorted(row[going], starts)))
+        if sum(-(-count // CHUNK_ROWS) for count in counts) < len(chunks.side):  # fewer chunks
+            chunks = _Chunks(x[going], t[going], u[going], row[going], counts, levels, widths, blas)
+        else:  # back to their slots
+            chunks.flat[live], chunks.t[live], chunks.u[live] = x, t, u
     # rounds run in time order, so a stable sort by row keeps events in order
     rows, *record = (np.concatenate(parts) for parts in zip(*fired))
     order = np.argsort(rows, kind="stable")
     ends = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return [
         TrajectoryEnsemble(state, float(t_max), side_seeds, ends[lo : hi + 1] - ends[lo],
-                           *(field[order[ends[lo] : ends[hi]]] for field in record))
-        for side_seeds, lo, hi in zip(seeds, starts[:-1], starts[1:])
+                           *(field[order[ends[lo] : ends[hi]]] for field in record),
+                           table=table)
+        for side_seeds, lo, hi, table in zip(seeds, starts[:-1], starts[1:], tables)
     ]
 
 
@@ -548,7 +676,7 @@ def simulate(
     """One labelled trajectory as a one-row ensemble, bitwise reproducible
     from the non-negative integer ``seed``, kept exactly: it draws the uniforms
     of ``np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))``."""
-    return _simulate_rows([rep], psi0, t_max, [naturals([seed], "seed")], tol)[0]
+    return replace(_simulate_rows([rep], psi0, t_max, [naturals([seed], "seed")], tol)[0], table=None)
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -572,9 +700,10 @@ def simulate_ensemble(
     ``simulate(rep, psi0, t_max, trajectory_seed(seed, i), tol)``: the
     ``n_traj`` ``uint64`` seeds are hashed in one pass, as numpy's
     ``SeedSequence`` spawned from the non-negative master ``seed`` would give
-    them, and so are their Philox keys.
+    them, and so are their Philox keys.  Like `simulate`, it returns the
+    records alone, without the step table.
     """
-    return simulate_ensembles([rep], psi0, t_max, n_traj, [seed], tol)[0]
+    return replace(simulate_ensembles([rep], psi0, t_max, n_traj, [seed], tol)[0], table=None)
 
 
 def simulate_ensembles(
@@ -589,7 +718,9 @@ def simulate_ensembles(
     for each side ``s``, bit for bit, from one pass over the rows of all
     sides.  Every side is checked before the pass, in order; an error raised
     during the pass names its side: ``side a``, ``side b``, ... in the
-    order of ``reps``.
+    order of ``reps``.  Each ensemble keeps its side's step table, so that
+    replaying it under its representation (`states_at`, as
+    `uqd.ensemble.compare_ensembles` does) builds none.
     """
     if not hasattr(n_traj, "__index__") or operator.index(n_traj) < 1:
         raise ValidationError(f"n_traj must be a positive integer, got {n_traj}")
@@ -602,7 +733,9 @@ def simulate_ensembles(
 def states_at(ensemble: TrajectoryEnsemble, rep: Representation, times: Sequence[float]) -> np.ndarray:
     """Conditional states of every trajectory at each of ``times``, with
     shape ``(len(times), len(ensemble), dim)``, replayed through one step
-    table for the ensemble's horizon.
+    table for the ensemble's horizon: the table its pass kept where it fits
+    ``rep`` and the horizon, else one built for them, which has the same
+    bits.
 
     At an event time a row holds the recorded post-jump state (the right
     limit); between events it is propagated from the latest event at or
@@ -623,7 +756,9 @@ def states_at(ensemble: TrajectoryEnsemble, rep: Representation, times: Sequence
         tau[k, jumped], out[k, jumped] = t - stamps[last[jumped]], ensemble.post_jump_states[last[jumped]]
     moving = tau != 0.0
     if moving.any():
-        table = _StepTable(effective_hamiltonian(rep), t_final)
+        h_eff, table = effective_hamiltonian(rep), ensemble.table
+        if table is None or not table.fits(h_eff, t_final):
+            table = _StepTable(h_eff, t_final)
         drifted = table.advance(out[moving].view(float), tau[moving])
         out.view(float)[moving] = drifted / np.linalg.norm(drifted, axis=1, keepdims=True)
     return out

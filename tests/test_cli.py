@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import uqd
 from uqd import models, schemas, trajectory
 from uqd.cli import main, record_lines
+from uqd.ensemble import compare_ensembles
 from uqd.representation import (
     Representation,
     from_document,
@@ -474,6 +476,46 @@ class TestCompareEnsembles:
         assert all(e["ks_resolution"] == 1e-10 for e in doc["ks_statistics"])
         # tied samples defeat scipy's exact p-value; the fallback is recorded
         assert {e["ks_method"] for e in doc["ks_statistics"]} == {"exact", "asymp"}
+
+    COMPARE = ("--level", "t3", "--ntraj", "150", "--tmax", "1.0", "--psi0", "1",
+               "--times", "0.3,1.0", "--seed-a", "5", "--seed-b", "6", "--threads", "1")
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        tables = []
+        original = trajectory._StepTable.__init__
+
+        def recording(self, *args):
+            original(self, *args)
+            tables.append(self)
+
+        monkeypatch.setattr(trajectory._StepTable, "__init__", recording)
+        return tables
+
+    def test_one_step_table_per_side(self, capsys, monkeypatch, rep_files):
+        # the pass builds one table per side and replay reuses it; replay
+        # once built each side's table a second time
+        tables = self.count_tables(monkeypatch)
+        rep_a, rep_min = rep_files
+        code, _ = run(capsys, "compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_min, *self.COMPARE)
+        assert code == 0
+        assert len(tables) == 2
+
+    def test_document_same_with_tables_built_by_replay(self, capsys, monkeypatch, rep_files):
+        rep_a, rep_min = rep_files
+        code, out = run(capsys, "compare-ensembles", "--rep-a", rep_a, "--rep-b", rep_min, *self.COMPARE)
+        reps = [models.qutrit_a(), models.qutrit_a_minimal()]
+        ensembles = trajectory.simulate_ensembles(reps, np.array([0, 1, 0]), 1.0, 150, [5, 6])
+        assert all(ens.table is not None for ens in ensembles)
+        # without the pass's tables, states_at builds one per side
+        tables = self.count_tables(monkeypatch)
+        bare = [replace(ens, table=None) for ens in ensembles]
+        # the command's default observables: the basis projectors
+        projectors = {f"p_{i}": np.diag(np.eye(3)[i]) for i in range(3)}
+        comparison = compare_ensembles(*bare, *reps, projectors, [0.3, 1.0], level="t3")
+        assert len(tables) == 2
+        assert code == (0 if comparison.verdict else 1)
+        assert json.loads(out) == json.loads(json.dumps(comparison.to_document()))
 
     def test_incomparable_records_fail(self, capsys, rep_files):
         rep_a, rep_min = rep_files

@@ -71,6 +71,16 @@ class TestValidate:
         with pytest.raises(ValidationError, match=re.escape("Hamiltonian is not square: shape (3, 2)")):
             Representation(hamiltonian=np.ones((3, 2)), jumps=[np.eye(3)])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("where", ["hamiltonian", "jump"])
+    def test_non_finite_entry_reported(self, where, value):
+        # one check over every operator, before the Hermiticity test: a
+        # non-finite Hamiltonian entry is reported as such
+        ham, jumps = np.eye(3, dtype=complex), [np.eye(3, dtype=complex), np.ones((3, 3), dtype=complex)]
+        (ham if where == "hamiltonian" else jumps[1])[1, 2] = value
+        with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+            Representation(hamiltonian=ham, jumps=jumps)
+
     def test_dimension_mismatch_reported(self):
         message = "jump operator 2 has shape (2, 2), expected (3, 3)"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

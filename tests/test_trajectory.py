@@ -557,14 +557,15 @@ class TestStiffness:
 
     @staticmethod
     def passes(monkeypatch, rep):
+        # one `_Chunks.apply` per level of a round: one product for every row
         calls = []
-        original = _StepTable.apply
+        original = trajectory._Chunks.apply
 
         def counting(self, *args):
             calls.append(None)
             return original(self, *args)
 
-        monkeypatch.setattr(_StepTable, "apply", counting)
+        monkeypatch.setattr(trajectory._Chunks, "apply", counting)
         ensemble = simulate_ensemble(rep, ket(3, 1), 2.0, 2000, seed=35)
         monkeypatch.undo()
         assert ensemble.times.size > 2000
@@ -802,6 +803,23 @@ class TestChunkedProduct:
         np.testing.assert_allclose(fallback.post_jump_states, blas.post_jump_states, rtol=0, atol=1e-13)
         np.testing.assert_allclose(states_at(fallback, rep, times), blas_states, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("blas", [True, False], ids=["blas", "columns"])
+    def test_horner_keeps_the_order_of_its_terms(self, blas, qutrit_a):
+        # `states_at` normalizes by numpy's row norms, whose sums follow the
+        # memory order, so the in-place rule must give the allocating rule's
+        # values in its order: row-major from BLAS, column-major from `_columns`
+        table = _StepTable(effective_hamiltonian(qutrit_a), 2.0)
+        rng = np.random.default_rng(3)
+        x, tau = rng.standard_normal((70, 6)), rng.random(70) * table.step
+        terms = trajectory._product(table.taylor, x, blas)
+        expected = terms[-1]
+        for term in terms[-2::-1]:
+            expected = expected * tau[:, None] + term
+        phi = trajectory._horner(terms, tau)
+        assert np.array_equal(phi, expected)
+        assert phi.flags.c_contiguous == expected.flags.c_contiguous == blas
+        assert np.array_equal(np.linalg.norm(phi, axis=1), np.linalg.norm(expected, axis=1))
+
     @pytest.mark.parametrize(
         "mixing",
         [
@@ -812,7 +830,7 @@ class TestChunkedProduct:
     )
     def test_probe_rejects_a_row_dependent_product(self, monkeypatch, qutrit_a, mixing):
         chunked = trajectory._chunked
-        monkeypatch.setattr(trajectory, "_chunked", lambda mats, x: mixing(chunked(mats, x)))
+        monkeypatch.setattr(trajectory, "_chunked", lambda *args: mixing(chunked(*args)))
         operator = np.random.default_rng(1).standard_normal((6, 6))
         assert not trajectory._rows_independent(operator)
         assert not trajectory._rows_independent(np.stack([np.eye(6), operator]))
@@ -875,6 +893,43 @@ class TestSharedPass:
         shared = trajectory._simulate_rows([rep_a, rep_b], psi0, t_max, seeds, Tolerance())
         for ensemble, rep, master, n in zip(shared, (rep_a, rep_b), masters, rows):
             alone = simulate_ensemble(rep, psi0, t_max, n, master)
+            for field in FIELDS:
+                a, b = getattr(ensemble, field), getattr(alone, field)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    @staticmethod
+    def dark_after_one_jump():
+        """Decay of |1> and |2> to the dark |0>: every row jumps once and
+        then never again, so its side's live rows run out early."""
+        jumps = [np.outer(ket(3, 0), ket(3, k)) * (k + 0.5) for k in (1, 2)]
+        return Representation(hamiltonian=None, jumps=jumps)
+
+    @pytest.mark.parametrize("rows", [(1, 129), (63, 64), (64, 65), (65, 1), (129, 63)])
+    def test_chunk_edges_equal_sides_alone(self, monkeypatch, rows):
+        # side a runs out of live rows after its first jumps while side b,
+        # with another step, ``top`` and jump count, keeps jumping; each side
+        # starts on a chunk boundary of the shared layout whatever its count
+        rep_a = self.dark_after_one_jump()
+        rep_b = models.qutrit_a(hamiltonian=30.0 * (np.eye(3, k=1) + np.eye(3, k=-1)))
+        psi0, t_max = normalize(np.ones(3)), 2.0
+        tops = [_StepTable(effective_hamiltonian(rep), t_max).top for rep in (rep_a, rep_b)]
+        assert tops[0] != tops[1] and rep_a.n_jumps != rep_b.n_jumps
+        live = []
+        solve = trajectory._solve
+
+        def recording(sides, cuts, x, u):
+            live.append(tuple(len(range(len(x))[cut]) for cut in cuts))
+            return solve(sides, cuts, x, u)
+
+        monkeypatch.setattr(trajectory, "_solve", recording)
+        seeds = [spawned_seeds(m, np.arange(n)) for m, n in zip((8, 9), rows)]
+        shared = trajectory._simulate_rows([rep_a, rep_b], psi0, t_max, seeds, Tolerance())
+        monkeypatch.undo()
+        # the sides' live counts drift apart: side a's reach 0 while side b's do not
+        assert any(a == 0 < b for a, b in live)
+        for ensemble, rep, master, n in zip(shared, (rep_a, rep_b), (8, 9), rows):
+            alone = simulate_ensemble(rep, psi0, t_max, n, master)
+            assert ensemble.times.size
             for field in FIELDS:
                 a, b = getattr(ensemble, field), getattr(alone, field)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
