@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ensemble as ens
 from . import equivalence, models, representation, sjed, trajectory
-from .errors import InputError, NumericalError, UqdError, ValidationError
+from .errors import InputError, UqdError, ValidationError
 from .linalg import Tolerance, as_operator, normalize
 from .representation import (
     Representation,
@@ -593,9 +593,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except (ValidationError, NumericalError) as exc:
-        log.error("%s", exc)
-        return EXIT_NUMERIC
     except UqdError as exc:
         log.error("%s", exc)
         return EXIT_NUMERIC

@@ -21,14 +21,13 @@ A document has no other fields (``schemas/representation.schema.json``).
 Jump indices are 1-based in all documents and reports, 0-based in the
 Python API.
 
-Documents are decoded by :func:`loads`: ``orjson`` first, and the standard
-``json`` module only where ``orjson`` refuses the text (``NaN`` and
-``Infinity`` literals, numbers beyond a double, integers past Python's digit
-limit, lone surrogates), so refused text keeps ``json``'s result or error.
-Either way every number reaches an operator as its nearest double, so both
-give the same bits.  The one difference: ``orjson`` returns an integer beyond
-64 bits as a float, which is then no integer ``dim`` or index.  Output is
-always written by ``json``.
+Two decoders read the input.  ``orjson`` reads the numbers of the plain
+path below, and the head of the document before them.  The standard ``json``
+module reads everything else, through :func:`loads`: a document the plain
+path declines, and the ``--psi0``, ``--observables`` and ``--isometry``
+files of the CLI.  Either way every number reaches an operator as its
+nearest double, so both give the same bits.  Output is always written by
+``json``.
 
 :func:`parse` has two decode paths.  The *plain* path takes a document whose
 fields after ``dim`` and ``label`` are ``"hamiltonian"`` and ``"jumps"``, in
@@ -215,40 +214,12 @@ def _pair_from_json(obj, where: str) -> complex:
         raise ParseError(f"{where}: number too large for a float") from None
 
 
-def _numeric_array(obj, ndim: int) -> Optional[np.ndarray]:
-    """Complex array of a JSON-decoded nest of ``ndim`` non-empty list levels
-    of ``[re, im]`` pairs, decoded in one numpy pass; ``None`` where it is not
-    plainly numeric (ragged, empty, wrong depth, strings, ``None``, integers
-    beyond int64, booleans), so the per-entry path names the fault.  numpy
-    reads booleans among numbers as 0 and 1, so a nest that passes is
-    written back by ``orjson``, in C, and must hold no ``true`` or ``false``.
-
-    Where both paths accept, they give the same bits: each number becomes
-    the nearest double, as ``complex(re, im)`` makes it.
-    """
-    import orjson
-
-    if not isinstance(obj, list):
-        return None
-    try:
-        arr = np.array(obj)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if arr.dtype.kind not in "fi" or arr.shape[ndim:] != (2,):
-        return None
-    try:  # lists, numbers and booleans only, past the dtype check
-        text = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
-    except orjson.JSONEncodeError:
-        return None
-    if b"t" in text or b"f" in text:  # no number is written with either letter
-        return None
-    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
-
-
 def matrix_from_json(obj, where: str) -> np.ndarray:
-    fast = _numeric_array(obj, 2)
-    if fast is not None:
-        return fast
+    """Complex matrix of a JSON-decoded non-empty list of equal, non-empty
+    rows of ``[re, im]`` pairs, read entry by entry, so that a fault is a
+    :class:`ParseError` naming its place: ``where[i]`` for a row,
+    ``where[i][j]`` for an entry (a boolean, a string or a number beyond a
+    double)."""
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a non-empty list of rows")
     rows = []
@@ -265,9 +236,6 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
 
 
 def vector_from_json(obj, where: str) -> np.ndarray:
-    fast = _numeric_array(obj, 1)
-    if fast is not None:
-        return fast
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a non-empty list of [re, im] pairs")
     return np.array([_pair_from_json(entry, f"{where}[{i}]") for i, entry in enumerate(obj)])
@@ -319,15 +287,10 @@ def serialize(rep: Representation, indent: Optional[int] = None) -> str:
 
 
 def loads(text: str):
-    """Decoded JSON ``text``, by ``orjson`` unless it refuses the text and by
-    ``json`` then; a decoding failure is a :class:`ParseError`."""
-    import orjson  # on first use, so ``import uqd`` does not pay for it
-
+    """Decoded JSON ``text``, by ``json``; a decoding failure is a
+    :class:`ParseError`."""
     try:
-        try:
-            return orjson.loads(text)
-        except orjson.JSONDecodeError:
-            return json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past Python's digit limit

@@ -256,7 +256,8 @@ class _Chunks:
     CHUNK_ROWS, 2d)``, so that `apply` makes one product per level for
     every side.  ``levels[k, s]`` is side ``s``'s propagator at the pass's
     level ``k`` and ``blas[s]`` its table's probe.  Each slot holds its
-    row's time ``t``, target ``u``, index ``row`` and widths ``widths[k]``;
+    row's time ``t``, target ``u``, index ``row`` and widths ``widths[k]``,
+    its side's column of the pass's ``widths``, for one side as for several;
     a padding slot has an infinite time, no row (-1) and a zero state, so
     no level keeps it.  A row keeps its slot while the layout lasts: rows
     that end stay behind as finished slots until the pass lays the rows out
@@ -278,9 +279,7 @@ class _Chunks:
             into = slice(CHUNK_ROWS * chunk, CHUNK_ROWS * chunk + count)
             for layout, values in ((self.flat, x), (self.t, t), (self.u, u), (self.row, row)):
                 layout[into] = values[first : first + count]
-        # one side's widths broadcast against its slots
-        self.widths = widths if len(counts) == 1 else np.repeat(
-            widths, np.multiply(per_side, CHUNK_ROWS), axis=1)
+        self.widths = np.repeat(widths, np.multiply(per_side, CHUNK_ROWS), axis=1)
         # a row as one opaque element, so that `keep` copies whole rows
         self.record = np.dtype((np.void, self.rows.itemsize * size))
         self.records, self.new_records = (self.flat.view(self.record)[:, 0],
@@ -305,11 +304,9 @@ class _Chunks:
         """The squared norm of each slot of `apply`'s rows ``new``."""
         return _row_sum((new * new).reshape(len(self.flat), -1))
 
-    def keep(self, new: np.ndarray, where: np.ndarray) -> None:
-        """Take the slots of `apply`'s rows ``new`` where ``where`` holds."""
-        source = (self.new_records if new is self.new
-                  else new.reshape(self.flat.shape).view(self.record)[:, 0])
-        np.copyto(self.records, source, where=where)
+    def keep(self, where: np.ndarray) -> None:
+        """Take the slots of `apply`'s rows where ``where`` holds."""
+        np.copyto(self.records, self.new_records, where=where)
 
 
 class _StepTable:
@@ -439,23 +436,18 @@ def _fire(sides: Sequence[_Side], cuts: Sequence[slice], phi: np.ndarray, phi_sq
     """Channels and normalized post-jump states of rows ``phi`` (squared
     norms ``phi_sq``) that jump at ``times``, given one channel uniform per
     row: the rows ``cuts[s]`` jump under ``sides[s]``.  Each side's jump
-    product is its own; the channel draw runs once over every row, with the
-    amplitudes of a side with fewer jumps zero-padded: a zero rate adds
-    nothing to the cumulative rates, and a cumulative share of 1 is never
-    below a uniform, so each row draws the channel it draws alone."""
+    product is its own, into one zero array of amplitudes as wide as the
+    side with the most jumps, and each row's channel is clamped to its own
+    side's last; the channel draw runs once over every row.  A zero rate
+    adds nothing to the cumulative rates, and a cumulative share of 1 is
+    never below a uniform, so each row draws the channel it draws alone."""
     size = phi.shape[1]
     counts = [len(side.jumps) // size for side in sides]
-    widest = max(counts)
-    if min(counts) == widest:
-        amps = _joined([_product(side.jumps, phi[cut], side.jumps_blas)
-                        for side, cut in zip(sides, cuts)]).reshape(len(phi), widest, size)
-        last = widest - 1
-    else:
-        amps = np.zeros((len(phi), widest, size))
-        for side, cut, count in zip(sides, cuts, counts):
-            if cut.stop > cut.start:
-                amps[cut, :count] = _product(side.jumps, phi[cut], side.jumps_blas).reshape(-1, count, size)
-        last = np.repeat(np.subtract(counts, 1), [cut.stop - cut.start for cut in cuts])
+    amps = np.zeros((len(phi), max(counts), size))
+    for side, cut, count in zip(sides, cuts, counts):
+        if cut.stop > cut.start:
+            amps[cut, :count] = _product(side.jumps, phi[cut], side.jumps_blas).reshape(-1, count, size)
+    last = np.repeat(np.subtract(counts, 1), [cut.stop - cut.start for cut in cuts])
     amps_sq = _row_sum(amps * amps)
     rates = amps_sq / phi_sq[:, None]
     rates[rates < RATE_FLOOR] = 0.0
@@ -473,17 +465,15 @@ def _fire(sides: Sequence[_Side], cuts: Sequence[slice], phi: np.ndarray, phi_sq
 
 def _slices(values: np.ndarray, edges: Sequence[int]) -> Sequence[slice]:
     """For each side ``s``, the slice of the sorted ``values`` that lies in
-    ``[edges[s], edges[s + 1])``; ``edges`` spans every value, so one side
-    takes them all."""
-    if len(edges) == 2:
-        return (slice(None),)
+    ``[edges[s], edges[s + 1])``, with integer bounds; ``edges`` spans every
+    value, so one side takes them all."""
     cuts = np.searchsorted(values, edges[1:-1]).tolist()
     return [slice(lo, hi) for lo, hi in pairwise([0, *cuts, len(values)])]
 
 
 def _name_at(sides: Sequence[_Side], cuts: Sequence[slice], position: int) -> str:
     """The name of the side whose cut holds row ``position``."""
-    return next(side.name for side, cut in zip(sides, cuts) if cut.stop is None or position < cut.stop)
+    return next(side.name for side, cut in zip(sides, cuts) if position < cut.stop)
 
 
 def _solve(sides: Sequence[_Side], cuts: Sequence[slice], x: np.ndarray, u: np.ndarray):
@@ -496,20 +486,18 @@ def _solve(sides: Sequence[_Side], cuts: Sequence[slice], x: np.ndarray, u: np.n
     most ``u[n]`` at its table's ``step``.  A safeguarded Newton iteration
     runs on each row's polynomial; a Newton step that leaves the row's
     bracket falls back to bisection, and a row is frozen once its move is
-    at most ``step * 2**-TIME_LEVELS``.  The moment and Taylor products are
+    at most ``step * 2**-TIME_LEVELS``, with ``step`` its own table's, held
+    per row for one side as for several.  The moment and Taylor products are
     each table's, on its own rows; the iteration runs on all rows together,
     on arrays of the rows not yet frozen, compacted only when a row
     freezes."""
     tables = [side.table for side in sides]
     coeffs = _joined([_quadratic_forms(table, x[cut]) for table, cut in zip(tables, cuts)], -1)
-    # one step for every row, or each row's own
-    uniform = len({table.step for table in tables}) == 1
-    step = tables[0].step if uniform else np.concatenate(
-        [np.full(cut.stop - cut.start, table.step) for table, cut in zip(tables, cuts)])
+    step = np.repeat([table.step for table in tables], [cut.stop - cut.start for cut in cuts])
     # the rows not yet frozen: their bracket, their latest offset ``at`` and
     # their targets; ``tau`` takes each row's last offset
     n = len(x)
-    live, at, lo, hi, target = np.arange(n), np.zeros(n), np.zeros(n), np.full(n, step), u
+    live, at, lo, hi, target = np.arange(n), np.zeros(n), np.zeros(n), step, u
     resolution = step * 2.0**-TIME_LEVELS
     tau = np.empty(n)
     # a zero slope makes an infinite or NaN Newton step, which the bracket
@@ -535,9 +523,7 @@ def _solve(sides: Sequence[_Side], cuts: Sequence[slice], x: np.ndarray, u: np.n
             if not moving.any():
                 break
             live, at, lo, hi, target = live[moving], at[moving], lo[moving], hi[moving], target[moving]
-            coeffs = coeffs[:, moving]
-            if not uniform:
-                resolution = resolution[moving]
+            coeffs, resolution = coeffs[:, moving], resolution[moving]
         else:
             raise NumericalError(_name_at(sides, cuts, live[0]) + "jump-time solve did not converge")
     phi = _joined([_horner(table.taylor_terms(x[cut]), tau[cut]) for table, cut in zip(tables, cuts)])
@@ -627,7 +613,7 @@ def _simulate_rows(
                 continue
             new = chunks.apply(level)
             keep = down & (chunks.norms(new) > u)
-            chunks.keep(new, keep)
+            chunks.keep(keep)
             np.add(t, chunks.widths[level], out=t, where=keep)
             start[t >= t_max] = top + 1  # finished: no later level takes it
         live = np.flatnonzero(t < t_max)
@@ -648,8 +634,7 @@ def _simulate_rows(
         going = t < t_max
         if not going.any():
             break
-        counts = ([np.count_nonzero(going)] if len(sides) == 1
-                  else np.diff(np.searchsorted(row[going], starts)))
+        counts = np.diff(np.searchsorted(row[going], starts))
         if sum(-(-count // CHUNK_ROWS) for count in counts) < len(chunks.side):  # fewer chunks
             chunks = _Chunks(x[going], t[going], u[going], row[going], counts, levels, widths, blas)
         else:  # back to their slots

@@ -597,6 +597,10 @@ class TestMalformedInput:
             (("check", "--rep-b", "{dim_true}"), 2),
             (("check", "--rep-b", "{entry_true}"), 2),
             (("check", "--rep-b", "{extra_key}"), 2),
+            # a JSON boolean in place of a number in each auxiliary file
+            (SIMULATE + ("--psi0", "{psi_true}"), 2),
+            (COMPARE + ("--observables", "{obs_false}"), 2),
+            (("gauge", "apply", "--rep", "{a_min}", "--isometry", "{iso_true}"), 2),
         ],
         ids=["tmax-nan", "tmax-inf", "tmax-1e308", "times-abc", "times-nan", "alpha-0", "time-after-tmax",
              "times-repeated", "times-empty",
@@ -608,7 +612,7 @@ class TestMalformedInput:
              "compare-seed-a--1", "compare-seed-b--2", "observable-label-dup",
              "observable-label-number", "check-not-utf8", "sjed-not-utf8", "psi0-not-utf8",
              "observables-not-utf8", "isometry-not-utf8", "perm-abc", "perm-c-zero",
-             "dim-true", "entry-true", "extra-key"],
+             "dim-true", "entry-true", "extra-key", "psi0-true", "observable-false", "isometry-true"],
     )
     def test_named_error(self, capsys, caplog, monkeypatch, rep_files, tmp_path, argv, expected):
         def forbidden(*args, **kwargs):
@@ -632,8 +636,15 @@ class TestMalformedInput:
             "entry_true": '{"dim": 1, "hamiltonian": [[[0, 0]]], "jumps": [[[[true, 0]]]]}',
             "extra_key": '{"dim": 1, "hamiltonian": [[[0, 0]]], "jumps": [[[[1, 0]]]], "note": 1}',
         }
+        booleans = {
+            "psi_true": "[[1, 0], [0, true], [0, 0]]",
+            "obs_false": '[{"label": "p", "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, false], '
+                         '[0, 0]], [[0, 0], [0, 0], [0, 0]]]}]',
+            "iso_true": json.dumps({"matrix": [[[1, 0]], [[True, 0]]], "row_blocks": [[1, 2]],
+                                    "col_blocks": [[1]], "block_map": [1]}),
+        }
         for name, text in (("digits", "[%s]" % ("1" * 5000)), ("jump_nan", json.dumps(jump_nan)),
-                           ("psi_short", "[[1, 0], [0, 0]]"), *off_schema.items()):
+                           ("psi_short", "[[1, 0], [0, 0]]"), *off_schema.items(), *booleans.items()):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
         files["not_utf8"] = tmp_path / "not_utf8.json"
@@ -668,10 +679,33 @@ class TestMalformedInput:
             assert errors[0].getMessage() == f"cannot read {files['not_utf8']}: not UTF-8 text at byte 0"
         if argv[-1] in ("{obs_dup}", "{obs_num}"):
             assert errors[0].getMessage().startswith("observables[1].label ")
-        named = {"{dim_true}": "dim: ", "{entry_true}": "jumps[0][0][0]: ", "{extra_key}": "note: "}
+        named = {"{dim_true}": "dim: ", "{entry_true}": "jumps[0][0][0]: ", "{extra_key}": "note: ",
+                 "{psi_true}": "psi0[1]: ", "{obs_false}": "observables[0].matrix[1][1]: ",
+                 "{iso_true}": "matrix[1][0]: "}
         if argv[-1] in named:
             assert errors[0].getMessage().startswith(named[argv[-1]])
         assert not out_dir.exists()
+
+    def test_integer_past_64_bits_stays_an_integer(self, capsys, caplog, rep_files, tmp_path):
+        # json reads every integer exactly, as a dim or an index
+        rep_a, rep_min = rep_files
+        big = 2**70
+        wide = tmp_path / "wide.json"
+        wide.write_text('{"dim": %d, "hamiltonian": [[[0, 0]]], "jumps": [[[[1, 0]]]]}' % big)
+        _, out = run(capsys, "gauge", "extract", "--rep-min", rep_min, "--rep", rep_a)
+        iso_doc = json.loads(out)
+        iso_doc["col_blocks"][1] = [big]
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps(iso_doc))
+        for argv, expected, message in (
+            (("check", "--rep-a", rep_a, "--rep-b", str(wide)), 2,
+             f"hamiltonian: shape (1, 1) does not match dim {big}"),
+            (("gauge", "apply", "--rep", rep_min, "--isometry", str(iso)), 3,
+             "isometry column blocks do not match the minimal partition"),
+        ):
+            caplog.clear()
+            assert run(capsys, *argv) == (expected, "")
+            assert [r.getMessage() for r in caplog.records if r.name == "uqd"] == [message]
 
 
     @pytest.mark.parametrize(

@@ -309,74 +309,7 @@ class TestSerialization:
         assert doc["hamiltonian"][0][0] == [0.0, 0.0]
 
 
-NUMBER_KINDS = {
-    "int": st.integers(min_value=-(2**66), max_value=2**66),
-    "float": st.one_of(
-        st.floats(),
-        st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308, float("nan")]),
-    ),
-    "bool": st.booleans(),
-}
-NUMBER_KINDS["mixed"] = st.one_of(*NUMBER_KINDS.values(), st.just(10**400))
-ODD_ENTRIES = st.one_of(st.text(max_size=2), st.none(), st.just([]), st.lists(st.integers(), max_size=3))
-
-
-@st.composite
-def nests(draw, depth: int):
-    """Nests of ``depth`` list levels of [re, im] pairs, mostly well formed,
-    with at most one fault: an odd entry, a ragged row, a pair of the wrong
-    length, or one level too many or too few."""
-    numbers = NUMBER_KINDS[draw(st.sampled_from(sorted(NUMBER_KINDS)))]
-    shape = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
-
-    def build(level):
-        if level == depth:
-            return [draw(numbers), draw(numbers)]
-        return [build(level + 1) for _ in range(shape[level])]
-
-    nest = build(0)
-    fault = draw(st.sampled_from([None, None, "entry", "ragged", "pair", "deeper", "shallower"]))
-    rows = nest if depth == 2 else [nest]
-    row = rows[draw(st.integers(0, len(rows) - 1))]
-    if fault == "entry":
-        row[draw(st.integers(0, len(row) - 1))][draw(st.integers(0, 1))] = draw(ODD_ENTRIES)
-    elif fault == "ragged" and len(row) > 1:
-        row.pop()
-    elif fault == "ragged":
-        row.append(row[0])
-    elif fault == "pair":
-        row[0] = row[0][:1] if draw(st.booleans()) else [*row[0], draw(numbers)]
-    elif fault == "deeper":
-        nest = [nest]
-    elif fault == "shallower":
-        nest = nest[0]
-    return nest
-
-
-def decode(fn, obj):
-    """Array, or ParseError message, of ``fn`` on ``obj``."""
-    try:
-        return fn(obj, "m")
-    except ParseError as exc:
-        return str(exc)
-
-
 class TestOnePassDecode:
-    @settings(max_examples=400, deadline=None)
-    @given(data=st.data())
-    def test_agrees_with_the_per_entry_path(self, data):
-        for fn, depth in ((matrix_from_json, 2), (vector_from_json, 1)):
-            obj = data.draw(nests(depth))
-            fast = decode(fn, obj)
-            with mock.patch.object(representation, "_numeric_array", lambda *args: None):
-                slow = decode(fn, obj)
-            if isinstance(slow, str):
-                assert fast == slow
-            else:
-                assert isinstance(fast, np.ndarray)
-                assert (fast.shape, fast.dtype) == (slow.shape, slow.dtype)
-                assert fast.tobytes() == slow.tobytes()
-
     def test_oversized_integer_names_its_entry(self):
         for fn in (matrix_from_json, vector_from_json):
             obj = [[0, 1], [10**400, 0]]
