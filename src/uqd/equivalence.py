@@ -31,12 +31,13 @@ products, computed from the operators themselves as in
 :func:`uqd.linalg.kron_sum_norm`, so deciding builds no dim^2 x dim^2
 matrix.  The norms of one comparison are column subsets of one stack of
 factors, so a single QR per stack gives them all: the generator comparison
-factors both generators' left and right factors once each, and
-:func:`uqd.sjed.block_gaps` factors both sides' jumps once.  Householder QR
-is columnwise backward stable, so each subset's norm is still rounded at
-``eps`` times its own terms' size.  ``evaluate`` compares generators and
-partitions each representation once, and its theorem-3 verdict without a
-forced pairing is the theorem-1 verdict.
+factors one stack whose columns, or their conjugates, are every left and
+right factor of both generators, and :func:`uqd.sjed.block_gaps` factors
+both sides' jumps once.  Householder QR is columnwise backward stable, so
+each subset's norm is still rounded at ``eps`` times its own terms' size.
+``evaluate`` compares generators and partitions each representation once,
+reads no block summary, and its theorem-3 verdict without a forced pairing
+is the theorem-1 verdict.
 
 All checks are pure functions of their inputs.
 """
@@ -61,7 +62,7 @@ from .linalg import (
     stack_factor,
     vec,
 )
-from .representation import Representation, _generator_terms, require_valid
+from .representation import Representation, _drift_terms, require_valid
 from .sjed import NonResetBlock, SjedPartition, block_gaps, partition
 
 THEOREM2_MATCHING_CAP = 10_000
@@ -173,18 +174,28 @@ def same_liouvillian(
     """Whether the two averaged-state generators agree: the Frobenius norm of
     their difference is below the cutoff for the larger generator's norm.
 
-    One stack holds both generators' Kronecker terms; each generator is the
-    core of its own columns (:func:`uqd.linalg.kron_sum_core`), and their
-    difference is the difference of the two cores."""
+    A generator is ``1 (x) K + K' (x) 1 + sum_k conj(J_k) (x) J_k``
+    (``_drift_terms``).  Every right factor, and the conjugate of every left
+    factor, is a column of ``U = [1, conj(K'_a), conj(K'_b), K_a, K_b,
+    J_a..., J_b...]``, so one QR ``U = Q R`` serves both sides of the
+    realignment: ``conj(Q)`` has orthonormal columns too, so each generator
+    has the norm of its core (:func:`uqd.linalg.kron_sum_core`), ``conj(R)``
+    on its left factors' columns times ``R`` on its right factors' columns
+    transposed, and their difference is the difference of the two cores."""
     require_same_dim(rep_a, rep_b)
     require_valid(rep_a, tol)
     require_valid(rep_b, tol)
-    lefts_a, rights_a = _generator_terms(rep_a)
-    lefts_b, rights_b = _generator_terms(rep_b)
-    r_lefts, r_rights = stack_factor(lefts_a + lefts_b), stack_factor(rights_a + rights_b)
-    split = len(lefts_a)
-    core_a = kron_sum_core(r_lefts, r_rights, slice(None, split))
-    core_b = kron_sum_core(r_lefts, r_rights, slice(split, None))
+    (drift_a, drift_t_a), (drift_b, drift_t_b) = _drift_terms(rep_a), _drift_terms(rep_b)
+    heads = [np.eye(rep_a.dim), drift_t_a.conj(), drift_t_b.conj(), drift_a, drift_b]
+    r = stack_factor(np.concatenate([np.stack(heads), rep_a.jump_stack, rep_b.jump_stack]))
+    split = len(heads) + rep_a.n_jumps
+    sides = ((1, 3, range(len(heads), split)), (2, 4, range(split, r.shape[1])))
+    # a side's left factors are the conjugates of the columns [1, conj(K'),
+    # J...] of the stack, and its right factors the columns [K, 1, J...]
+    core_a, core_b = (
+        kron_sum_core(r[:, [0, left, *jumps]].conj(), r[:, [right, 0, *jumps]])
+        for left, right, jumps in sides
+    )
     scale = max(frobenius(core_a), frobenius(core_b))
     return frobenius(core_a - core_b) <= tol.cutoff(scale)
 
@@ -356,9 +367,12 @@ def check_theorem2(
     ``multiple`` flag; ``enumerate_all`` lists every matching up to
     ``THEOREM2_MATCHING_CAP`` (``truncated`` marks a hit cap).  Where
     theorem 1 fails the verdict fails with the diagnostic "theorem 1 fails"
-    and no class is tested.
+    and no class is tested.  Where it holds, each jump is tested only
+    against the jumps of the block theorem 1 pairs with its own: a unit
+    multiple of a jump shares its destinations, so it lies in that block.
     """
-    return _theorem2(rep_a, rep_b, tol, enumerate_all, check_theorem1(rep_a, rep_b, tol))
+    theorem1, parts = _theorem1_pass(rep_a, rep_b, tol, parts_a=None)
+    return _theorem2(rep_a, rep_b, tol, enumerate_all, theorem1, parts)
 
 
 def _theorem2(
@@ -367,8 +381,10 @@ def _theorem2(
     tol: Tolerance,
     enumerate_all: bool,
     theorem1: Theorem1Verdict,
+    parts: Optional[tuple[SjedPartition, SjedPartition]],
 ) -> Theorem2Verdict:
-    """Theorem 2 on a validated pair with the given theorem-1 verdict."""
+    """Theorem 2 on a validated pair with the given theorem-1 verdict and,
+    where it holds, the two partitions it paired."""
     if not theorem1.holds:
         return Theorem2Verdict(holds=False, diagnostics=("theorem 1 fails",))
     d_a, d_b = rep_a.n_jumps, rep_b.n_jumps
@@ -378,14 +394,15 @@ def _theorem2(
         )
     shift, diagnostics = theorem1.shift, []
 
+    parts_a, parts_b = parts
+    block_of = parts_b.block_of_channel(d_b)
     unit_cutoff = tol.cutoff(1.0)
-    squares_a = [frobenius(jump) ** 2 for jump in rep_a.jumps]
+    squares_a = [norm**2 for norm in rep_a.jump_norms]
     coefficients: dict[tuple[int, int], complex] = {}
     candidates: List[List[int]] = []
-    for k, jump in enumerate(rep_b.jumps):
-        norm = frobenius(jump)
+    for k, (jump, norm) in enumerate(zip(rep_b.jumps, rep_b.jump_norms)):
         options: List[int] = []
-        for j in range(d_a):
+        for j in parts_a.blocks[theorem1.block_perm[block_of[k]]].indices:
             lam = _proportionality(jump, rep_a.jumps[j], norm, squares_a[j], tol)
             if lam is not None and abs(abs(lam) - 1.0) <= unit_cutoff:
                 coefficients[(k, j)] = lam
@@ -470,11 +487,13 @@ def evaluate(
     """Run every check and bundle the verdicts.
 
     Each representation's jumps are checked nonzero by ``same_liouvillian``
-    and again by its partition, so twice when the partitions are built.  Each
+    and again by its partition, so twice when the partitions are built; both
+    read the norms the representation keeps.  Each
     is partitioned at most once: the partitions and the block gap matrix are
-    built only when theorem 1 or a forced pairing needs them.
-    Theorem 1 runs once: without ``block_perm`` the theorem-3 verdict is the
-    theorem-1 verdict.
+    built only when theorem 1 or a forced pairing needs them, and no block
+    summary is computed.  Theorem 1 runs once: without ``block_perm`` the
+    theorem-3 verdict is the theorem-1 verdict.  A matched pair takes two
+    QR factorisations: the generators' union stack and both sides' jumps.
     """
     same_qme = same_liouvillian(rep_a, rep_b, tol)
     parts, match = None, None
@@ -484,7 +503,7 @@ def evaluate(
     return EquivalenceReport(
         same_qme=same_qme,
         theorem1=theorem1,
-        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all, theorem1),
+        theorem2=_theorem2(rep_a, rep_b, tol, enumerate_all, theorem1, parts),
         theorem3=(
             theorem1
             if block_perm is None

@@ -213,9 +213,12 @@ def kron_sum_norm(lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> 
 
 def stack_factor(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Triangular factor ``R`` of a QR of the vectorised factors stacked as
-    columns; column ``i`` of ``R`` belongs to ``factors[i]``."""
-    stack = np.stack([np.asarray(f, dtype=complex).reshape(-1) for f in factors], axis=1)
-    return np.linalg.qr(stack, mode="r")
+    columns; column ``i`` of ``R`` belongs to ``factors[i]``.  ``factors``
+    is a sequence of equal-shape arrays, or one array holding them along its
+    first axis.  LAPACK reads a copy in its own layout, so either form gives
+    the same bits."""
+    stack = np.asarray(factors, dtype=complex)
+    return np.linalg.qr(stack.reshape(len(stack), -1).T, mode="r")
 
 
 def kron_sum_core(r_lefts: np.ndarray, r_rights: np.ndarray, columns=slice(None)) -> np.ndarray:

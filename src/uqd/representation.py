@@ -40,7 +40,10 @@ fault.  Where the plain path accepts, both give the same bits (see
 
 Structural validity is an invariant of :class:`Representation`: finite
 entries, a square Hermitian Hamiltonian and jumps of its shape.  Only the
-rule that no jump is zero needs a tolerance; :func:`require_valid` checks it.
+rule that no jump is zero needs a tolerance; :func:`require_valid` checks it
+against the jumps' Frobenius norms, which a representation takes once, on
+first read, and keeps beside the one ``(n_jumps, dim, dim)`` stack of its
+jumps.
 Representations are treated as immutable after construction; all derived
 computations are pure.
 """
@@ -48,7 +51,8 @@ computations are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,11 +74,17 @@ DOCUMENT_FIELDS = ("label", "dim", "hamiltonian", "jumps")
 
 @dataclass(eq=False)
 class Representation:
-    """Hamiltonian plus ordered jump operators; ``hamiltonian=None`` means 0."""
+    """Hamiltonian plus ordered jump operators; ``hamiltonian=None`` means 0.
+
+    Construction also keeps ``jump_stack``, the jumps stacked along a first
+    axis (read-only), and ``jump_norms`` holds each jump's :func:`frobenius`
+    norm from its first read, so no analysis stacks the jumps or takes a
+    norm again."""
 
     hamiltonian: Optional[np.ndarray]
     jumps: Sequence[np.ndarray]
     label: str = ""
+    jump_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         jumps = tuple(as_matrix(j) for j in self.jumps)
@@ -92,11 +102,20 @@ class Representation:
                 raise ValidationError(
                     f"jump operator {k + 1} has shape {jump.shape}, expected {(dim, dim)}"
                 )
-        require_finite(np.stack([ham, *jumps]))  # one check, now that the shapes agree
+        ops = np.stack([ham, *jumps])
+        require_finite(ops)  # one check, now that the shapes agree
         if not _is_hermitian(ham):
             raise ValidationError("Hamiltonian not Hermitian")
+        ops.flags.writeable = False
         self.hamiltonian = ham
         self.jumps = jumps
+        self.jump_stack = ops[1:]
+
+    @cached_property
+    def jump_norms(self) -> tuple[float, ...]:
+        # on first read, not at construction: a finite jump's norm can
+        # overflow, which only an analysis that reads it should meet
+        return tuple(frobenius(jump) for jump in self.jumps)
 
     @property
     def dim(self) -> int:
@@ -122,7 +141,7 @@ def _is_hermitian(ham: np.ndarray) -> bool:
 def require_valid(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> None:
     """Reject jumps of Frobenius norm at most ``tol.atol``, naming each; the
     rest of validity holds by construction."""
-    zeros = [k + 1 for k, jump in enumerate(rep.jumps) if frobenius(jump) <= tol.atol]
+    zeros = [k + 1 for k, norm in enumerate(rep.jump_norms) if norm <= tol.atol]
     if zeros:
         raise ValidationError("; ".join(f"zero jump operator at index {k}" for k in zeros))
 
@@ -137,16 +156,21 @@ def effective_hamiltonian(rep: Representation) -> np.ndarray:
     return rep.hamiltonian - 0.5j * rate_operator(rep)
 
 
-def _generator_terms(rep: Representation) -> tuple[list, list]:
-    """Kronecker factors of the generator on column-stacked matrices:
-    ``L = 1 (x) K + (iH^T - G^T/2) (x) 1 + sum_k conj(J_k) (x) J_k`` with
-    ``K = -iH - G/2`` and ``G = sum_k J_k^+ J_k``."""
+def _drift_terms(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """``K = -iH - G/2`` and ``K' = iH^T - G^T/2``, with ``G = sum_k J_k^+
+    J_k``: the generator on column-stacked matrices is
+    ``L = 1 (x) K + K' (x) 1 + sum_k conj(J_k) (x) J_k``."""
     ham = rep.hamiltonian
     gain = rate_operator(rep)
+    return -1j * ham - 0.5 * gain, 1j * ham.T - 0.5 * gain.T
+
+
+def _generator_terms(rep: Representation) -> tuple[list, list]:
+    """Left and right Kronecker factors of the generator's terms, in the
+    order of :func:`_drift_terms`' sum."""
+    drift, drift_t = _drift_terms(rep)
     eye = np.eye(rep.dim)
-    lefts = [eye, 1j * ham.T - 0.5 * gain.T, *(j.conj() for j in rep.jumps)]
-    rights = [-1j * ham - 0.5 * gain, eye, *rep.jumps]
-    return lefts, rights
+    return [eye, drift_t, *(j.conj() for j in rep.jumps)], [drift, eye, *rep.jumps]
 
 
 def liouvillian_matrix(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

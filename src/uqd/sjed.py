@@ -13,6 +13,12 @@ relation is an equivalence, and each class falls into one of two types:
   of rank >= 2; the class is summarized by that operator (unit Frobenius
   norm, phase-fixed) and the combined weight ``lam = sqrt(sum_k |lam_k|^2)``.
 
+A block of :func:`partition` computes its summaries the first time they are
+read, from its members and its first member's direction.  Deciding reads
+none of them: theorem 1 compares the members' actions (:func:`block_gaps`),
+and theorems 2 and 3 read only the member indices.  The ``sjed``,
+``minimize`` and ``gauge`` commands read them.
+
 Rank-1 operators that happen to be mutually proportional are still
 classified as reset (parallel images take precedence), which keeps each
 class homogeneous in type.
@@ -45,7 +51,8 @@ All functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from functools import cached_property
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,26 +94,81 @@ def fix_vector_phase(v: np.ndarray) -> np.ndarray:
     return fix_phase(np.asarray(v, dtype=complex).reshape(-1, 1)).reshape(-1)
 
 
-@dataclass(eq=False)
 class ResetBlock:
-    """Rank-1 class resetting onto ``chi``; ``gamma_op`` carries the weights."""
+    """Rank-1 class resetting onto ``chi``; ``gamma_op`` carries the weights.
 
-    indices: tuple[int, ...]
-    chi: np.ndarray
-    gamma_op: np.ndarray
+    A block built by hand is given both; a block of :func:`partition` is
+    given its representation and its first member's unit leading image
+    ``direction``, and computes each the first time it is read."""
 
     kind = "reset"
 
+    def __init__(
+        self,
+        indices: Sequence[int],
+        chi: Optional[np.ndarray] = None,
+        gamma_op: Optional[np.ndarray] = None,
+        *,
+        rep: Optional[Representation] = None,
+        direction: Optional[np.ndarray] = None,
+    ) -> None:
+        self.indices = tuple(indices)
+        self._rep, self._direction = rep, direction
+        if chi is not None:
+            self.chi = chi
+        if gamma_op is not None:
+            self.gamma_op = gamma_op
 
-@dataclass(eq=False)
+    @cached_property
+    def chi(self) -> np.ndarray:
+        return fix_vector_phase(self._direction)
+
+    @cached_property
+    def gamma_op(self) -> np.ndarray:
+        rep = self._rep
+        gamma = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for k in self.indices:
+            gamma += dagger(rep.jumps[k]) @ rep.jumps[k]
+        return gamma
+
+
 class NonResetBlock:
-    """Class of mutual multiples of ``canonical_op`` (rank >= 2, unit norm)."""
+    """Class of mutual multiples of ``canonical_op`` (rank >= 2, unit norm).
 
-    indices: tuple[int, ...]
-    weight: float
-    canonical_op: np.ndarray
+    A block built by hand is given ``weight`` and ``canonical_op``; a block
+    of :func:`partition` is given its representation and its first member's
+    unit flattened ``direction``, and computes each the first time it is
+    read.  :func:`partition` has related every member to that direction, so
+    each member's coefficient is its projection onto the canonical operator."""
 
     kind = "non-reset"
+
+    def __init__(
+        self,
+        indices: Sequence[int],
+        weight: Optional[float] = None,
+        canonical_op: Optional[np.ndarray] = None,
+        *,
+        rep: Optional[Representation] = None,
+        direction: Optional[np.ndarray] = None,
+    ) -> None:
+        self.indices = tuple(indices)
+        self._rep, self._direction = rep, direction
+        if weight is not None:
+            self.weight = weight
+        if canonical_op is not None:
+            self.canonical_op = canonical_op
+
+    @cached_property
+    def canonical_op(self) -> np.ndarray:
+        return fix_phase(self._direction.reshape(self._rep.dim, self._rep.dim))
+
+    @cached_property
+    def weight(self) -> float:
+        canonical, jumps = self.canonical_op, self._rep.jumps
+        sq = frobenius(canonical) ** 2
+        weight_sq = sum(abs(complex(np.vdot(canonical, jumps[k]) / sq)) ** 2 for k in self.indices)
+        return float(np.sqrt(weight_sq))
 
 
 SjedBlock = Union[ResetBlock, NonResetBlock]
@@ -142,22 +204,6 @@ def are_jed(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return partition(Representation(None, [a, b]), tol).block_count == 1
 
 
-def _classify(rep: Representation, indices: List[int], reset: bool, direction: np.ndarray) -> SjedBlock:
-    """Summarise one class from its first member's kind and unit direction.
-
-    :func:`partition` has already related every member to that direction, so
-    each non-reset member's coefficient is its projection onto it."""
-    if reset:
-        gamma = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for k in indices:
-            gamma += dagger(rep.jumps[k]) @ rep.jumps[k]
-        return ResetBlock(indices=tuple(indices), chi=fix_vector_phase(direction), gamma_op=gamma)
-    canonical = fix_phase(direction.reshape(rep.dim, rep.dim))
-    sq = frobenius(canonical) ** 2
-    weight_sq = sum(abs(complex(np.vdot(canonical, rep.jumps[k]) / sq)) ** 2 for k in indices)
-    return NonResetBlock(indices=tuple(indices), weight=float(np.sqrt(weight_sq)), canonical_op=canonical)
-
-
 def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartition:
     """Exact equal-destination classes of the jumps, by smallest member.
 
@@ -169,15 +215,19 @@ def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartitio
     members are exactly the earlier jumps it relates to, or opens a class
     when it relates to none.  Any other pattern means the relation is not
     transitive at this tolerance, which raises :class:`NumericalError`
-    whatever the order of the jumps.
+    whatever the order of the jumps.  Each block computes its summaries
+    (``chi`` and ``gamma_op``, or ``canonical_op`` and ``weight``) the first
+    time they are read.
     """
     require_valid(rep, tol)
     cutoff = tol.cutoff(1.0)
-    images, sigmas, _ = np.linalg.svd(np.stack(rep.jumps))
-    kinds = [np.count_nonzero(sigma > tol.cutoff(sigma[0])) == 1 for sigma in sigmas]
+    images, sigmas, _ = np.linalg.svd(rep.jump_stack)
+    # tol.cutoff of each jump's largest singular value, elementwise
+    above = sigmas > np.maximum(tol.atol, tol.rtol * np.abs(sigmas[:, :1]))
+    kinds = (np.count_nonzero(above, axis=1) == 1).tolist()
     directions = [
-        u[:, 0] if reset else jump.reshape(-1) / frobenius(jump)
-        for u, reset, jump in zip(images, kinds, rep.jumps)
+        images[k, :, 0] if reset else rep.jumps[k].reshape(-1) / norm
+        for k, (reset, norm) in enumerate(zip(kinds, rep.jump_norms))
     ]
     classes: List[List[int]] = []
     class_of: List[int] = []
@@ -201,7 +251,10 @@ def partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartitio
             )
         classes[class_of[j]].append(j)
     return SjedPartition(
-        tuple(_classify(rep, g, kinds[g[0]], directions[g[0]]) for g in classes)
+        tuple(
+            (ResetBlock if kinds[g[0]] else NonResetBlock)(g, rep=rep, direction=directions[g[0]])
+            for g in classes
+        )
     )
 
 
@@ -247,7 +300,7 @@ def block_gaps(
     core ``conj(R[:, S]) R[:, S]^T`` (:func:`uqd.linalg.kron_sum_core`; the
     left stack is ``conj`` of the right one).  Each norm is a core's and
     each gap the difference of two cores'."""
-    r = stack_factor([*rep_b.jumps, *rep_a.jumps])
+    r = stack_factor(np.concatenate([rep_b.jump_stack, rep_a.jump_stack]))
     r_lefts, offset = r.conj(), rep_b.n_jumps
     cores_a = [
         kron_sum_core(r_lefts, r, [offset + k for k in blk.indices]) for blk in parts_a.blocks

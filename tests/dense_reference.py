@@ -13,6 +13,10 @@ canonical data (``chi`` and ``Gamma``, or weight and canonical operator), so
 tests can hold the partition's summaries to the jumps' own action, and
 :func:`paired_block_gap` is the dense form of the block value that
 ``uqd.ensemble.rate_field_scan`` reports.
+
+:func:`eager_partition` is the partition as it was when every block was
+summarised as it was built (:func:`classify`), per jump, so tests can hold
+the package's blocks, which summarise themselves on first read, to its bits.
 """
 
 from __future__ import annotations
@@ -27,10 +31,27 @@ from uqd.equivalence import (
     _hamiltonian_shift,
     check_theorem2,
 )
-from uqd.errors import ValidationError
-from uqd.linalg import DEFAULT_TOL, Tolerance, density, frobenius, superoperator_matrix, vec
-from uqd.representation import Representation, liouvillian_matrix
-from uqd.sjed import ResetBlock, SjedBlock, composite_action, partition
+from uqd.errors import NumericalError, ValidationError
+from uqd.linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    dagger,
+    density,
+    frobenius,
+    superoperator_matrix,
+    vec,
+)
+from uqd.representation import Representation, liouvillian_matrix, require_valid
+from uqd.sjed import (
+    NonResetBlock,
+    ResetBlock,
+    SjedBlock,
+    SjedPartition,
+    composite_action,
+    fix_phase,
+    fix_vector_phase,
+    partition,
+)
 
 
 def kron_sum_norm(lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> float:
@@ -164,3 +185,53 @@ def evaluate(
         theorem2=check_theorem2(rep_a, rep_b, tol),
         theorem3=check_theorem3(rep_a, rep_b, tol, block_perm),
     )
+
+
+def classify(rep: Representation, indices: List[int], reset: bool, direction: np.ndarray) -> SjedBlock:
+    """Summarise one class from its first member's kind and unit direction.
+
+    :func:`eager_partition` has already related every member to that
+    direction, so each non-reset member's coefficient is its projection onto
+    it."""
+    if reset:
+        gamma = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for k in indices:
+            gamma += dagger(rep.jumps[k]) @ rep.jumps[k]
+        return ResetBlock(indices=tuple(indices), chi=fix_vector_phase(direction), gamma_op=gamma)
+    canonical = fix_phase(direction.reshape(rep.dim, rep.dim))
+    sq = frobenius(canonical) ** 2
+    weight_sq = sum(abs(complex(np.vdot(canonical, rep.jumps[k]) / sq)) ** 2 for k in indices)
+    return NonResetBlock(indices=tuple(indices), weight=float(np.sqrt(weight_sq)), canonical_op=canonical)
+
+
+def eager_partition(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> SjedPartition:
+    """:func:`uqd.sjed.partition` with each kind, norm and summary taken per
+    jump and every block summarised as it is built."""
+    require_valid(rep, tol)
+    cutoff = tol.cutoff(1.0)
+    images, sigmas, _ = np.linalg.svd(np.stack(rep.jumps))
+    kinds = [np.count_nonzero(sigma > tol.cutoff(sigma[0])) == 1 for sigma in sigmas]
+    directions = [
+        u[:, 0] if reset else jump.reshape(-1) / frobenius(jump)
+        for u, reset, jump in zip(images, kinds, rep.jumps)
+    ]
+    classes: List[List[int]] = []
+    class_of: List[int] = []
+    for j, (reset, v) in enumerate(zip(kinds, directions)):
+        related = [
+            i
+            for i in range(j)
+            if kinds[i] == reset
+            and frobenius(v - np.vdot(directions[i], v) * directions[i]) <= cutoff
+        ]
+        if not related:
+            classes.append([])
+            class_of.append(len(classes) - 1)
+        elif related == classes[class_of[related[0]]]:
+            class_of.append(class_of[related[0]])
+        else:
+            raise NumericalError(
+                f"equal-destination relation is not transitive at this tolerance (jump {j + 1})"
+            )
+        classes[class_of[j]].append(j)
+    return SjedPartition(tuple(classify(rep, g, kinds[g[0]], directions[g[0]]) for g in classes))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -208,14 +210,26 @@ class TestPhaseClasses:
         assert verdict.diagnostics == ("no permutation aligns all jumps up to phases",)
 
     def test_overlapping_classes_are_a_named_error(self):
-        # at rtol 0.1 jumps within 0.1 rad are proportional and theorem 1
-        # holds: the second side's first jump matches both of the first
-        # side's, its second jump only the second
+        # at rtol 0.1 multiples of one operator within 10 % in modulus are
+        # unit multiples, and theorem 1 holds on one block per side: the
+        # second side's first jump (modulus 1.08) matches both of the first
+        # side's (1 and 1.15), its second (1.12) only the second
         loose = Tolerance(atol=1e-10, rtol=0.1)
-        rep, other = tilted(0.0, 0.15), tilted(0.05, 0.175)
+        rep, other = scaled(1.0, 1.15**2), scaled(1.08**2, 1.12**2)
         assert check_theorem1(rep, other, loose).holds
         with pytest.raises(NumericalError, match="phase classes overlap at jump 2"):
             check_theorem2(rep, other, loose)
+
+    def test_jumps_of_unpaired_blocks_are_not_compared(self):
+        # at rtol 0.1 the second side's first jump (0.05 rad) is a unit
+        # multiple of both of the first side's (0 and 0.15 rad), but the
+        # partitions put the jumps 0.15 rad apart in different blocks, and
+        # theorem 1 pairs the first blocks: each jump has one candidate
+        loose = Tolerance(atol=1e-10, rtol=0.1)
+        rep, other = tilted(0.0, 0.15), tilted(0.05, 0.175)
+        assert check_theorem1(rep, other, loose).block_perm == (0, 1)
+        verdict = check_theorem2(rep, other, loose, enumerate_all=True)
+        assert verdict.holds and [m.perm for m in verdict.matchings] == [(0, 1)]
 
     @pytest.mark.parametrize(
         "angles_a, angles_b",
@@ -544,9 +558,9 @@ class TestDecisionPathCost:
         assert report.theorem1.holds and report.theorem3.holds
         assert report.theorem3.block_perm == report.theorem1.block_perm == block_perm
 
-    def test_three_qr_factorisations_per_matched_pair(self, rng, monkeypatch):
-        # one per stack: the generators' left and right factors, and the
-        # jumps of both sides, whatever the number of blocks
+    def test_two_qr_factorisations_per_matched_pair(self, rng, monkeypatch):
+        # one for the generators' union stack and one for the jumps of both
+        # sides, whatever the number of blocks
         rep = random_minimal_representation(rng, 5, n_reset=2, n_nonreset=1)
         other = apply_gauge(rep, random_block_isometry(rng, rep), -0.7)
         calls = []
@@ -557,9 +571,62 @@ class TestDecisionPathCost:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting)
+        assert same_liouvillian(rep, other) and len(calls) == 1
+        calls.clear()
         report = evaluate(rep, other)
         assert partition(rep).block_count == 3 and report.theorem1.holds
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_no_block_summary_and_one_norm_per_jump(self, rng, monkeypatch, tmp_path, capsys):
+        # matched checks, in the library and through the CLI, read no block
+        # summary, and take each jump's norm once per representation
+        import sys
+
+        import uqd.linalg as linalg
+        from uqd import cli, sjed
+        from uqd.representation import serialize
+
+        rep = random_minimal_representation(rng, 5, n_reset=2, n_nonreset=2)
+        other = apply_gauge(rep, random_block_isometry(rng, rep), -0.7)
+        block_perm = check_theorem1(rep, other).block_perm
+        paths = []
+        for name, side in (("a.json", rep), ("b.json", other)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(serialize(side))
+
+        def unread(block):
+            raise AssertionError(f"a summary of block {block.indices} was read")
+
+        for cls, names in (
+            (sjed.ResetBlock, ("chi", "gamma_op")),
+            (sjed.NonResetBlock, ("canonical_op", "weight")),
+        ):
+            for name in names:
+                monkeypatch.setattr(cls, name, property(unread))
+        jumps = [*rep.jumps, *other.jumps]
+        norms = [0] * len(jumps)
+        original = linalg.frobenius
+
+        def counted(mat):
+            for n, jump in enumerate(jumps):
+                if np.shape(mat) == jump.shape and np.array_equal(mat, jump):
+                    norms[n] += 1
+            return original(mat)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("uqd") and getattr(module, "frobenius", None) is original:
+                monkeypatch.setattr(module, "frobenius", counted)
+        sides = [Representation(r.hamiltonian, r.jumps) for r in (rep, other)]
+        for perm in (None, block_perm):
+            report = evaluate(*sides, block_perm=perm)
+            assert report.theorem1.holds and report.theorem3.holds
+        assert norms == [1] * len(jumps)
+        norms[:] = [0] * len(jumps)
+        code = cli.main(
+            ["check", "--rep-a", str(paths[0]), "--rep-b", str(paths[1]), "--level", "t1"]
+        )
+        assert code == 0 and json.loads(capsys.readouterr().out)["theorem1"]["holds"]
+        assert norms == [1] * len(jumps)
 
     def test_dim_64_gauge_pair_holds(self, rng):
         rep, other = self.gauge_pair(rng, 64)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqd import models
 from uqd.equivalence import apply_gauge
@@ -31,12 +33,13 @@ from uqd.sjed import (
     partition,
 )
 from conftest import ket
-from dense_reference import block_action_matrix
+from dense_reference import block_action_matrix, eager_partition
 from helpers import (
     close_targets,
     cross_block_mixture,
     haar_isometry,
     mixed_rank,
+    permuted_phase_variant,
     random_block_isometry,
     random_minimal_representation,
     random_pure_state,
@@ -189,6 +192,39 @@ class TestPartition:
         parts = partition(qutrit_a)
         actions = [composite_action(qutrit_a, blk) for blk in parts.blocks]
         assert frobenius(actions[0] - actions[1]) > 1e-3
+
+
+class TestSummariesOnFirstRead:
+    """A block of `partition` computes its summaries when they are first
+    read, with the bits of the eager reference (`eager_partition`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 16),
+        shape=st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]),
+        variant=st.sampled_from(["minimal", "relabelled", "gauged"]),
+        backwards=st.booleans(),
+    )
+    def test_summaries_equal_the_eager_reference(self, seed, dim, shape, variant, backwards):
+        rng = np.random.default_rng(seed)
+        rep = random_minimal_representation(rng, dim, *shape)
+        if variant == "relabelled":
+            rep = permuted_phase_variant(rng, rep)
+        elif variant == "gauged":
+            rep = apply_gauge(rep, random_block_isometry(rng, rep), -0.7)
+        lazy, eager = partition(rep), eager_partition(rep)
+        assert [(type(b), b.indices) for b in lazy.blocks] == [
+            (type(b), b.indices) for b in eager.blocks
+        ]
+        for blk, ref in zip(lazy.blocks, eager.blocks):
+            names = ["chi", "gamma_op"] if isinstance(ref, ResetBlock) else ["canonical_op", "weight"]
+            assert not set(names) & set(vars(blk))  # nothing computed before a read
+            for name in names[::-1] if backwards else names:
+                got, want = getattr(blk, name), getattr(ref, name)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert getattr(blk, name) is got  # computed once
 
 
 def _classes(rep, relabel=None):
